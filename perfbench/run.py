@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload serve_open --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload serve_open --seed 0 --seconds 40 --trace 0
 
 Workloads (see ``perfbench/workloads.py``):
 
@@ -17,13 +17,15 @@ Workloads (see ``perfbench/workloads.py``):
 ``--trace 0`` measures the end-to-end metrics with the layers unwrapped
 (only the serving run entry points count simulated requests):
 
-* ``wall_s`` — median host wall clock of one iteration;
-* ``setup_s`` — interpreter start until imports finish, plus the median of
-  ``SETUP_REPEATS`` set-ups (traffic, trace recording and the cache-filling
-  warm-up iteration), i.e. what a cold command pays before its first timed
-  work;
-* ``sim_req_per_s`` — simulated requests per host second of an iteration
-  (median), counting every serving run the iteration makes;
+* ``wall_s`` — host wall clock of one iteration: the sum over its timed
+  parts (serving runs, or the report's experiments) of each part's fastest
+  run, over at least ``MIN_ITERATIONS`` iterations;
+* ``setup_s`` — what a cold command pays before its first timed work: the
+  fastest of ``IMPORT_REPEATS`` fresh interpreters that import the program
+  and exit, plus the fastest of ``SETUP_REPEATS`` set-ups (traffic, trace
+  recording and the cache-filling warm-up iteration);
+* ``sim_req_per_s`` — simulated requests of one iteration (every serving
+  run it makes) per second of ``wall_s``;
 * ``peak_rss_mb`` — peak resident set of the process;
 * ``ops_ok_frac`` — operations whose output check passed over operations
   attempted (``1 - ops_failed_frac``; the ratio that is never 0).
@@ -33,45 +35,41 @@ layer's self time and counts per traced iteration (median), the traced
 set-up's layer breakdown (``setup.*``) and the tracing overhead
 (``trace.*``).  See ``perfbench/tracing.py``.
 
-Every iteration's outputs are checked outside the timed region.  The last
-line of standard output is one JSON object:
+Every iteration does the same work, so the fastest run of each part is the
+closest to what the program costs.  On a shared host other tenants slow
+single iterations by up to 50% in bursts of seconds, and a run's median
+moves with their load: across six 25-second serve_open runs the medians
+spread 0.20 (quartile range over median), the fastest iterations 0.04.
+Timing parts of 0.1-0.4 s (serve_open) rather than whole iterations finds
+quiet moments even when bursts cover most of a run: across eight 40-second
+runs at a busier time, medians spread 0.23, fastest iterations 0.11 and
+sums of fastest parts 0.05.  Every iteration's outputs are checked outside
+the timed region.  The last line of standard output is one JSON object:
 ``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``.
 """
 
 from __future__ import annotations
 
+import argparse
+import gc
+import json
+import os
+import resource
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
 import time
-
-_STARTED = time.perf_counter()
-
-import argparse  # noqa: E402  (imports are part of the measured set-up)
-import gc  # noqa: E402
-import json  # noqa: E402
-import os  # noqa: E402
-import resource  # noqa: E402
-import shutil  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-
-def _process_age_s() -> float:
-    """Seconds since this process started, from ``/proc`` (0 if unknown)."""
-    try:
-        fields = Path("/proc/self/stat").read_text().rsplit(")", 1)[1].split()
-        started = int(fields[19]) / os.sysconf("SC_CLK_TCK")  # starttime
-        return max(time.clock_gettime(time.CLOCK_BOOTTIME) - started, 0.0)
-    except (OSError, ValueError, IndexError, AttributeError):
-        return 0.0
-
-
-#: time from process start until this module began running
-_BOOT_S = _process_age_s()
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("report_smoke", "serve_open", "serve_feedback")
+IMPORT_REPEATS = 5
 SETUP_REPEATS = 3
+#: report_smoke's ~20 s iteration would otherwise run once, with no second
+#: chance for an experiment that a burst of host load slowed
+MIN_ITERATIONS = 2
 
 END_TO_END_UNITS = {
     "wall_s": "s",
@@ -104,7 +102,7 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0,
+    parser.add_argument("--seconds", type=float, default=40.0,
                         help="measure iterations for about this long")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--spans", type=Path,
@@ -133,6 +131,8 @@ class _Run:
         self.outcomes = []
         self.digests = None
         self.last_outputs = None
+        #: timed part -> wall clock of each of its runs
+        self.part_seconds: dict[str, list[float]] = {}
 
     def timed_iteration(self) -> float:
         """One checked iteration; returns its wall clock."""
@@ -141,6 +141,9 @@ class _Run:
         started = time.perf_counter()
         outputs = self.workload.iteration()
         wall = time.perf_counter() - started
+        for _, _, _, parts in outputs:
+            for part, seconds in parts.items():
+                self.part_seconds.setdefault(part, []).append(seconds)
         outcomes = self.workload.check(outputs)
         digests = [outcome.digest for outcome in outcomes]
         if self.digests is None:
@@ -163,7 +166,29 @@ class _Run:
         return self.outcomes[-(len(self.digests) + len(final)):]
 
 
-def _untraced(run: _Run, tracing, seconds: float, imports_s: float) -> dict:
+def _cold_import_s() -> float:
+    """Fastest wall clock of a fresh interpreter that imports the program.
+
+    Each child starts, imports every module the workloads use and exits,
+    one after the other, so the time is what a cold command pays before it
+    does any work.
+    """
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "0",
+        "PYTHONPATH": os.pathsep.join([str(ROOT), str(ROOT / "src")]),
+    }
+    times = []
+    for _ in range(IMPORT_REPEATS):
+        started = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import perfbench.workloads"],
+                       cwd=ROOT, env=env, check=True)
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+
+def _untraced(run: _Run, tracing, seconds: float) -> dict:
+    imports_s = _cold_import_s()
     tracer = tracing.Tracer()
     with tracing.Instrumentation(tracer, serving_only=True):
         setups = []
@@ -172,18 +197,18 @@ def _untraced(run: _Run, tracing, seconds: float, imports_s: float) -> dict:
             run.workload.setup()
             setups.append(time.perf_counter() - started)
         tracer.take()
-        walls, rates = [], []
+        served = []
         deadline = time.perf_counter() + seconds
         while True:
             wall = run.timed_iteration()
-            walls.append(wall)
-            rates.append(tracing.served_requests(tracer.take()) / wall)
-            if time.perf_counter() + wall > deadline:
+            served.append(tracing.served_requests(tracer.take()))
+            if len(served) >= MIN_ITERATIONS and time.perf_counter() + wall > deadline:
                 break
+    wall_s = sum(min(times) for times in run.part_seconds.values())
     return {
-        "wall_s": statistics.median(walls),
-        "setup_s": imports_s + statistics.median(setups),
-        "sim_req_per_s": statistics.median(rates),
+        "wall_s": wall_s,
+        "setup_s": imports_s + min(setups),
+        "sim_req_per_s": statistics.median(served) / wall_s,
         "peak_rss_mb": _peak_rss_mb(),
     }
 
@@ -252,7 +277,6 @@ def main(argv=None, *, scale: float = 1.0) -> int:
         return 2
     from perfbench import tracing, workloads
 
-    imports_s = _BOOT_S + (time.perf_counter() - _STARTED)
     work_root = ROOT / "perfbench" / ".work"
     work_root.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix="run-", dir=work_root))
@@ -269,7 +293,7 @@ def main(argv=None, *, scale: float = 1.0) -> int:
             metrics = _traced(run, tracing, args.seconds, args.spans)
             units = per_layer_units()
         else:
-            metrics = _untraced(run, tracing, args.seconds, imports_s)
+            metrics = _untraced(run, tracing, args.seconds)
             units = END_TO_END_UNITS
         last = run.finish()
     finally:
@@ -313,8 +337,7 @@ def main(argv=None, *, scale: float = 1.0) -> int:
 if __name__ == "__main__":
     # String hashing is randomized per process, and the dict and set layouts
     # it yields move the serving loops' wall clock by ~10% from one process
-    # to the next.  One fixed seed keeps runs comparable; the process
-    # replaces itself, so set-up time still counts from the first start.
+    # to the next.  One fixed seed keeps runs comparable.
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv],
                   {**os.environ, "PYTHONHASHSEED": "0"})

@@ -10,7 +10,7 @@ import pytest
 
 from perfbench import run, tracing, workloads
 
-#: serving durations shrink by this factor; one iteration per run
+#: serving durations shrink by this factor; MIN_ITERATIONS iterations per run
 TINY = ["--seconds", "0"]
 TINY_SCALE = 0.02
 #: two near-instant experiments stand in for the full 35-table report
@@ -99,10 +99,26 @@ def test_corrupted_report_section_counts_as_failed(monkeypatch, capsys):
     monkeypatch.setattr(report, "build_report", lambda **kwargs: corrupted)
     lines, result = _main(capsys, "report_smoke")
     titles = len(report.all_specs())
-    assert (result["attempted"], result["failed"]) == (titles, 1)
+    iterations = run.MIN_ITERATIONS
+    assert (result["attempted"], result["failed"]) == (
+        iterations * titles, iterations
+    )
     assert result["correct"] is False
     assert result["metrics"]["ops_ok_frac"]["value"] == pytest.approx(1 - 1 / titles)
     assert f"metric ops_failed_frac {1 / titles:.6g} ratio" in lines
+
+
+def test_report_iteration_times_each_experiment(tiny, tmp_path):
+    from repro.evaluation import engine
+
+    before = engine.run
+    workload = workloads.ReportSmoke(seed=0, scale=1.0, workdir=tmp_path,
+                                     root=run.ROOT)
+    (op, text, error, parts), = workload.iteration()
+    assert engine.run is before
+    assert (op, error) == ("report", None) and text
+    assert set(parts) == {*SMALL_REPORT, "report"}
+    assert all(seconds >= 0 for seconds in parts.values())
 
 
 def test_report_outcomes_match_golden_sections():
@@ -132,9 +148,8 @@ def test_conservation_break_counts_as_failed(tiny, monkeypatch, capsys):
         if line.startswith("digest ") and " FAILED " in line
     }
     assert result["correct"] is False
-    # The two controlled runs break conservation; the pinned checks compare
-    # records only and still pass.
-    assert result["failed"] == 2
+    # The two controlled runs break conservation in every iteration.
+    assert result["failed"] == 2 * run.MIN_ITERATIONS
     assert result["metrics"]["ops_ok_frac"]["value"] < 1.0
     assert failed == {
         "control_target_util_diurnal", "control_queue_pid_ramp_surge"

@@ -7,8 +7,9 @@ Every workload splits its work the same way:
   ``ExecutionCache`` entry.  Each call starts from a fresh cache, so it can
   be repeated for a steadier set-up time.
 * :meth:`Workload.iteration` is the timed work.  It returns one raw output
-  per *operation* (an experiment table of the report, or one serving run)
-  and never raises: a failing operation returns its error instead.
+  per *operation* (the report, or one serving run) with the wall clock of
+  the operation's timed parts, and never raises: a failing operation
+  returns its error instead.
 * :meth:`Workload.check` and :meth:`Workload.final_checks` run outside the
   timed region and turn outputs into :class:`Outcome` records, each with a
   digest of what the operation produced.
@@ -23,11 +24,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import time
 from pathlib import Path
 from typing import NamedTuple
 
 from repro.backends import ExecutionCache
-from repro.evaluation import report
+from repro.evaluation import engine, report
 from repro.serving import control, metrics, scenarios, sessions, trace
 from repro.serving.batching import build_policy
 from repro.serving.fleet import Fleet
@@ -67,11 +69,14 @@ def digest(value) -> str:
 
 
 def _attempt(op: str, fn):
-    """``(op, value, None)``, or ``(op, None, error)`` when ``fn`` raises."""
+    """``(op, value, None, parts)``, or ``(op, None, error, parts)`` when
+    ``fn`` raises; ``parts`` is ``{op: wall clock of the call}``."""
+    started = time.perf_counter()
     try:
-        return op, fn(), None
+        value, error = fn(), None
     except Exception as exc:  # an operation failure is counted, not fatal
-        return op, None, f"{type(exc).__name__}: {exc}"
+        value, error = None, f"{type(exc).__name__}: {exc}"
+    return op, value, error, {op: time.perf_counter() - started}
 
 
 class Workload:
@@ -157,13 +162,34 @@ class ReportSmoke(Workload):
         self.golden = (self.root / GOLDEN_REPORT).read_text()
 
     def iteration(self) -> list[tuple]:
-        return [_attempt("report", lambda: report.build_report(
-            smoke=True, use_cache=False, workers=1
-        ))]
+        """The report, with each experiment's run timed as its own part.
+
+        The part ``report`` is what remains: validation, rendering and
+        assembly of the document.
+        """
+        parts = {}
+        run = engine.run
+
+        def timed_run(experiment_id, *args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return run(experiment_id, *args, **kwargs)
+            finally:
+                parts[experiment_id] = time.perf_counter() - started
+
+        engine.run = timed_run
+        try:
+            op, text, error, total = _attempt("report", lambda: report.build_report(
+                smoke=True, use_cache=False, workers=1
+            ))
+        finally:
+            engine.run = run
+        parts["report"] = total["report"] - sum(parts.values())
+        return [(op, text, error, parts)]
 
     def check(self, outputs: list[tuple]) -> list[Outcome]:
         titles = [spec.title for spec in report.all_specs()]
-        (_, text, error), = outputs
+        (_, text, error, _), = outputs
         if error is not None:
             return [Outcome(title, False, "", error) for title in titles]
         return report_outcomes(text, self.golden, titles)
@@ -243,7 +269,7 @@ def pinned_controller_outcomes(cache, seed: int, scale: float) -> list[Outcome]:
             )
             return plain.records, pinned.records
 
-        _, value, error = _attempt(op, both)
+        _, value, error, _ = _attempt(op, both)
         if error is not None:
             outcomes.append(Outcome(op, False, "", error))
             continue
@@ -361,7 +387,7 @@ class ServeOpen(Workload):
     def check(self, outputs: list[tuple]) -> list[Outcome]:
         return [
             serving_outcome(op, value, error, self.offered[op])
-            for op, value, error in outputs
+            for op, value, error, _ in outputs
         ]
 
     def final_checks(self, outputs: list[tuple]) -> list[Outcome]:
@@ -371,9 +397,9 @@ class ServeOpen(Workload):
         a pinned controller must reproduce the core's records.
         """
         op = f"{_SHARDED.op}_matches_shards1"
-        sharded = {name: value for name, value, _ in outputs}[_SHARDED.op]
+        sharded = {name: value for name, value, *_ in outputs}[_SHARDED.op]
         scenario = scenarios.get_scenario(_SHARDED.scenario)
-        _, single, error = _attempt(op, lambda: _simulator(
+        _, single, error, _ = _attempt(op, lambda: _simulator(
             self.cache, scenario, num_chips=_SHARDED.num_chips,
             router=_SHARDED.router,
         ).run(self._traffic(_SHARDED)))
@@ -408,9 +434,11 @@ class ServeFeedback(Workload):
     The target-utilization autoscaler follows the diurnal curve rather than
     flash_crowd, whose size swings 6x with the seed.
 
-    Not listed in ``BENCHMARK.json``: on a shared 2-vCPU machine its
-    sub-second iterations spread 0.24-0.27 (quartiles over median, ten
-    seeds), past the largest bound a metric may have.  Its layers still
+    Not listed in ``BENCHMARK.json``.  Each of its three set-ups takes
+    ~12 s of cold cache fills on a shared 2-vCPU machine, so a third
+    workload would push the benchmark's 70 runs past their hour.  Its
+    fastest iterations also spread 0.10 across six seeds (quartile range
+    over median), against 0.04-0.06 for serve_open.  Its layers still
     show in ``report_smoke`` (the serve_control and serve_chaos tables).
     """
 
@@ -480,7 +508,7 @@ class ServeFeedback(Workload):
         )
         return [
             serving_outcome(op, value, error, offered[op])
-            for op, value, error in outputs
+            for op, value, error, _ in outputs
         ]
 
 
