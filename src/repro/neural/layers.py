@@ -14,6 +14,7 @@ take flat ``(features,)`` vectors.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +114,42 @@ def _check_chw(shape: tuple[int, ...], layer_name: str) -> tuple[int, int, int]:
     return shape
 
 
-class Conv2d(Layer):
+class _WeightedLayer(Layer):
+    """A layer with a seeded random weight tensor that is drawn on first read.
+
+    The cost model reads only shapes, so building a workload graph never
+    pays for the draw.  ``forward`` and reads of ``weights`` see the array
+    the seed produces, scaled by ``1 / sqrt(fan_in)``; ``weights`` stays
+    assignable.
+    """
+
+    def __init__(self, name: str, weight_shape: tuple[int, ...], seed: int | None) -> None:
+        super().__init__(name)
+        self._weight_shape = weight_shape
+        self._seed = seed
+        self._weights: np.ndarray | None = None
+        self.bias = np.zeros(weight_shape[0])
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._weights is None:
+            self._weights = self._draw_weights()
+        return self._weights
+
+    @weights.setter
+    def weights(self, value: np.ndarray) -> None:
+        self._weights = value
+
+    def _draw_weights(self) -> np.ndarray:
+        rng = np.random.default_rng(self._seed)
+        scale = 1.0 / np.sqrt(math.prod(self._weight_shape[1:]))
+        return rng.normal(0.0, scale, size=self._weight_shape)
+
+    def params(self) -> int:
+        return math.prod(self._weight_shape) + self._weight_shape[0]
+
+
+class Conv2d(_WeightedLayer):
     """2-D convolution with square kernels, stride and zero padding."""
 
     kind = "conv"
@@ -128,24 +164,20 @@ class Conv2d(Layer):
         padding: int = 0,
         seed: int | None = None,
     ) -> None:
-        super().__init__(name)
         if min(in_channels, out_channels, kernel_size, stride) < 1 or padding < 0:
             raise DimensionMismatchError(
                 f"invalid Conv2d configuration for '{name}': "
                 f"in={in_channels}, out={out_channels}, k={kernel_size}, "
                 f"stride={stride}, padding={padding}"
             )
+        super().__init__(
+            name, (out_channels, in_channels, kernel_size, kernel_size), seed
+        )
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(in_channels * kernel_size * kernel_size)
-        self.weights = rng.normal(
-            0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size)
-        )
-        self.bias = np.zeros(out_channels)
 
     def _spatial_output(self, size: int) -> int:
         return (size + 2 * self.padding - self.kernel_size) // self.stride + 1
@@ -170,9 +202,6 @@ class Conv2d(Layer):
         )
         return 2 * macs
 
-    def params(self) -> int:
-        return int(self.weights.size + self.bias.size)
-
     def forward(self, activations: np.ndarray) -> np.ndarray:
         activations = np.asarray(activations, dtype=np.float64)
         out_channels, out_h, out_w = self.output_shape(activations.shape)
@@ -194,23 +223,20 @@ class Conv2d(Layer):
         return output
 
 
-class Linear(Layer):
+class Linear(_WeightedLayer):
     """Fully connected (GEMM) layer."""
 
     kind = "gemm"
 
     def __init__(self, name: str, in_features: int, out_features: int, seed: int | None = None) -> None:
-        super().__init__(name)
         if min(in_features, out_features) < 1:
             raise DimensionMismatchError(
                 f"invalid Linear configuration for '{name}': "
                 f"in={in_features}, out={out_features}"
             )
+        super().__init__(name, (out_features, in_features), seed)
         self.in_features = in_features
         self.out_features = out_features
-        rng = np.random.default_rng(seed)
-        self.weights = rng.normal(0.0, 1.0 / np.sqrt(in_features), size=(out_features, in_features))
-        self.bias = np.zeros(out_features)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if int(np.prod(input_shape)) != self.in_features:
@@ -223,9 +249,6 @@ class Linear(Layer):
     def flops(self, input_shape: tuple[int, ...]) -> int:
         self.output_shape(input_shape)
         return 2 * self.in_features * self.out_features
-
-    def params(self) -> int:
-        return int(self.weights.size + self.bias.size)
 
     def forward(self, activations: np.ndarray) -> np.ndarray:
         flat = np.asarray(activations, dtype=np.float64).reshape(-1)
@@ -250,6 +273,10 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        if not input_shape:
+            raise DimensionMismatchError(
+                f"layer '{self.name}' expects a channel axis, got a rank-0 shape"
+            )
         channels = input_shape[0]
         if channels != self.channels:
             raise DimensionMismatchError(

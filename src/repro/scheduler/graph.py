@@ -15,7 +15,9 @@ class OperationGraph:
 
     The scheduler interacts with the graph through ``ready_kernels`` /
     ``mark_complete``, which lets it discover newly unblocked kernels as
-    execution progresses.
+    execution progresses.  Each kernel keeps a count of its incomplete
+    predecessors, so a whole schedule costs O(V + E) graph updates rather
+    than a rescan of every node per dispatch.
     """
 
     def __init__(self, workload: Workload) -> None:
@@ -31,6 +33,9 @@ class OperationGraph:
                 f"workload '{workload.name}' has a cyclic dependency graph"
             )
         self._completed: set[str] = set()
+        self._order = {name: index for index, name in enumerate(self._graph.nodes)}
+        self._waiting = dict(self._graph.in_degree)
+        self._ready = {name for name, count in self._waiting.items() if count == 0}
 
     def __len__(self) -> int:
         return self._graph.number_of_nodes()
@@ -55,24 +60,28 @@ class OperationGraph:
     def ready_kernels(self, exclude: set[str] | None = None) -> list[KernelOp]:
         """Kernels whose dependencies are all complete and that are not done.
 
-        ``exclude`` lists kernels that are currently executing and therefore
-        neither complete nor schedulable.
+        They come in graph-node order (the workload's kernel order), which
+        schedulers rely on to break ties.  ``exclude`` lists kernels that
+        are currently executing and therefore neither complete nor
+        schedulable.
         """
         exclude = exclude or set()
-        ready = []
-        for name in self._graph.nodes:
-            if name in self._completed or name in exclude:
-                continue
-            predecessors = set(self._graph.predecessors(name))
-            if predecessors <= self._completed:
-                ready.append(self.kernel(name))
-        return ready
+        names = [name for name in self._ready if name not in exclude]
+        names.sort(key=self._order.__getitem__)
+        return [self.kernel(name) for name in names]
 
     def mark_complete(self, name: str) -> None:
         """Mark one kernel as finished."""
         if name not in self._graph.nodes:
             raise SchedulingError(f"unknown kernel '{name}'")
+        if name in self._completed:
+            return
         self._completed.add(name)
+        self._ready.discard(name)
+        for successor in self._graph.successors(name):
+            self._waiting[successor] -= 1
+            if self._waiting[successor] == 0 and successor not in self._completed:
+                self._ready.add(successor)
 
     def critical_path_length(self, weight_fn) -> float:
         """Length of the critical path under a per-kernel weight function."""

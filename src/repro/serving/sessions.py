@@ -40,7 +40,13 @@ import numpy as np
 from repro.errors import ServingError
 from repro.serving.chaos import OP_FAIL, OP_RECOVER, OP_SLOW_START
 from repro.serving.simulator import RequestRecord, ServingResult
-from repro.serving.traffic import SEED_STRIDE, Request
+from repro.serving.traffic import (
+    SEED_STRIDE,
+    Request,
+    check_mix_weights,
+    choice_cdf,
+    draw_index,
+)
 
 __all__ = ["SessionConfig", "run_sessions"]
 
@@ -57,13 +63,7 @@ def _normalize_mix(mix: Mapping[str, float]) -> tuple[tuple[str, float], ...]:
     require registered workload builders: a session run serves whatever
     workloads its service model understands (tests use synthetic ones).
     """
-    if not mix:
-        raise ServingError("session mix must name at least one workload")
-    if any(weight < 0 for weight in mix.values()):
-        raise ServingError("session mix weights must be non-negative")
-    total = float(sum(mix.values()))
-    if total <= 0:
-        raise ServingError("session mix weights must sum to a positive value")
+    total = check_mix_weights(mix, "session mix")
     return tuple((name, mix[name] / total) for name in sorted(mix))
 
 
@@ -155,19 +155,18 @@ class SessionConfig:
 class _User:
     """One closed-loop user: RNG stream plus conversation counters."""
 
-    __slots__ = ("rng", "turns_left", "sessions_left", "names", "probs")
+    __slots__ = ("rng", "turns_left", "sessions_left", "names", "cdf")
 
-    def __init__(self, rng, config: SessionConfig, names, probs):
+    def __init__(self, rng, config: SessionConfig, names, cdf):
         self.rng = rng
         self.turns_left = config.turns
         self.sessions_left = config.sessions_per_user
         self.names = names
-        self.probs = probs
+        self.cdf = cdf
 
     def draw_workload(self) -> str:
         """Sample this turn's workload from the mix."""
-        index = self.rng.choice(len(self.names), p=self.probs)
-        return self.names[int(index)]
+        return self.names[draw_index(self.cdf, self.rng)]
 
 
 class _Chip:
@@ -220,7 +219,7 @@ def run_sessions(
         )
     chip_models = simulator._chip_models()
     names = tuple(name for name, _ in config.mix)
-    probs = tuple(prob for _, prob in config.mix)
+    cdf = choice_cdf([prob for _, prob in config.mix])
     router = simulator._make_router(names, chip_models)
     policy = simulator.batching_policy
     chips = [_Chip(chip_id) for chip_id in range(simulator.fleet.num_chips)]
@@ -237,7 +236,7 @@ def run_sessions(
     users: list[_User] = []
     for user_id in range(config.users):
         rng = np.random.default_rng(seed * SEED_STRIDE + user_id)
-        user = _User(rng, config, names, probs)
+        user = _User(rng, config, names, cdf)
         users.append(user)
         start = float(rng.uniform(0.0, config.start_spread_s)) \
             if config.start_spread_s > 0 else 0.0

@@ -17,6 +17,8 @@ which is what makes whole serving simulations replayable.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -34,6 +36,9 @@ __all__ = [
     "TraceArrivals",
     "SEED_STRIDE",
     "concatenate_segments",
+    "check_mix_weights",
+    "choice_cdf",
+    "draw_index",
 ]
 
 #: sub-seed stride between chained generation segments.  Shared by
@@ -59,6 +64,44 @@ class Request:
             )
 
 
+def check_mix_weights(weights: Mapping[str, float], what: str = "workload mix") -> float:
+    """Validate a weight mapping and return its total.
+
+    Weights must be finite and non-negative and must sum to a positive
+    finite value; anything else raises :class:`~repro.errors.ServingError`.
+    """
+    if not weights:
+        raise ServingError(f"{what} must name at least one workload")
+    if not all(math.isfinite(weight) for weight in weights.values()):
+        raise ServingError(f"{what} weights must be finite")
+    if any(weight < 0 for weight in weights.values()):
+        raise ServingError(f"{what} weights must be non-negative")
+    total = float(sum(weights.values()))
+    if not 0 < total < math.inf:
+        raise ServingError(f"{what} weights must sum to a positive finite value")
+    return total
+
+
+def choice_cdf(probabilities: Sequence[float]) -> tuple[float, ...]:
+    """The cumulative distribution ``Generator.choice(n, p=...)`` samples.
+
+    Built the way numpy builds it (``cumsum``, then divided by the last
+    element), so :func:`draw_index` reproduces ``choice``'s draws exactly.
+    """
+    cdf = np.cumsum(np.asarray(probabilities, dtype=np.float64))
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
+def draw_index(cdf: Sequence[float], rng: np.random.Generator) -> int:
+    """One index drawn from ``cdf`` by bisection.
+
+    It is the index ``rng.choice(len(cdf), p=...)`` returns, and it
+    consumes the same single ``rng.random()``.
+    """
+    return bisect_right(cdf, rng.random())
+
+
 class WorkloadMix:
     """A normalised distribution over workload names.
 
@@ -67,24 +110,19 @@ class WorkloadMix:
     """
 
     def __init__(self, weights: Mapping[str, float]) -> None:
-        if not weights:
-            raise ServingError("workload mix must name at least one workload")
         unknown = set(weights) - set(WORKLOAD_BUILDERS)
         if unknown:
             raise ServingError(
                 f"workload mix names unknown workloads {sorted(unknown)}; "
                 f"known: {sorted(WORKLOAD_BUILDERS)}"
             )
-        if any(weight < 0 for weight in weights.values()):
-            raise ServingError("workload mix weights must be non-negative")
-        total = float(sum(weights.values()))
-        if total <= 0:
-            raise ServingError("workload mix weights must sum to a positive value")
+        total = check_mix_weights(weights)
         # Sorted name order makes sampling independent of dict insertion order.
         self.names: tuple[str, ...] = tuple(sorted(weights))
         self.probabilities: tuple[float, ...] = tuple(
             weights[name] / total for name in self.names
         )
+        self._cdf = choice_cdf(self.probabilities)
 
     @classmethod
     def uniform(cls, names: Iterable[str] | None = None) -> "WorkloadMix":
@@ -94,8 +132,7 @@ class WorkloadMix:
 
     def sample(self, rng: np.random.Generator) -> str:
         """Draw one workload name."""
-        index = rng.choice(len(self.names), p=self.probabilities)
-        return self.names[int(index)]
+        return self.names[draw_index(self._cdf, rng)]
 
 
 class ArrivalProcess:

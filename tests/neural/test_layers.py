@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.errors import DimensionMismatchError
 from repro.neural import BatchNorm, Conv2d, Flatten, Linear, MaxPool2d, ReLU, Softmax
+from repro.neural import layers
+from repro.workloads.registry import WORKLOAD_BUILDERS
 
 
 class TestConv2d:
@@ -86,6 +89,13 @@ class TestElementwiseLayers:
         with pytest.raises(DimensionMismatchError):
             bn.forward(np.zeros((3, 2, 2)))
 
+    def test_batchnorm_rejects_rank_zero_shape(self):
+        bn = BatchNorm("bn", channels=4)
+        with pytest.raises(DimensionMismatchError):
+            bn.output_shape(())
+        with pytest.raises(DimensionMismatchError):
+            bn.forward(np.float64(1.0))
+
     def test_maxpool_downsamples(self):
         pool = MaxPool2d("pool", pool_size=2)
         x = np.arange(16, dtype=float).reshape(1, 4, 4)
@@ -103,3 +113,69 @@ class TestElementwiseLayers:
         flat = Flatten("flatten")
         assert flat.forward(rng.normal(size=(2, 3, 4))).shape == (24,)
         assert flat.flops((2, 3, 4)) == 0
+
+
+@pytest.fixture
+def weight_draws(monkeypatch):
+    """Count every weight tensor a weighted layer draws."""
+    draws = []
+    original = layers._WeightedLayer._draw_weights
+
+    def counting(self):
+        draws.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(layers._WeightedLayer, "_draw_weights", counting)
+    return draws
+
+
+class TestLazyWeights:
+    @pytest.mark.parametrize("seed", [0, 3, 101])
+    def test_weights_equal_the_eager_draw(self, seed):
+        # The draw the layers made eagerly at construction before weights
+        # became lazy: normal(0, 1/sqrt(fan_in)) from default_rng(seed).
+        conv = Conv2d("conv", 3, 5, kernel_size=3, seed=seed)
+        expected = np.random.default_rng(seed).normal(
+            0.0, 1.0 / np.sqrt(3 * 3 * 3), size=(5, 3, 3, 3)
+        )
+        np.testing.assert_array_equal(conv.weights, expected)
+        linear = Linear("fc", 37, 11, seed=seed)
+        expected = np.random.default_rng(seed).normal(
+            0.0, 1.0 / np.sqrt(37), size=(11, 37)
+        )
+        np.testing.assert_array_equal(linear.weights, expected)
+
+    def test_forward_draws_once(self, weight_draws, rng):
+        layer = Linear("fc", 6, 4, seed=0)
+        x = rng.normal(size=6)
+        first = layer.forward(x)
+        np.testing.assert_array_equal(layer.forward(x), first)
+        assert weight_draws == ["fc"]
+
+    def test_params_and_stats_do_not_draw(self, weight_draws):
+        conv = Conv2d("conv", 2, 4, kernel_size=3, padding=1, seed=0)
+        linear = Linear("fc", 10, 5, seed=0)
+        assert conv.params() == 4 * 2 * 3 * 3 + 4
+        assert linear.params() == 10 * 5 + 5
+        conv.stats((2, 8, 8))
+        linear.stats((10,))
+        assert weight_draws == []
+        assert conv.params() == conv.weights.size + conv.bias.size
+        assert linear.params() == linear.weights.size + linear.bias.size
+
+    def test_unseeded_layer_keeps_its_first_draw(self):
+        layer = Conv2d("conv", 2, 3, kernel_size=3, seed=None)
+        assert layer.weights is layer.weights
+
+    def test_assigned_weights_replace_the_draw(self, weight_draws):
+        layer = Linear("fc", 2, 2, seed=0)
+        layer.weights = np.eye(2)
+        np.testing.assert_array_equal(layer.forward(np.array([1.0, 2.0])), [1.0, 2.0])
+        assert weight_draws == []
+
+    def test_building_and_executing_workloads_draws_no_weights(self, weight_draws):
+        backend = get_backend("cogsys")
+        for name, builder in WORKLOAD_BUILDERS.items():
+            report = backend.execute(builder())
+            assert report.total_cycles > 0, name
+        assert weight_draws == []

@@ -1,6 +1,8 @@
 """Tests for the operation graph used by the schedulers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.scheduler import OperationGraph
@@ -51,3 +53,61 @@ class TestOperationGraph:
         c = gemm_kernel("c", 2, 2, 2)
         graph = OperationGraph(Workload(name="toy", kernels=[a, b, c]))
         assert graph.critical_path_length(lambda kernel: 10) == 20
+
+
+def _rescanned_ready(workload, completed, exclude):
+    """The full-rescan definition of readiness, in workload kernel order."""
+    return [
+        kernel.name
+        for kernel in workload.kernels
+        if kernel.name not in completed
+        and kernel.name not in exclude
+        and set(kernel.depends_on) <= completed
+    ]
+
+
+@st.composite
+def dags_and_completion_orders(draw):
+    """A random DAG listed in a shuffled kernel order, plus a random order
+    (not necessarily topological) in which its kernels are marked done."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(a, b) for b in range(size) for a in range(b)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    listing = draw(st.permutations(range(size)))
+    kernels = [
+        gemm_kernel(
+            f"k{node}", 2, 2, 2,
+            depends_on=tuple(f"k{a}" for a, b in edges if b == node),
+        )
+        for node in listing
+    ]
+    completion = draw(st.permutations([f"k{node}" for node in range(size)]))
+    excludes = draw(
+        st.lists(
+            st.sets(st.sampled_from([f"k{node}" for node in range(size)])),
+            min_size=size + 1,
+            max_size=size + 1,
+        )
+    )
+    return Workload(name="random", kernels=kernels), completion, excludes
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dags_and_completion_orders())
+def test_ready_set_matches_full_rescan(case):
+    workload, completion, excludes = case
+    graph = OperationGraph(workload)
+    completed: set[str] = set()
+    for step in range(len(completion) + 1):
+        exclude = excludes[step]
+        expected = _rescanned_ready(workload, completed, exclude)
+        assert [k.name for k in graph.ready_kernels(exclude=exclude)] == expected
+        assert [k.name for k in graph.ready_kernels()] == _rescanned_ready(
+            workload, completed, set()
+        )
+        if step < len(completion):
+            graph.mark_complete(completion[step])
+            # Marking a kernel twice changes nothing.
+            graph.mark_complete(completion[step])
+            completed.add(completion[step])
+    assert graph.all_complete

@@ -16,6 +16,7 @@ an unrecovered outage strands users mid-conversation by design.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ServingError
@@ -23,8 +24,9 @@ from repro.serving.batching import ContinuousBatching
 from repro.serving.chaos import ChaosTimeline, chip_failure, power_cap
 from repro.serving.fleet import Fleet
 from repro.serving.scenarios import run_scenario
-from repro.serving.sessions import SessionConfig, run_sessions
+from repro.serving.sessions import SessionConfig, _User, run_sessions
 from repro.serving.simulator import ServingSimulator
+from repro.serving.traffic import choice_cdf
 
 WORKLOADS = ("lvrf", "mimonet", "nvsa", "prae")
 
@@ -96,6 +98,19 @@ class TestSessionConfig:
             SessionConfig(users=1, mix=(("a", -1.0),))
         with pytest.raises(ServingError, match="positive"):
             SessionConfig(users=1, mix=(("a", 0.0),))
+        for weight in (math.nan, math.inf):
+            with pytest.raises(ServingError, match="finite"):
+                SessionConfig(users=1, mix=(("a", weight), ("b", 1.0)))
+
+    def test_user_draws_match_numpy_choice(self):
+        config = SessionConfig(users=1, mix=(("a", 2.0), ("b", 0.0), ("c", 1.0)))
+        names = tuple(name for name, _ in config.mix)
+        probs = [prob for _, prob in config.mix]
+        user = _User(np.random.default_rng(5), config, names, choice_cdf(probs))
+        reference = np.random.default_rng(5)
+        for _ in range(20_000):
+            assert user.draw_workload() == names[reference.choice(3, p=probs)]
+            assert user.rng.exponential() == reference.exponential()
 
     def test_total_requests_counts_the_whole_population(self):
         assert _config().total_requests == 12 * 3 * 2

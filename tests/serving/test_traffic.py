@@ -1,5 +1,8 @@
 """Tests for the seeded arrival-process generators."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import ServingError
@@ -34,11 +37,37 @@ class TestWorkloadMix:
 
     @pytest.mark.parametrize(
         "weights",
-        [{}, {"bogus": 1.0}, {"nvsa": -1.0}, {"nvsa": 0.0}],
+        [
+            {},
+            {"bogus": 1.0},
+            {"nvsa": -1.0},
+            {"nvsa": 0.0},
+            {"nvsa": math.nan, "lvrf": 1.0},
+            {"nvsa": math.inf, "lvrf": 1.0},
+            {"nvsa": -math.inf, "lvrf": 1.0},
+            {"nvsa": 1e308, "lvrf": 1e308},
+        ],
     )
     def test_invalid_mixes_rejected(self, weights):
         with pytest.raises(ServingError):
             WorkloadMix(weights)
+
+    def test_sample_matches_numpy_choice(self):
+        # The bisection sampler must reproduce rng.choice(p=...) draw for
+        # draw and consume the same randomness, so a stream that interleaves
+        # samples with other draws (as the arrival processes do) is unchanged.
+        mixes = [
+            WorkloadMix({"nvsa": 3.0, "mimonet": 0.0, "lvrf": 1.0, "prae": 0.0}),
+            WorkloadMix({"prae": 1.0}),
+            WorkloadMix({"lvrf": 0.1, "mimonet": 0.2, "nvsa": 0.3, "prae": 0.4}),
+        ]
+        ours = np.random.default_rng(11)
+        reference = np.random.default_rng(11)
+        for draw in range(200_000):
+            mix = mixes[draw % len(mixes)]
+            expected = mix.names[reference.choice(len(mix.names), p=mix.probabilities)]
+            assert mix.sample(ours) == expected
+            assert ours.exponential() == reference.exponential()
 
 
 class TestPoissonArrivals:
