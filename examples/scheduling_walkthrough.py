@@ -9,6 +9,7 @@ neural kernels of another removes the symbolic bottleneck (Fig. 13).
 
 from __future__ import annotations
 
+from repro.backends.cogsys import CogSysBackend
 from repro.hardware import CogSysAccelerator
 from repro.workloads import build_workload
 
@@ -32,8 +33,9 @@ def main() -> None:
     accelerator = CogSysAccelerator()
     workload = build_workload("nvsa", num_tasks=3)
 
-    sequential = accelerator.simulate(workload, scheduler="sequential")
-    adaptive = accelerator.simulate(workload, scheduler="adaptive")
+    backend = CogSysBackend(accelerator)
+    sequential = backend.execute(workload, scheduler="sequential")
+    adaptive = backend.execute(workload, scheduler="adaptive")
 
     frequency = accelerator.config.frequency_hz
     print_timeline("Sequential schedule (ML-accelerator behaviour)", sequential.schedule, frequency)

@@ -17,16 +17,15 @@ which hardware family they talk to.  See ``repro backends`` for the
 registry listing and the top-level ``README.md`` for the how-to.
 
 Only :mod:`repro.backends.base` is imported eagerly; the registry and its
-adapters load on first use so that :mod:`repro.hardware` (which shares the
-report mixin defined here) never observes a half-initialized package.
+adapters load on first use, so importing the protocol does not pull in
+every hardware model.
 """
 
-from repro.backends.base import Backend, ExecutionReport, SymbolicFractionMixin
+from repro.backends.base import Backend, ExecutionReport
 
 __all__ = [
     "Backend",
     "ExecutionReport",
-    "SymbolicFractionMixin",
     "BackendInfo",
     "CustomSpec",
     "ExecutionCache",

@@ -10,15 +10,11 @@ interface:
 * :meth:`Backend.batched` — vectorized reports over batch-size variants of
   a registered workload (the serving layer's service-time oracle).
 
-:class:`ExecutionReport` subsumes the historical ``CogSysReport`` and
-``DeviceReport`` shapes: the shared fields (total/neural/symbolic seconds,
-per-kernel seconds, energy) are always populated, while cycle-model-only
-fields (``total_cycles``, ``array_occupancy``, ``schedule``) stay ``None``
-for roofline-style device backends.
-
-This module is intentionally dependency-light (stdlib + ``repro.errors``
-only) so the legacy report types in :mod:`repro.hardware` can share
-:class:`SymbolicFractionMixin` without an import cycle.
+:class:`ExecutionReport` is the one report shape for every backend: the
+shared fields (total/neural/symbolic seconds, per-kernel seconds, energy)
+are always populated, while cycle-model-only fields (``total_cycles``,
+``array_occupancy``, ``schedule``) stay ``None`` for roofline-style device
+backends.
 """
 
 from __future__ import annotations
@@ -34,30 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.scheduler import ScheduleResult
     from repro.workloads.base import KernelOp, Workload
 
-__all__ = ["SymbolicFractionMixin", "ExecutionReport", "Backend"]
-
-
-class SymbolicFractionMixin:
-    """Shared ``symbolic_fraction`` property of every execution report.
-
-    The fraction is computed over the *stage-summed* runtime
-    (``neural_seconds + symbolic_seconds``): on backends whose scheduler
-    overlaps stages the end-to-end total can be smaller than the stage sum,
-    and on sequential device models the two denominators coincide exactly.
-    """
-
-    neural_seconds: float
-    symbolic_seconds: float
-
-    @property
-    def symbolic_fraction(self) -> float:
-        """Fraction of (stage-summed) runtime spent in symbolic kernels."""
-        stage_total = self.neural_seconds + self.symbolic_seconds
-        return self.symbolic_seconds / stage_total if stage_total else 0.0
+__all__ = ["ExecutionReport", "Backend"]
 
 
 @dataclass(frozen=True)
-class ExecutionReport(SymbolicFractionMixin):
+class ExecutionReport:
     """End-to-end execution summary of one workload on one backend."""
 
     backend: str
@@ -74,9 +51,16 @@ class ExecutionReport(SymbolicFractionMixin):
     schedule: "ScheduleResult | None" = None
 
     @property
-    def device(self) -> str:
-        """Legacy alias of :attr:`backend` (the old ``DeviceReport`` field)."""
-        return self.backend
+    def symbolic_fraction(self) -> float:
+        """Fraction of (stage-summed) runtime spent in symbolic kernels.
+
+        The fraction is computed over ``neural_seconds + symbolic_seconds``:
+        on backends whose scheduler overlaps stages the end-to-end total can
+        be smaller than the stage sum, and on sequential device models the
+        two denominators coincide exactly.
+        """
+        stage_total = self.neural_seconds + self.symbolic_seconds
+        return self.symbolic_seconds / stage_total if stage_total else 0.0
 
 
 class Backend(abc.ABC):

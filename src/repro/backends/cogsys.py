@@ -1,9 +1,7 @@
 """Backend adapter for the CogSys cycle-level accelerator model.
 
-The end-to-end schedule-and-summarize logic that used to live in
-``CogSysAccelerator.simulate`` is implemented here; the legacy method now
-delegates to this backend so there is exactly one code path producing
-CogSys timings.
+The end-to-end schedule-and-summarize logic lives here, so there is
+exactly one code path producing CogSys timings.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 The roofline/efficiency device models (:class:`~repro.hardware.baselines.
 GenericDevice`) and the systolic ML-accelerator baselines
 (:class:`~repro.hardware.baselines.SystolicAcceleratorDevice`) execute a
-workload as a strict sequential sweep over its kernels — that loop lives
-here, and the legacy ``DeviceModel.workload_time`` entry point now
-delegates to this backend.
+workload as a strict sequential sweep over its kernels; that loop lives
+here.
 """
 
 from __future__ import annotations

@@ -24,10 +24,9 @@ stack in Python:
 * :mod:`repro.hardware.accelerator` — the CogSys accelerator model that ties
   everything together.
 
-All of these execute workloads through the unified backend protocol: resolve
-any model by name via :func:`repro.backends.get_backend` and call
-``execute``; the entry points kept here are compatibility shims over that
-layer.
+These are per-kernel models only.  Whole workloads run through the unified
+backend protocol: resolve a model by name via
+:func:`repro.backends.get_backend` and call ``execute``.
 """
 
 from repro.hardware.config import CogSysConfig
@@ -48,9 +47,8 @@ from repro.hardware.baselines import (
     DeviceModel,
     GenericDevice,
     SystolicAcceleratorDevice,
-    make_device,
 )
-from repro.hardware.accelerator import CogSysAccelerator, CogSysReport
+from repro.hardware.accelerator import CogSysAccelerator
 
 __all__ = [
     "CogSysConfig",
@@ -74,7 +72,5 @@ __all__ = [
     "DeviceModel",
     "GenericDevice",
     "SystolicAcceleratorDevice",
-    "make_device",
     "CogSysAccelerator",
-    "CogSysReport",
 ]

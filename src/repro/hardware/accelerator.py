@@ -4,9 +4,10 @@ This is the top-level performance model: it converts each kernel of a
 workload into cycles using the appropriate sub-model (scale-up/scale-out
 systolic GEMM for neural kernels, bubble-streaming dataflow with adaptive
 ST mapping for circular convolutions, the SIMD unit for element-wise
-kernels), overlaps compute with DRAM transfers through the double-buffered
-memory system, and drives either the sequential or the adaptive (adSCH)
-scheduler for end-to-end latency.
+kernels) and overlaps compute with DRAM transfers through the
+double-buffered memory system.  End-to-end latency under the sequential or
+the adaptive (adSCH) scheduler comes from
+:class:`repro.backends.cogsys.CogSysBackend`, which drives this model.
 
 Ablation switches reproduce the paper's Fig. 19 / Tab. V studies:
 
@@ -17,9 +18,6 @@ Ablation switches reproduce the paper's Fig. 19 / Tab. V studies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.backends.base import SymbolicFractionMixin
 from repro.errors import HardwareConfigError
 from repro.hardware.config import CogSysConfig
 from repro.hardware.energy import AreaPowerModel
@@ -27,32 +25,9 @@ from repro.hardware.mapping import MappingDecision, choose_mapping
 from repro.hardware.memory import MemorySystem
 from repro.hardware.simd import SIMDUnit
 from repro.hardware.systolic import SystolicArrayModel
-from repro.scheduler import ScheduleResult
-from repro.workloads.base import KernelKind, KernelOp, Workload
+from repro.workloads.base import KernelKind, KernelOp
 
-__all__ = ["CogSysAccelerator", "CogSysReport"]
-
-
-@dataclass(frozen=True)
-class CogSysReport(SymbolicFractionMixin):
-    """End-to-end simulation summary for one workload on CogSys.
-
-    Deprecated shim over :class:`repro.backends.base.ExecutionReport`;
-    ``symbolic_fraction`` comes from the shared stage-summed mixin (the
-    adaptive scheduler overlaps stages, so the end-to-end total can be
-    smaller than the stage sum).
-    """
-
-    workload: str
-    scheduler: str
-    total_cycles: int
-    total_seconds: float
-    neural_seconds: float
-    symbolic_seconds: float
-    energy_joules: float
-    array_occupancy: float
-    kernel_seconds: dict[str, float] = field(default_factory=dict)
-    schedule: ScheduleResult | None = None
+__all__ = ["CogSysAccelerator"]
 
 
 class CogSysAccelerator:
@@ -178,32 +153,3 @@ class CogSysAccelerator:
     def kernel_time(self, kernel: KernelOp, num_cells: int | None = None) -> float:
         """Wall-clock seconds for one kernel."""
         return self.config.cycles_to_seconds(self.kernel_cycles(kernel, num_cells))
-
-    # -- end-to-end simulation ----------------------------------------------------------
-    def simulate(self, workload: Workload, scheduler: str = "adaptive") -> CogSysReport:
-        """Simulate a workload end to end under the chosen scheduler.
-
-        Deprecated shim: the schedule-and-summarize logic lives in
-        :class:`repro.backends.cogsys.CogSysBackend`; this method only
-        repackages its :class:`~repro.backends.base.ExecutionReport` into
-        the legacy :class:`CogSysReport` shape.
-        """
-        from repro.backends.cogsys import CogSysBackend
-
-        report = CogSysBackend(self).execute(workload, scheduler=scheduler)
-        return CogSysReport(
-            workload=report.workload,
-            scheduler=report.scheduler,
-            total_cycles=report.total_cycles,
-            total_seconds=report.total_seconds,
-            neural_seconds=report.neural_seconds,
-            symbolic_seconds=report.symbolic_seconds,
-            energy_joules=report.energy_joules,
-            array_occupancy=report.array_occupancy,
-            kernel_seconds=dict(report.kernel_seconds),
-            schedule=report.schedule,
-        )
-
-    def workload_time(self, workload: Workload, scheduler: str = "adaptive") -> CogSysReport:
-        """Alias of :meth:`simulate` mirroring the baseline device interface."""
-        return self.simulate(workload, scheduler=scheduler)

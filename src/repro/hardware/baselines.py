@@ -19,16 +19,12 @@ Two families of baseline are modelled, matching the paper's comparisons:
 from __future__ import annotations
 
 import abc
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.backends.base import SymbolicFractionMixin
-from repro.errors import BackendError
 from repro.hardware.systolic import SystolicArrayModel
-from repro.workloads.base import KernelKind, KernelOp, Workload
+from repro.workloads.base import KernelKind, KernelOp
 
 __all__ = [
-    "DeviceReport",
     "DeviceModel",
     "DeviceSpec",
     "AcceleratorSpec",
@@ -36,29 +32,9 @@ __all__ = [
     "SystolicAcceleratorDevice",
     "DEVICE_SPECS",
     "ACCELERATOR_SPECS",
-    "make_device",
 ]
 
 ELEMENT_BYTES = 4
-
-
-@dataclass(frozen=True)
-class DeviceReport(SymbolicFractionMixin):
-    """Per-workload timing summary for one device.
-
-    Deprecated shim over :class:`repro.backends.base.ExecutionReport` —
-    sequential device models never overlap stages, so the shared
-    stage-summed ``symbolic_fraction`` equals the historical
-    ``symbolic_seconds / total_seconds`` definition exactly.
-    """
-
-    device: str
-    workload: str
-    total_seconds: float
-    neural_seconds: float
-    symbolic_seconds: float
-    kernel_seconds: dict[str, float] = field(default_factory=dict)
-    energy_joules: float = 0.0
 
 
 class DeviceModel(abc.ABC):
@@ -70,27 +46,6 @@ class DeviceModel(abc.ABC):
     @abc.abstractmethod
     def kernel_time(self, kernel: KernelOp) -> float:
         """Execution time of one kernel in seconds."""
-
-    def workload_time(self, workload: Workload) -> DeviceReport:
-        """Execute the workload's kernels sequentially (no overlap).
-
-        Deprecated shim: the sequential sweep lives in
-        :class:`repro.backends.devices.DeviceBackend`; this method only
-        repackages its :class:`~repro.backends.base.ExecutionReport` into
-        the legacy :class:`DeviceReport` shape.
-        """
-        from repro.backends.devices import DeviceBackend
-
-        report = DeviceBackend(self).execute(workload)
-        return DeviceReport(
-            device=self.name,
-            workload=report.workload,
-            total_seconds=report.total_seconds,
-            neural_seconds=report.neural_seconds,
-            symbolic_seconds=report.symbolic_seconds,
-            kernel_seconds=dict(report.kernel_seconds),
-            energy_joules=report.energy_joules,
-        )
 
 
 @dataclass(frozen=True)
@@ -349,32 +304,3 @@ class SystolicAcceleratorDevice(DeviceModel):
         elements = max(1, kernel.flops)
         cycles = -(-elements // self.spec.vector_lanes)
         return cycles / self.spec.frequency_hz
-
-
-def make_device(name: str) -> DeviceModel:
-    """Deprecated: instantiate a baseline device model by name.
-
-    Thin shim over the backend registry — resolve names with
-    :func:`repro.backends.get_backend` instead, which also covers the
-    CogSys backends behind the same protocol.  Unknown names raise the
-    registry's typed :class:`~repro.errors.BackendError` (a
-    ``HardwareConfigError`` subclass, so legacy ``except`` clauses still
-    catch it).
-    """
-    warnings.warn(
-        "make_device() is deprecated; resolve backends by name via "
-        "repro.backends.get_backend() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.backends.devices import DeviceBackend
-    from repro.backends.registry import get_backend
-
-    backend = get_backend(name)
-    if not isinstance(backend, DeviceBackend):
-        raise BackendError(
-            f"backend '{name}' is not a baseline device model; use "
-            "repro.backends.get_backend() to drive it through the unified "
-            "protocol"
-        )
-    return backend.model

@@ -8,7 +8,7 @@ FP8/INT8 precision, and a 700 GB/s DRAM interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.quantization import Precision
 from repro.errors import HardwareConfigError

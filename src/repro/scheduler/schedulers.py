@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SchedulingError
 from repro.scheduler.graph import OperationGraph

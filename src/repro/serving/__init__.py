@@ -67,7 +67,6 @@ from repro.serving.chaos import (
 )
 from repro.serving.fleet import (
     ROUTERS,
-    AcceleratorServiceModel,
     Fleet,
     FleetServiceModel,
     JoinShortestQueueRouter,
@@ -172,7 +171,6 @@ __all__ = [
     "ContinuousBatching",
     "BATCHING_POLICIES",
     "build_policy",
-    "AcceleratorServiceModel",
     "FleetServiceModel",
     "Router",
     "RoundRobinRouter",

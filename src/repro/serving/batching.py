@@ -7,24 +7,26 @@ variant of ``w``'s kernel graph, which is exactly what the adaptive
 scheduler amortizes (shared weights, interleaved neural/symbolic kernels,
 one dispatch per kernel instead of ``b``).
 
-The policy interface is a single method::
-
-    select(queue, now_s) -> BatchDecision(batch, wake_s)
-
-``batch`` is the list of requests to dispatch now (``None`` to wait), and
-``wake_s`` is an optional future time at which the simulator should consult
-the policy again even if no new request arrives (used by timeout-based
-policies to cap the wait of a partially filled batch).
-
-Policies may additionally implement the O(workloads) fast-path hook::
+The simulator consults a policy through one method::
 
     plan(groups, now_s) -> (workload, count, wake_s)
 
-consumed by the simulator's slot-keyed event core (see
-:meth:`BatchingPolicy.plan` for the contract).  All built-in policies do,
-which is what removes per-dispatch queue materialization from the hot
-path; third-party policies that only implement ``select`` keep working
-through the simulator's generic queue.
+``groups`` maps each queued workload to its ``(arrival_s, request_id)``
+entries, oldest first.  The batch is the first ``count`` entries of
+``groups[workload]``; ``(None, 0, wake_s)`` waits, and ``wake_s`` is an
+optional future time at which the simulator should consult the policy
+again even if no new request arrives (used by timeout-based policies to cap
+the wait of a partially filled batch).  All built-in policies implement
+``plan`` over the groups directly, so dispatch never materializes the queue.
+
+A policy may instead implement only the request-level method::
+
+    select(queue, now_s) -> BatchDecision(batch, wake_s)
+
+The base class's ``plan`` is then an adapter: it rebuilds the queue in
+``(arrival_s, request_id)`` order, calls ``select``, and requires the batch
+to be the oldest ``count`` requests of one workload — any other subset
+raises :class:`~repro.errors.ServingError`.
 """
 
 from __future__ import annotations
@@ -107,24 +109,50 @@ class BatchingPolicy:
         raise NotImplementedError
 
     def plan(self, groups, now_s: float):
-        """Fast-path hook over slot-keyed queues; ``None`` when unsupported.
+        """The batch to dispatch at ``now_s``: ``(workload, count, wake_s)``.
 
         ``groups`` maps workload name to that workload's queued
         ``(arrival_s, request_id)`` entries as a sequence-like object
-        supporting ``len``/indexing/iteration (a deque in the scalar core,
-        a cursor view over columnar arrays in the sharded engine), in
-        first-occurrence (queue) order; each is non-empty and sorted.
-        Implementations must
-        return ``(workload, count, wake_s)`` where the batch is exactly the
-        first ``count`` entries of ``groups[workload]`` — the same requests
-        ``select`` would choose — or ``(None, 0, wake_s)`` to wait.  The
-        base class returns ``None``, telling the simulator to fall back to
-        :meth:`select` over a materialized queue.  A subclass that
-        overrides ``select`` below the class providing ``plan`` is also
-        routed through ``select`` (the inherited plan may no longer agree
-        with it).
+        supporting ``len``/indexing/iteration (a columnar group in the
+        scalar core, a cursor view over columnar arrays in the sharded
+        engine), in first-occurrence (queue) order; each is non-empty and
+        sorted.  Implementations return ``(workload, count, wake_s)`` where
+        the batch is exactly the first ``count`` entries of
+        ``groups[workload]``, or ``(None, 0, wake_s)`` to wait.
+
+        This base implementation adapts :meth:`select`: it rebuilds the
+        queue in ``(arrival_s, request_id)`` order, asks ``select`` for a
+        batch, and raises :class:`~repro.errors.ServingError` unless that
+        batch is one workload's oldest requests.
         """
-        return None
+        queue = tuple(
+            Request(request_id, workload, arrival_s)
+            for arrival_s, request_id, workload in sorted(
+                (arrival_s, request_id, workload)
+                for workload, entries in groups.items()
+                for arrival_s, request_id in entries
+            )
+        )
+        decision = self.select(queue, now_s)
+        if decision.batch is None:
+            return None, 0, decision.wake_s
+        # Batch construction enforces the same-workload invariant.
+        batch = Batch(
+            workload=decision.batch[0].workload,
+            requests=tuple(decision.batch),
+            formed_s=now_s,
+        )
+        entries = groups[batch.workload]
+        if batch.size > len(entries) or any(
+            (request.arrival_s, request.request_id) != entry
+            for request, entry in zip(batch.requests, entries)
+        ):
+            raise ServingError(
+                f"policy '{self.name}' must batch the oldest queued requests "
+                f"of one workload; got request ids "
+                f"{[request.request_id for request in batch.requests]}"
+            )
+        return batch.workload, batch.size, None
 
 
 class NoBatching(BatchingPolicy):
@@ -166,7 +194,7 @@ class FixedSizeBatching(BatchingPolicy):
     def __init__(self, batch_size: int = 8, max_wait_s: float = 2e-3) -> None:
         if batch_size < 1:
             raise ServingError(f"batch_size must be positive, got {batch_size}")
-        if max_wait_s < 0:
+        if not max_wait_s >= 0:
             raise ServingError(f"max_wait_s must be non-negative, got {max_wait_s}")
         self.batch_size = batch_size
         self.max_wait_s = max_wait_s
@@ -250,7 +278,7 @@ class ContinuousBatching(BatchingPolicy):
             self.slo_by_workload = {}
             self.default_slo_s = float(slo_s)
             slo_values = (slo_s,)
-        if any(value <= 0 for value in slo_values):
+        if not all(value > 0 for value in slo_values):
             raise ServingError(f"slo_s must be positive, got {slo_s}")
         self.max_batch_size = max_batch_size
         # Continuous batching never waits: a single group always ships its

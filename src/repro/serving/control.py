@@ -152,7 +152,7 @@ class ControllerConfig:
                 "target_utilization must be in (0, 1], "
                 f"got {self.target_utilization}"
             )
-        if self.deadband < 0:
+        if not self.deadband >= 0:
             raise ServingError(f"deadband must be >= 0, got {self.deadband}")
         if self.target_queue <= 0:
             raise ServingError(

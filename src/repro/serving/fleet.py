@@ -27,19 +27,16 @@ Routing policies place an arriving request on a chip:
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.backends.cache import ExecutionCache
-from repro.backends.cogsys import CogSysBackend
 from repro.backends.registry import backend_names, get_backend, is_symbolic_friendly
 from repro.errors import BackendError, ServingError
 from repro.serving.traffic import Request
 
 __all__ = [
-    "AcceleratorServiceModel",
     "FleetServiceModel",
     "ChipView",
     "Router",
@@ -55,47 +52,6 @@ __all__ = [
 
 #: backend every chip runs when a fleet does not say otherwise
 DEFAULT_BACKEND = "cogsys"
-
-
-class AcceleratorServiceModel(ExecutionCache):
-    """Deprecated: memoized CogSys-only service model.
-
-    Thin shim over :class:`~repro.backends.cache.ExecutionCache` pinned to
-    the CogSys backend; new code should build an ``ExecutionCache`` (any
-    backend) or a :class:`FleetServiceModel` (per-chip backends) directly.
-    """
-
-    def __init__(
-        self,
-        accelerator=None,
-        scheduler: str = "adaptive",
-        workload_params: Mapping[str, Mapping[str, object]] | None = None,
-    ) -> None:
-        warnings.warn(
-            "AcceleratorServiceModel is deprecated; use "
-            "repro.backends.ExecutionCache (single backend) or "
-            "repro.serving.fleet.FleetServiceModel (per-chip backends)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        backend = (
-            CogSysBackend(accelerator) if accelerator is not None else DEFAULT_BACKEND
-        )
-        super().__init__(
-            backend=backend, scheduler=scheduler, workload_params=workload_params
-        )
-
-    @property
-    def accelerator(self):
-        """The wrapped cycle model (legacy attribute)."""
-        return self.backend.accelerator
-
-    def report(self, workload, batch_size):
-        """Legacy error contract: invalid requests raise ServingError."""
-        try:
-            return super().report(workload, batch_size)
-        except BackendError as error:
-            raise ServingError(str(error)) from None
 
 
 class ChipView(Protocol):

@@ -26,6 +26,7 @@ path.
 
 from __future__ import annotations
 
+import math
 import time
 
 from repro.backends.cache import ExecutionCache
@@ -50,7 +51,7 @@ class _PhaseTimings:
 
 
 class _TimedPolicy(BatchingPolicy):
-    """Times every ``plan``/``select`` consultation of the inner policy."""
+    """Times every ``plan`` consultation of the inner policy."""
 
     def __init__(self, inner: BatchingPolicy, timings: _PhaseTimings) -> None:
         self.inner = inner
@@ -62,17 +63,6 @@ class _TimedPolicy(BatchingPolicy):
     def plan(self, groups, now_s):
         started = time.perf_counter()
         decision = self.inner.plan(groups, now_s)
-        self.timings.add("policy plan", time.perf_counter() - started)
-        if decision is None:
-            # Inner policy has no plan: fall back to the select interface
-            # (the simulator will call ``select`` instead from now on).
-            self.timings.calls["policy plan"] -= 1
-            return None
-        return decision
-
-    def select(self, queue, now_s):
-        started = time.perf_counter()
-        decision = self.inner.select(queue, now_s)
         self.timings.add("policy plan", time.perf_counter() - started)
         return decision
 
@@ -184,8 +174,13 @@ def profile_scenario(
     from repro.serving.metrics import per_workload_summary, summarize_result
     from repro.serving.scenarios import get_scenario
 
-    if load_scale <= 0 or duration_scale <= 0:
-        raise ServingError("load_scale and duration_scale must be positive")
+    if not all(
+        scale > 0 and math.isfinite(scale)
+        for scale in (load_scale, duration_scale)
+    ):
+        raise ServingError(
+            "load_scale and duration_scale must be positive and finite"
+        )
     scenario = get_scenario(name)
     chips = num_chips if num_chips is not None else scenario.num_chips
     fleet = Fleet(

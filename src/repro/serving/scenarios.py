@@ -39,6 +39,7 @@ at ``load_scale=1.0``.  New scenarios can be added at runtime with
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace as _dc_replace
 
@@ -312,8 +313,13 @@ def run_scenario(
     controller) this function is byte-identical to the pre-controller
     layer — the control plane is never on the static path.
     """
-    if load_scale <= 0 or duration_scale <= 0:
-        raise ServingError("load_scale and duration_scale must be positive")
+    if not all(
+        scale > 0 and math.isfinite(scale)
+        for scale in (load_scale, duration_scale)
+    ):
+        raise ServingError(
+            "load_scale and duration_scale must be positive and finite"
+        )
     scenario = get_scenario(name)
     # Validate the fleet and policy overrides before paying for traffic
     # generation, so bad --backend/--router input fails fast.

@@ -522,8 +522,8 @@ def _simulate_component(
 ):
     """Route one component to the columnar engine or the generic core."""
     if len(global_chips) == 1 and vectorize:
-        plan, trusted = _plan_method(policy)
-        if plan is not None and trusted:
+        _plan, trusted = _plan_method(policy)
+        if trusted:
             return _engine_run(
                 policy, models[0], global_chips[0], arr, ids, codes,
                 workload_names,

@@ -20,11 +20,12 @@ service/energy table is memoized outside the loop.  On top of that, the
 *chunked clock advance* scans each columnar chunk once (vectorized) for
 idle-disjoint runs — maximal spans where every arrival strictly outlives
 the previous request's service — and serves whole runs without touching
-the event heap at all.  Third-party routers and batching policies that
-only implement the generic ``route``/``select`` interfaces still work —
-the core transparently falls back to a materialized per-chip queue for
-them (``vectorize=False`` forces the scalar path everywhere, which the
-property harness uses to prove the chunked advance changes no bytes).
+the event heap at all.  Third-party routers still work through the
+generic ``route`` call, and batching policies that only implement
+``select`` run on the same slot-keyed queues through the base class's
+``plan`` adapter (``vectorize=False`` forces the scalar path everywhere,
+which the property harness uses to prove the chunked advance changes no
+bytes).
 
 Fleets whose router partitions the chips into independent sub-fleets can
 additionally run with ``shards > 1`` (see :mod:`repro.serving.sharding`):
@@ -49,16 +50,16 @@ import heapq
 import itertools
 import math
 from array import array
-from bisect import bisect_right, insort
+from bisect import insort
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from types import MethodType
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.errors import ServingError
 from repro.serving.batching import (
-    Batch,
     BatchingPolicy,
     ContinuousBatching,
     FixedSizeBatching,
@@ -67,7 +68,6 @@ from repro.serving.batching import (
 from repro.serving.chaos import (
     OP_FAIL,
     OP_RECOVER,
-    OP_SLOW_END,
     OP_SLOW_START,
     ChaosTimeline,
 )
@@ -392,18 +392,18 @@ class _Group:
 
 
 class _SlotChip:
-    """Chip state with a slot-keyed queue (fast batching-policy path).
+    """Chip state with a slot-keyed queue.
 
     ``groups`` maps workload name to the queued ``(arrival_s, request_id)``
     entries of that workload, in arrival order; insertion order of the keys
     is first-occurrence order within the current queue (emptied keys are
-    deleted), which is exactly the group order the generic ``select`` path
-    observes.
+    deleted), which is exactly the group order a ``select`` policy observes
+    on the queue the ``plan`` adapter rebuilds.
     """
 
     __slots__ = (
         "chip_id", "busy", "inflight", "groups", "depth", "pending", "busy_s",
-        "served", "pending_wake_s", "queue", "pending_emit",
+        "served", "pending_wake_s", "pending_emit",
     )
 
     def __init__(self, chip_id: int) -> None:
@@ -420,7 +420,6 @@ class _SlotChip:
         # Earliest batching wake-up already in the event heap, if any —
         # lets dispatch skip pushing duplicates for an unchanged deadline.
         self.pending_wake_s: float | None = None
-        self.queue = None  # generic-path queue, unused on the fast path
         # Chaos runs defer emission/accounting to completion time; the
         # in-flight batch parks here until its FREE event proves it lived.
         self.pending_emit: tuple | None = None
@@ -429,31 +428,6 @@ class _SlotChip:
     def queue_depth(self) -> int:
         """Requests queued on this chip (excluding the executing batch)."""
         return self.depth
-
-
-class _ListChip:
-    """Chip state with a materialized queue (generic ``select`` path)."""
-
-    __slots__ = (
-        "chip_id", "busy", "inflight", "queue", "pending", "busy_s", "served",
-        "pending_wake_s", "pending_emit",
-    )
-
-    def __init__(self, chip_id: int) -> None:
-        self.chip_id = chip_id
-        self.busy = False
-        self.inflight = 0
-        self.queue: list[Request] = []
-        self.pending = 0
-        self.busy_s = 0.0
-        self.served = 0
-        self.pending_wake_s: float | None = None
-        self.pending_emit: tuple | None = None
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests queued on this chip (excluding the executing batch)."""
-        return len(self.queue)
 
 
 class _DepthIndex:
@@ -519,29 +493,27 @@ _BUILTIN_POLICIES = (NoBatching, FixedSizeBatching, ContinuousBatching)
 
 
 def _plan_method(policy: BatchingPolicy):
-    """``(plan, shortcuts_trusted)`` for the policy, or ``(None, False)``.
+    """``(plan, shortcuts_trusted)`` for the policy.
 
-    The fast path applies only when the policy actually overrides
-    :meth:`BatchingPolicy.plan` and does not override ``select`` *below*
-    the class providing that plan — a subclass replacing ``select`` while
-    inheriting ``plan`` (e.g. a test double) must keep its ``select``
-    semantics authoritative.  ``shortcuts_trusted`` is True only when the
-    resolved plan belongs to a built-in policy class: the single-group and
-    eager-singleton shortcut attributes are promises about that exact
-    plan, and a subclass overriding ``plan`` while inheriting the parent's
-    attributes must not have its logic silently bypassed.
+    The policy's own ``plan`` is used unless the policy overrides
+    ``select`` *below* the class providing that plan — a subclass
+    replacing ``select`` while inheriting ``plan`` (e.g. a test double)
+    must keep its ``select`` semantics authoritative, so it gets the base
+    class's ``select`` adapter instead.  ``shortcuts_trusted`` is True only
+    when the resolved plan belongs to a built-in policy class: the
+    single-group and eager-singleton shortcut attributes are promises about
+    that exact plan, and a subclass overriding ``plan`` while inheriting
+    the parent's attributes must not have its logic silently bypassed.
     """
     mro = type(policy).__mro__
     plan_index = next(
-        (index for index, cls in enumerate(mro) if "plan" in vars(cls)), None
+        (index for index, cls in enumerate(mro) if "plan" in vars(cls)), len(mro)
     )
-    if plan_index is None or mro[plan_index] is BatchingPolicy:
-        return None, False
     select_index = next(
         (index for index, cls in enumerate(mro) if "select" in vars(cls)), None
     )
     if select_index is not None and select_index < plan_index:
-        return None, False
+        return MethodType(BatchingPolicy.plan, policy), False
     return policy.plan, mro[plan_index] in _BUILTIN_POLICIES
 
 
@@ -1075,8 +1047,7 @@ class ServingSimulator:
         plan, shortcuts_trusted = _plan_method(policy)
 
         num_chips = len(chip_models)
-        chip_cls = _SlotChip if plan is not None else _ListChip
-        chips = [chip_cls(chip_id) for chip_id in range(num_chips)]
+        chips = [_SlotChip(chip_id) for chip_id in range(num_chips)]
 
         # Memoized (model, workload, batch) -> (service_s, energy_J) table,
         # hoisted so the inner loop never re-enters the backend layer.  Chips
@@ -1167,167 +1138,80 @@ class ServingSimulator:
         # water-fill dispatch can test "whole fleet busy" in O(1).
         busy_count = 0
 
-        if plan is not None:
-
-            def dispatch(chip, now):
-                nonlocal energy, num_batches, served, busy_count
-                if chip.busy or not chip.depth:
-                    return
-                if chaos_on and chaos_down[chip.chip_id]:
-                    return  # queued work waits out the chip's down window
-                groups = chip.groups
-                if len(groups) == 1 and single_cap is not None:
-                    # One workload queued: the batch is its head requests,
-                    # capped — no need to consult the policy's full plan.
-                    # With one group the chip's total queue depth IS the
-                    # group's length, so the group object is never touched.
-                    workload = next(iter(groups))
-                    depth = chip.depth
-                    count = single_cap if depth > single_cap else depth
-                    wake_s = None
-                else:
-                    workload, count, wake_s = plan(groups, now)
-                if workload is None:
-                    if (
-                        wake_s is not None
-                        and wake_s > now
-                        and (
-                            chip.pending_wake_s is None
-                            or wake_s < chip.pending_wake_s
-                        )
-                    ):
-                        heappush(heap, (wake_s, _WAKE, next_seq(), chip.chip_id))
-                        chip.pending_wake_s = wake_s
-                    return
-                entries = groups[workload]
-                members = entries.popn(count)
-                if not entries.arrs:
-                    del groups[workload]
-                chip.depth -= count
-                key = (chip_model_keys[chip.chip_id], workload, count)
-                cached = service_table.get(key)
-                if cached is None:
-                    model = chip_models[chip.chip_id]
-                    cached = (
-                        model.service_seconds(workload, count),
-                        model.energy_joules(workload, count),
+        def dispatch(chip, now):
+            nonlocal energy, num_batches, served, busy_count
+            if chip.busy or not chip.depth:
+                return
+            if chaos_on and chaos_down[chip.chip_id]:
+                return  # queued work waits out the chip's down window
+            groups = chip.groups
+            if len(groups) == 1 and single_cap is not None:
+                # One workload queued: the batch is its head requests,
+                # capped — no need to consult the policy's full plan.
+                # With one group the chip's total queue depth IS the
+                # group's length, so the group object is never touched.
+                workload = next(iter(groups))
+                depth = chip.depth
+                count = single_cap if depth > single_cap else depth
+                wake_s = None
+            else:
+                workload, count, wake_s = plan(groups, now)
+            if workload is None:
+                if (
+                    wake_s is not None
+                    and wake_s > now
+                    and (
+                        chip.pending_wake_s is None
+                        or wake_s < chip.pending_wake_s
                     )
-                    service_table[key] = cached
-                service_s, energy_j = cached
-                if chaos_on:
-                    factor = chaos_mult[chip.chip_id]
-                    if factor != 1.0:
-                        service_s *= factor
-                        energy_j *= factor
-                    finish = now + service_s
-                    chip.busy = True
-                    busy_count += 1
-                    chip.inflight = count
-                    seq = next_seq()
-                    # Completion is no longer certain: park the batch and
-                    # account for it only when its FREE event survives.
-                    chip.pending_emit = (
-                        seq, now, finish, count, workload, members,
-                        service_s, energy_j,
-                    )
-                    heappush(heap, (finish, _FREE, seq, chip.chip_id))
-                    return
+                ):
+                    heappush(heap, (wake_s, _WAKE, next_seq(), chip.chip_id))
+                    chip.pending_wake_s = wake_s
+                return
+            entries = groups[workload]
+            members = entries.popn(count)
+            if not entries.arrs:
+                del groups[workload]
+            chip.depth -= count
+            key = (chip_model_keys[chip.chip_id], workload, count)
+            cached = service_table.get(key)
+            if cached is None:
+                model = chip_models[chip.chip_id]
+                cached = (
+                    model.service_seconds(workload, count),
+                    model.energy_joules(workload, count),
+                )
+                service_table[key] = cached
+            service_s, energy_j = cached
+            if chaos_on:
+                factor = chaos_mult[chip.chip_id]
+                if factor != 1.0:
+                    service_s *= factor
+                    energy_j *= factor
                 finish = now + service_s
-                energy += energy_j
-                num_batches += 1
-                served += count
                 chip.busy = True
                 busy_count += 1
                 chip.inflight = count
-                chip.busy_s += service_s
-                chip.served += count
-                emit(chip.chip_id, now, finish, count, workload, members)
-                heappush(heap, (finish, _FREE, next_seq(), chip.chip_id))
-
-        else:
-
-            def dispatch(chip, now):
-                nonlocal energy, num_batches, served, busy_count
-                if chip.busy or not chip.queue:
-                    return
-                if chaos_on and chaos_down[chip.chip_id]:
-                    return  # queued work waits out the chip's down window
-                decision = policy.select(tuple(chip.queue), now)
-                if decision.batch is None:
-                    if (
-                        decision.wake_s is not None
-                        and decision.wake_s > now
-                        and (
-                            chip.pending_wake_s is None
-                            or decision.wake_s < chip.pending_wake_s
-                        )
-                    ):
-                        heappush(
-                            heap, (decision.wake_s, _WAKE, next_seq(), chip.chip_id)
-                        )
-                        chip.pending_wake_s = decision.wake_s
-                    return
-                # Batch construction enforces the same-workload invariant
-                # even for third-party policies.
-                batch = Batch(
-                    workload=decision.batch[0].workload,
-                    requests=tuple(decision.batch),
-                    formed_s=now,
+                seq = next_seq()
+                # Completion is no longer certain: park the batch and
+                # account for it only when its FREE event survives.
+                chip.pending_emit = (
+                    seq, now, finish, count, workload, members,
+                    service_s, energy_j,
                 )
-                chosen = {request.request_id for request in batch.requests}
-                if len(chosen) != batch.size:
-                    raise ServingError(
-                        f"policy '{policy.name}' selected a request twice in "
-                        "one batch"
-                    )
-                chip.queue = [
-                    request
-                    for request in chip.queue
-                    if request.request_id not in chosen
-                ]
-                workload = batch.workload
-                count = batch.size
-                key = (chip_model_keys[chip.chip_id], workload, count)
-                cached = service_table.get(key)
-                if cached is None:
-                    model = chip_models[chip.chip_id]
-                    cached = (
-                        model.service_seconds(workload, count),
-                        model.energy_joules(workload, count),
-                    )
-                    service_table[key] = cached
-                service_s, energy_j = cached
-                members = (
-                    [request.arrival_s for request in batch.requests],
-                    [request.request_id for request in batch.requests],
-                )
-                if chaos_on:
-                    factor = chaos_mult[chip.chip_id]
-                    if factor != 1.0:
-                        service_s *= factor
-                        energy_j *= factor
-                    finish = now + service_s
-                    chip.busy = True
-                    busy_count += 1
-                    chip.inflight = count
-                    seq = next_seq()
-                    chip.pending_emit = (
-                        seq, now, finish, count, workload, members,
-                        service_s, energy_j,
-                    )
-                    heappush(heap, (finish, _FREE, seq, chip.chip_id))
-                    return
-                finish = now + service_s
-                energy += energy_j
-                num_batches += 1
-                served += count
-                chip.busy = True
-                busy_count += 1
-                chip.inflight = count
-                chip.busy_s += service_s
-                chip.served += count
-                emit(chip.chip_id, now, finish, count, workload, members)
-                heappush(heap, (finish, _FREE, next_seq(), chip.chip_id))
+                heappush(heap, (finish, _FREE, seq, chip.chip_id))
+                return
+            finish = now + service_s
+            energy += energy_j
+            num_batches += 1
+            served += count
+            chip.busy = True
+            busy_count += 1
+            chip.inflight = count
+            chip.busy_s += service_s
+            chip.served += count
+            emit(chip.chip_id, now, finish, count, workload, members)
+            heappush(heap, (finish, _FREE, next_seq(), chip.chip_id))
 
         # -- chaos event handling ------------------------------------------
         if chaos_on:
@@ -1363,18 +1247,11 @@ class ServingSimulator:
                                 )
                             chip.pending -= lost_here
                             chip.inflight = 0
-                        if plan is not None:
-                            shed_here = chip.depth
-                            for group in chip.groups.values():
-                                chaos_dropped.extend(group.arrs[group.head:])
-                            chip.groups.clear()
-                            chip.depth = 0
-                        else:
-                            shed_here = len(chip.queue)
-                            chaos_dropped.extend(
-                                request.arrival_s for request in chip.queue
-                            )
-                            chip.queue.clear()
+                        shed_here = chip.depth
+                        for group in chip.groups.values():
+                            chaos_dropped.extend(group.arrs[group.head:])
+                        chip.groups.clear()
+                        chip.depth = 0
                         if shed_here:
                             if jsq_index is not None:
                                 jsq_index.move(
@@ -1481,7 +1358,6 @@ class ServingSimulator:
         horizon = first_arrival
         prev_arrival = -float("inf")
         prev_id = -1
-        fast_chips = plan is not None
         # Chaos bars the eager inline dispatch (and with it the bulk run):
         # every batch must park a pending emit so a failure can kill it.
         eager = shortcuts_trusted and policy.eager_singleton and not chaos_on
@@ -1526,10 +1402,7 @@ class ServingSimulator:
         # all chips level out the remainder is a pure round-robin.  The
         # whole span therefore routes as a short catch-up prefix plus
         # strided slices, byte-identical to the per-arrival scan.
-        fill_mode = (
-            self.vectorize and fast_chips and route_mode == "jsq"
-            and not chaos_on
-        )
+        fill_mode = self.vectorize and route_mode == "jsq" and not chaos_on
         fill_cols = None  # lazily-built per-chunk fill arrays
         # Position the chunk must reach before the next fill attempt: a
         # span that came up shorter than FILL_MIN_RUN stays short for every
@@ -2050,14 +1923,11 @@ class ServingSimulator:
                         )
                         heappush(heap, (finish, _FREE, next_seq(), chosen.chip_id))
                     else:
-                        if fast_chips:
-                            group = chosen.groups.get(workload)
-                            if group is None:
-                                chosen.groups[workload] = group = _Group()
-                            group.append(now, request_id)
-                            chosen.depth += 1
-                        else:
-                            chosen.queue.append(Request(request_id, workload, now))
+                        group = chosen.groups.get(workload)
+                        if group is None:
+                            chosen.groups[workload] = group = _Group()
+                        group.append(now, request_id)
+                        chosen.depth += 1
                         chosen.pending += 1
                         if not chosen.busy:
                             dispatch(chosen, now)
@@ -2116,16 +1986,11 @@ class ServingSimulator:
                                 )
                             ]
 
-                        if fast_chips:
-                            group = chosen.groups.get(workload)
-                            if group is None:
-                                chosen.groups[workload] = group = _Group()
-                            group.append(arrival_s, request_id)
-                            chosen.depth += 1
-                        else:
-                            chosen.queue.append(
-                                Request(request_id, workload, arrival_s)
-                            )
+                        group = chosen.groups.get(workload)
+                        if group is None:
+                            chosen.groups[workload] = group = _Group()
+                        group.append(arrival_s, request_id)
+                        chosen.depth += 1
                         chosen.pending += 1
                         add_touched(chosen)
 
@@ -2184,18 +2049,12 @@ class ServingSimulator:
             # shed (never dispatched, never completed) so conservation
             # holds even for unrecovered outages.
             for chip in chips:
-                stranded = chip.depth if fast_chips else len(chip.queue)
+                stranded = chip.depth
                 if stranded:
-                    if fast_chips:
-                        for group in chip.groups.values():
-                            chaos_dropped.extend(group.arrs[group.head:])
-                        chip.groups.clear()
-                        chip.depth = 0
-                    else:
-                        chaos_dropped.extend(
-                            request.arrival_s for request in chip.queue
-                        )
-                        chip.queue.clear()
+                    for group in chip.groups.values():
+                        chaos_dropped.extend(group.arrs[group.head:])
+                    chip.groups.clear()
+                    chip.depth = 0
                     chip.pending -= stranded
                     chaos_shed += stranded
                     chaos_log.append({

@@ -146,8 +146,12 @@ class ArrivalProcess:
         start_id: int = 0,
     ) -> list[Request]:
         """Produce the arrival stream for ``[start_s, start_s + duration_s)``."""
-        if duration_s <= 0:
-            raise ServingError(f"duration must be positive, got {duration_s}")
+        if not (duration_s > 0 and math.isfinite(duration_s)):
+            raise ServingError(
+                f"duration must be positive and finite, got {duration_s}"
+            )
+        if not math.isfinite(start_s):
+            raise ServingError(f"start_s must be finite, got {start_s}")
         rng = np.random.default_rng(seed)
         requests = self._generate(duration_s, rng, start_s, start_id)
         return sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
@@ -167,8 +171,10 @@ class PoissonArrivals(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate_rps`` requests per second."""
 
     def __init__(self, rate_rps: float, mix: WorkloadMix) -> None:
-        if rate_rps <= 0:
-            raise ServingError(f"arrival rate must be positive, got {rate_rps}")
+        if not (rate_rps > 0 and math.isfinite(rate_rps)):
+            raise ServingError(
+                f"arrival rate must be positive and finite, got {rate_rps}"
+            )
         self.rate_rps = rate_rps
         self.mix = mix
 
@@ -203,10 +209,16 @@ class MMPPArrivals(ArrivalProcess):
         mean_normal_s: float = 1.0,
         mean_burst_s: float = 0.2,
     ) -> None:
-        if normal_rate_rps <= 0 or burst_rate_rps <= 0:
-            raise ServingError("MMPP state rates must be positive")
-        if mean_normal_s <= 0 or mean_burst_s <= 0:
-            raise ServingError("MMPP mean dwell times must be positive")
+        if not all(
+            rate > 0 and math.isfinite(rate)
+            for rate in (normal_rate_rps, burst_rate_rps)
+        ):
+            raise ServingError("MMPP state rates must be positive and finite")
+        if not all(
+            mean > 0 and math.isfinite(mean)
+            for mean in (mean_normal_s, mean_burst_s)
+        ):
+            raise ServingError("MMPP mean dwell times must be positive and finite")
         self.normal_rate_rps = normal_rate_rps
         self.burst_rate_rps = burst_rate_rps
         self.mean_normal_s = mean_normal_s

@@ -12,7 +12,7 @@ strategy (Sec. III-C, Fig. 8).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import product as iter_product
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.footprint import codebook_footprint, factorizer_footprint
 from repro.errors import WorkloadError
 from repro.neural.network import build_perception_backbone
-from repro.workloads.base import Stage, Workload
+from repro.workloads.base import Workload
 from repro.workloads.builders import (
     circconv_kernel,
     elementwise_kernel,

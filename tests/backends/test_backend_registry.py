@@ -16,8 +16,7 @@ from repro.backends.cogsys import CogSysBackend
 from repro.backends.devices import DeviceBackend
 from repro.backends.registry import _registry
 from repro.errors import BackendError, HardwareConfigError, ReproError
-from repro.hardware import make_device
-from repro.hardware.baselines import ACCELERATOR_SPECS, DEVICE_SPECS, DeviceModel
+from repro.hardware.baselines import ACCELERATOR_SPECS, DEVICE_SPECS
 from repro.hardware.config import CogSysConfig
 
 
@@ -52,6 +51,9 @@ class TestErrorPaths:
         with pytest.raises(BackendError, match="unknown backend 'tpu_v5'"):
             get_backend("tpu_v5")
         with pytest.raises(ReproError):
+            get_backend("tpu_v5")
+        # BackendError stays a HardwareConfigError for older except clauses.
+        with pytest.raises(HardwareConfigError):
             get_backend("tpu_v5")
         try:
             get_backend("tpu_v5")
@@ -91,27 +93,6 @@ class TestDeterminism:
         for row in rows:
             assert {"name", "family", "symbolic_friendly", "power_watts",
                     "schedulers", "description"} <= set(row)
-
-
-class TestMakeDeviceShim:
-    def test_warns_and_delegates_to_the_registry(self):
-        with pytest.warns(DeprecationWarning, match="get_backend"):
-            device = make_device("xavier_nx")
-        assert isinstance(device, DeviceModel)
-        assert device.name == "xavier_nx"
-        # Same spec object as the registry-resolved backend.
-        backend = get_backend("xavier_nx")
-        assert device.spec is backend.model.spec
-
-    def test_unknown_name_still_raises_hardware_config_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(HardwareConfigError):
-                make_device("tpu_v5")
-
-    def test_cogsys_names_are_not_device_models(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(BackendError, match="not a baseline device"):
-                make_device("cogsys")
 
 
 class TestCustomSpec:

@@ -1,23 +1,22 @@
-"""Acceptance: the unified protocol reproduces the legacy paths exactly.
+"""Acceptance: the unified protocol keeps the pre-refactor physics exactly.
 
-``get_backend(name).execute(w)`` must return *identical* ``total_seconds``
-to what the pre-refactor interfaces produced for every registered backend
-on the NVSA smoke workload — the device shims and the CogSys cycle model
-now delegate to the backend layer, so any drift here means the refactor
-changed physics.
+``get_backend(name).execute(w)`` must return the pinned pre-refactor
+timings for the NVSA smoke workload, so any drift here means a change moved
+the physics. Each registered backend's report must also agree with the
+model it wraps: device reports with the per-kernel model times, and the
+CogSys registry names with the accelerator configurations they stand for.
 """
-
-import warnings
 
 import pytest
 
 from repro.backends import backend_names, get_backend
-from repro.hardware import CogSysAccelerator, make_device
+from repro.backends.cogsys import CogSysBackend
+from repro.hardware import CogSysAccelerator
 from repro.hardware.baselines import ACCELERATOR_SPECS, DEVICE_SPECS
-from repro.workloads import build_workload
+from repro.workloads import Stage, build_workload
 
-#: registry name -> constructor of the legacy CogSys configuration
-COGSYS_LEGACY = {
+#: registry name -> constructor of the CogSys configuration it stands for
+COGSYS_CONFIGS = {
     "cogsys": lambda: CogSysAccelerator(),
     "cogsys_no_scaleout": lambda: CogSysAccelerator(scale_out=False),
     "cogsys_no_nspe": lambda: CogSysAccelerator(
@@ -33,45 +32,64 @@ def nvsa():
 
 def test_every_registered_backend_is_covered():
     assert set(backend_names()) == (
-        set(DEVICE_SPECS) | set(ACCELERATOR_SPECS) | set(COGSYS_LEGACY)
+        set(DEVICE_SPECS) | set(ACCELERATOR_SPECS) | set(COGSYS_CONFIGS)
     )
 
 
 @pytest.mark.parametrize("name", sorted(DEVICE_SPECS) + sorted(ACCELERATOR_SPECS))
-def test_device_backends_match_legacy_workload_time(name, nvsa):
-    backend_report = get_backend(name).execute(nvsa)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = make_device(name).workload_time(nvsa)
-    assert backend_report.total_seconds == legacy.total_seconds
-    assert backend_report.neural_seconds == legacy.neural_seconds
-    assert backend_report.symbolic_seconds == legacy.symbolic_seconds
-    assert backend_report.kernel_seconds == legacy.kernel_seconds
-    assert backend_report.energy_joules == legacy.energy_joules
-    assert backend_report.symbolic_fraction == legacy.symbolic_fraction
+def test_device_backends_sum_per_kernel_model_times(name, nvsa):
+    backend = get_backend(name)
+    report = backend.execute(nvsa)
+    expected = {}
+    neural = symbolic = 0.0
+    for kernel in nvsa.topological_order():
+        seconds = backend.model.kernel_time(kernel)
+        expected[kernel.name] = seconds
+        if kernel.stage is Stage.NEURAL:
+            neural += seconds
+        else:
+            symbolic += seconds
+    assert report.kernel_seconds == expected
+    assert report.neural_seconds == neural
+    assert report.symbolic_seconds == symbolic
+    assert report.total_seconds == neural + symbolic
+    assert report.energy_joules == report.total_seconds * backend.model.power_watts
+    assert report.symbolic_fraction == symbolic / (neural + symbolic)
+    assert report.scheduler == "sequential"
+    assert report.total_cycles is None and report.schedule is None
 
 
-@pytest.mark.parametrize("name", sorted(COGSYS_LEGACY))
+@pytest.mark.parametrize("name", sorted(COGSYS_CONFIGS))
 @pytest.mark.parametrize("scheduler", ["adaptive", "sequential"])
-def test_cogsys_backends_match_legacy_simulate(name, scheduler, nvsa):
-    backend_report = get_backend(name).execute(nvsa, scheduler=scheduler)
-    legacy = COGSYS_LEGACY[name]().simulate(nvsa, scheduler=scheduler)
-    assert backend_report.total_seconds == legacy.total_seconds
-    assert backend_report.total_cycles == legacy.total_cycles
-    assert backend_report.neural_seconds == legacy.neural_seconds
-    assert backend_report.symbolic_seconds == legacy.symbolic_seconds
-    assert backend_report.energy_joules == legacy.energy_joules
-    assert backend_report.array_occupancy == legacy.array_occupancy
-    assert backend_report.symbolic_fraction == legacy.symbolic_fraction
+def test_cogsys_registry_names_match_accelerator_configs(name, scheduler, nvsa):
+    registered = get_backend(name)
+    direct = CogSysBackend(COGSYS_CONFIGS[name]())
+    assert registered.accelerator.scale_out == direct.accelerator.scale_out
+    assert (
+        registered.accelerator.reconfigurable_symbolic
+        == direct.accelerator.reconfigurable_symbolic
+    )
+    report = registered.execute(nvsa, scheduler=scheduler)
+    reference = direct.execute(nvsa, scheduler=scheduler)
+    assert report.backend == name
+    assert report.scheduler == scheduler
+    assert report.total_seconds == reference.total_seconds
+    assert report.total_cycles == reference.total_cycles
+    assert report.neural_seconds == reference.neural_seconds
+    assert report.symbolic_seconds == reference.symbolic_seconds
+    assert report.kernel_seconds == reference.kernel_seconds
+    assert report.energy_joules == reference.energy_joules
+    assert report.array_occupancy == reference.array_occupancy
+    assert report.symbolic_fraction == reference.symbolic_fraction
+    config = registered.accelerator.config
+    assert report.total_seconds == config.cycles_to_seconds(report.total_cycles)
 
 
 class TestGoldenReferences:
     """Pinned pre-refactor values for the NVSA smoke workload.
 
-    The legacy entry points now delegate to the backend layer, so
-    legacy-vs-backend comparisons alone cannot catch a timing-math change
-    that moves both sides in lockstep; these constants were captured from
-    the pre-refactor code and anchor the acceptance criterion.
+    These constants were captured from the pre-refactor code and anchor
+    the acceptance criterion: a timing-math change cannot pass them.
     """
 
     def test_cogsys_adaptive_matches_pre_refactor_simulation(self, nvsa):

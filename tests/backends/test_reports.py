@@ -1,80 +1,41 @@
-"""Regression: the shared symbolic_fraction mixin on every report type."""
+"""Regression: ``ExecutionReport.symbolic_fraction`` uses the stage sum."""
 
 import pytest
 
-from repro.backends import ExecutionReport, SymbolicFractionMixin
-from repro.hardware.accelerator import CogSysReport
-from repro.hardware.baselines import DeviceReport
+from repro.backends import ExecutionReport
 
 
-def _device_report(neural, symbolic):
-    return DeviceReport(
-        device="gpu",
-        workload="nvsa",
-        total_seconds=neural + symbolic,
-        neural_seconds=neural,
-        symbolic_seconds=symbolic,
-    )
-
-
-def _cogsys_report(neural, symbolic, total):
-    return CogSysReport(
-        workload="nvsa",
-        scheduler="adaptive",
-        total_cycles=100,
-        total_seconds=total,
-        neural_seconds=neural,
-        symbolic_seconds=symbolic,
-        energy_joules=0.0,
-        array_occupancy=0.5,
-    )
-
-
-def _execution_report(neural, symbolic):
+def _execution_report(neural, symbolic, total=None):
     return ExecutionReport(
         backend="cogsys",
         workload="nvsa",
-        total_seconds=neural + symbolic,
+        total_seconds=neural + symbolic if total is None else total,
         neural_seconds=neural,
         symbolic_seconds=symbolic,
     )
 
 
-class TestSharedMixin:
-    def test_all_report_types_share_the_mixin(self):
-        for report in (
-            _device_report(1.0, 3.0),
-            _cogsys_report(1.0, 3.0, total=3.5),
-            _execution_report(1.0, 3.0),
-        ):
-            assert isinstance(report, SymbolicFractionMixin)
-            assert report.symbolic_fraction == pytest.approx(0.75)
-
-    def test_device_report_matches_historical_definition(self):
+class TestSymbolicFraction:
+    def test_sequential_report_matches_symbolic_over_total(self):
         # Sequential devices: total == neural + symbolic, so the stage-summed
-        # mixin reproduces the old symbolic/total formula exactly.
-        report = _device_report(2.0, 6.0)
+        # fraction equals symbolic / total exactly.
+        report = _execution_report(2.0, 6.0)
+        assert report.symbolic_fraction == pytest.approx(0.75)
         assert report.symbolic_fraction == report.symbolic_seconds / report.total_seconds
 
-    def test_cogsys_report_uses_stage_sum_not_overlapped_total(self):
+    def test_overlapped_report_uses_stage_sum_not_total(self):
         # The adaptive scheduler overlaps stages (total < neural + symbolic);
         # the fraction must keep using the stage sum.
-        report = _cogsys_report(1.0, 3.0, total=2.5)
+        report = _execution_report(1.0, 3.0, total=2.5)
         assert report.symbolic_fraction == pytest.approx(0.75)
         assert report.symbolic_fraction != report.symbolic_seconds / report.total_seconds
 
     def test_zero_runtime_reports_zero_fraction(self):
-        assert _device_report(0.0, 0.0).symbolic_fraction == 0.0
         assert _execution_report(0.0, 0.0).symbolic_fraction == 0.0
 
 
-class TestExecutionReportCompat:
-    def test_device_alias_points_at_backend(self):
-        report = _execution_report(1.0, 1.0)
-        assert report.device == report.backend == "cogsys"
-
-    def test_cycle_fields_default_to_none_for_device_backends(self):
-        report = _execution_report(1.0, 1.0)
-        assert report.total_cycles is None
-        assert report.array_occupancy is None
-        assert report.schedule is None
+def test_cycle_fields_default_to_none_for_device_backends():
+    report = _execution_report(1.0, 1.0)
+    assert report.total_cycles is None
+    assert report.array_occupancy is None
+    assert report.schedule is None

@@ -189,6 +189,13 @@ class TestServe:
         assert main(["serve", "bogus"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--load-scale", "--duration-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_scale_is_a_clean_error(self, capsys, flag, value):
+        # Must fail fast instead of generating an endless arrival stream.
+        assert main(["serve", "steady", flag, value]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_list_honours_json_format_and_output_file(self, capsys, tmp_path):
         output = tmp_path / "scenarios.json"
         assert main([

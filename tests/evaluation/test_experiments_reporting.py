@@ -1,7 +1,5 @@
 """Tests for the experiment drivers and the reporting helpers."""
 
-import pytest
-
 from repro.evaluation import experiments, format_markdown_table
 from repro.evaluation.reporting import format_value
 

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.backends.cogsys import CogSysBackend
 from repro.core import Precision
 from repro.errors import HardwareConfigError
 from repro.hardware import CogSysAccelerator, CogSysConfig
 from repro.hardware.mapping import MappingMode
-from repro.workloads import Stage, build_mimonet_workload, build_nvsa_workload
+from repro.workloads import build_mimonet_workload, build_nvsa_workload
 from repro.workloads.builders import circconv_kernel, elementwise_kernel, gemm_kernel
 
 
@@ -67,8 +68,8 @@ class TestKernelCycles:
 
 
 class TestSimulation:
-    def test_simulate_reports_consistent_totals(self, accelerator, nvsa_workload):
-        report = accelerator.simulate(nvsa_workload, scheduler="sequential")
+    def test_execute_reports_consistent_totals(self, accelerator, nvsa_workload):
+        report = CogSysBackend(accelerator).execute(nvsa_workload, scheduler="sequential")
         assert report.total_seconds == pytest.approx(
             report.total_cycles / accelerator.config.frequency_hz
         )
@@ -80,22 +81,22 @@ class TestSimulation:
 
     def test_adaptive_never_slower_than_sequential(self, accelerator):
         workload = build_nvsa_workload(num_tasks=3)
-        sequential = accelerator.simulate(workload, "sequential")
-        adaptive = accelerator.simulate(workload, "adaptive")
+        sequential = CogSysBackend(accelerator).execute(workload, scheduler="sequential")
+        adaptive = CogSysBackend(accelerator).execute(workload, scheduler="adaptive")
         assert adaptive.total_seconds <= sequential.total_seconds
 
     def test_symbolic_share_is_small_on_cogsys(self, accelerator, nvsa_workload):
-        report = accelerator.simulate(nvsa_workload, "sequential")
+        report = CogSysBackend(accelerator).execute(nvsa_workload, scheduler="sequential")
         assert report.symbolic_fraction < 0.5
 
     def test_real_time_reasoning(self, accelerator, nvsa_workload):
-        report = accelerator.simulate(nvsa_workload, "adaptive")
+        report = CogSysBackend(accelerator).execute(nvsa_workload, scheduler="adaptive")
         assert report.total_seconds < 0.3
 
     def test_mimonet_runs_and_is_neural_dominated(self, accelerator):
-        report = accelerator.simulate(build_mimonet_workload(), "adaptive")
+        report = CogSysBackend(accelerator).execute(build_mimonet_workload(), scheduler="adaptive")
         assert report.neural_seconds > report.symbolic_seconds
 
     def test_unknown_scheduler_rejected(self, accelerator, nvsa_workload):
         with pytest.raises(HardwareConfigError):
-            accelerator.simulate(nvsa_workload, scheduler="random")
+            CogSysBackend(accelerator).execute(nvsa_workload, scheduler="random")

@@ -8,8 +8,8 @@ accelerator/baseline simulation for the systems side.
 
 import pytest
 
+from repro.backends import get_backend
 from repro.evaluation import NeuroSymbolicSolver, SolverConfig
-from repro.hardware import CogSysAccelerator, make_device
 from repro.tasks import IRavenGenerator, RavenGenerator
 from repro.workloads import build_workload
 
@@ -40,25 +40,25 @@ class TestSystemsPipeline:
         return build_workload("nvsa")
 
     def test_cogsys_outperforms_every_baseline(self, nvsa):
-        cogsys_seconds = CogSysAccelerator().simulate(nvsa, "adaptive").total_seconds
+        cogsys_seconds = get_backend("cogsys").execute(nvsa, scheduler="adaptive").total_seconds
         for device_name in ("rtx2080ti", "xeon", "xavier_nx", "jetson_tx2", "tpu_like"):
-            baseline_seconds = make_device(device_name).workload_time(nvsa).total_seconds
+            baseline_seconds = get_backend(device_name).execute(nvsa).total_seconds
             assert baseline_seconds > cogsys_seconds
 
     def test_cogsys_removes_the_symbolic_bottleneck(self, nvsa):
-        gpu_report = make_device("rtx2080ti").workload_time(nvsa)
-        cogsys_report = CogSysAccelerator().simulate(nvsa, "sequential")
+        gpu_report = get_backend("rtx2080ti").execute(nvsa)
+        cogsys_report = get_backend("cogsys").execute(nvsa, scheduler="sequential")
         assert gpu_report.symbolic_fraction > cogsys_report.symbolic_fraction
 
     def test_energy_advantage_is_orders_of_magnitude(self, nvsa):
-        cogsys = CogSysAccelerator().simulate(nvsa, "adaptive")
-        gpu = make_device("rtx2080ti").workload_time(nvsa)
+        cogsys = get_backend("cogsys").execute(nvsa, scheduler="adaptive")
+        gpu = get_backend("rtx2080ti").execute(nvsa)
         assert gpu.energy_joules > 100 * cogsys.energy_joules
 
     def test_all_four_workloads_simulate_under_both_schedulers(self):
-        accelerator = CogSysAccelerator()
+        backend = get_backend("cogsys")
         for name in ("nvsa", "mimonet", "lvrf", "prae"):
             workload = build_workload(name)
             for scheduler in ("sequential", "adaptive"):
-                report = accelerator.simulate(workload, scheduler)
+                report = backend.execute(workload, scheduler=scheduler)
                 assert report.total_seconds > 0

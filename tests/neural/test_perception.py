@@ -1,6 +1,5 @@
 """Tests for the perception simulator (the CNN front-end substitute)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError

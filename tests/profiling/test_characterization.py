@@ -11,7 +11,7 @@ from repro.profiling import (
     symbolic_operation_breakdown,
     task_size_scaling,
 )
-from repro.workloads import build_nvsa_workload, build_workload
+from repro.workloads import build_workload
 from repro.workloads.nvsa import build_nvsa_workload as nvsa_builder
 
 

@@ -6,7 +6,7 @@ from repro.serving.traffic import Request
 
 
 class FakeServiceModel:
-    """Deterministic stand-in for :class:`AcceleratorServiceModel`.
+    """Deterministic stand-in for a CogSys :class:`~repro.backends.ExecutionCache`.
 
     Service time is ``base[workload] * (0.5 + 0.5 * batch)`` — linear in the
     batch with a fixed amortized offset, so a batch of ``b`` costs less than

@@ -76,6 +76,11 @@ class TestFixedSizeBatching:
             FixedSizeBatching(batch_size=0)
         with pytest.raises(ServingError):
             FixedSizeBatching(batch_size=2, max_wait_s=-1.0)
+        with pytest.raises(ServingError):
+            FixedSizeBatching(batch_size=2, max_wait_s=float("nan"))
+        # An unbounded wait stays legal (full batches only).
+        unbounded = FixedSizeBatching(batch_size=2, max_wait_s=float("inf"))
+        assert unbounded.max_wait_s == float("inf")
 
 
 class TestContinuousBatching:
@@ -115,6 +120,10 @@ class TestContinuousBatching:
             ContinuousBatching(max_batch_size=2, slo_s=0.0)
         with pytest.raises(ServingError):
             ContinuousBatching(max_batch_size=2, slo_s={"nvsa": -1.0})
+        with pytest.raises(ServingError):
+            ContinuousBatching(max_batch_size=2, slo_s=float("nan"))
+        with pytest.raises(ServingError):
+            ContinuousBatching(max_batch_size=2, slo_s={"nvsa": float("nan")})
 
 
 class TestRegistry:

@@ -113,6 +113,7 @@ class TestConfigValidation:
             (dict(batch_min=0), "batch"),
             (dict(batch_min=8, batch_max=2), "batch"),
             (dict(imbalance_threshold=0), "imbalance_threshold"),
+            (dict(deadband=float("nan")), "deadband"),
         ],
     )
     def test_bad_knobs_rejected(self, kwargs, match):

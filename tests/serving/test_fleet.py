@@ -4,10 +4,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.backends import ExecutionCache
 from repro.backends import cache as cache_module
-from repro.errors import ServingError
+from repro.errors import BackendError, ServingError
 from repro.serving.fleet import (
-    AcceleratorServiceModel,
     Fleet,
     JoinShortestQueueRouter,
     RoundRobinRouter,
@@ -29,7 +29,7 @@ def _request(workload="nvsa"):
     return Request(request_id=0, workload=workload, arrival_s=0.0)
 
 
-class TestAcceleratorServiceModel:
+class TestCogSysServiceCache:
     def test_reports_are_memoized(self, monkeypatch):
         calls = []
         real_build = cache_module.build_workload
@@ -38,7 +38,7 @@ class TestAcceleratorServiceModel:
             "build_workload",
             lambda name, **kwargs: calls.append(name) or real_build(name, **kwargs),
         )
-        model = AcceleratorServiceModel()
+        model = ExecutionCache("cogsys")
         first = model.service_seconds("mimonet", 2)
         second = model.service_seconds("mimonet", 2)
         assert first == second
@@ -48,20 +48,18 @@ class TestAcceleratorServiceModel:
     def test_batching_amortizes_per_request_cost(self):
         # NVSA's adaptive schedule interleaves the tasks of a batch across
         # cells, so a batch of 4 costs clearly less than 4 single launches.
-        model = AcceleratorServiceModel()
+        model = ExecutionCache("cogsys")
         single = model.service_seconds("nvsa", 1)
         batched = model.service_seconds("nvsa", 4)
         assert single < batched < 4 * single
 
     def test_energy_scales_with_service_time(self):
-        model = AcceleratorServiceModel()
+        model = ExecutionCache("cogsys")
         assert model.energy_joules("mimonet", 2) > model.energy_joules("mimonet", 1)
 
     def test_invalid_batch_size_rejected(self):
-        # The memo cache moved into the backend layer, but the deprecated
-        # shim keeps its historical ServingError contract.
-        with pytest.raises(ServingError):
-            AcceleratorServiceModel().service_seconds("mimonet", 0)
+        with pytest.raises(BackendError):
+            ExecutionCache("cogsys").service_seconds("mimonet", 0)
 
 
 class TestRoundRobinRouter:

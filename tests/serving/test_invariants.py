@@ -12,10 +12,10 @@ invariants must hold unconditionally:
   ordered by dispatch time, each batch on a chip starts at or after the
   previous batch's finish.
 
-A fourth property pins the optimization itself: the slot-keyed fast path
-(policies implementing ``plan``) must produce byte-identical results to
-the generic materialized-queue path (``select`` only), for every policy,
-on every generated stream.
+A fourth property pins the dispatch path itself: each built-in policy's
+own ``plan`` must produce byte-identical results to the base class's
+``plan`` adapter over the same policy's ``select``, for every policy, on
+every generated stream, with and without chaos and water-fill spans.
 """
 
 import math
@@ -29,6 +29,7 @@ from repro.serving.batching import (
     FixedSizeBatching,
     NoBatching,
 )
+from repro.serving.chaos import ChaosTimeline, chip_failure
 from repro.serving.fleet import Fleet
 from repro.serving.simulator import ServingSimulator
 from repro.serving.traffic import Request
@@ -95,11 +96,12 @@ request_streams = st.lists(
 )
 
 
-def _run(requests, num_chips, router, policy, shards=1):
+def _run(requests, num_chips, router, policy, shards=1, chaos=None):
     simulator = ServingSimulator(
         service_model=InvariantFakeModel(),
         fleet=Fleet(num_chips=num_chips, router=router),
         batching_policy=policy,
+        chaos=chaos,
     )
     return simulator.run(requests, shards=shards)
 
@@ -172,7 +174,7 @@ class TestInvariants:
 
 
 class _ForcedGenericPolicy(BatchingPolicy):
-    """Wrapper that hides a policy's ``plan``, forcing the generic path."""
+    """Wrapper that hides a policy's ``plan``, forcing the ``select`` adapter."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -184,8 +186,69 @@ class _ForcedGenericPolicy(BatchingPolicy):
         return self.inner.select(queue, now_s)
 
 
+#: dense bursty streams: arrivals on a 0.01 s grid packed tightly enough
+#: that a 2-chip fleet saturates and whole runs dispatch as water-fill
+#: spans (the vectorized path needs runs past its minimum span length)
+dense_streams = st.lists(
+    st.tuples(
+        st.sampled_from(WORKLOADS),
+        st.integers(min_value=0, max_value=300),
+    ),
+    min_size=60,
+    max_size=160,
+).map(
+    lambda entries: [
+        Request(request_id=index, workload=workload, arrival_s=tick / 100.0)
+        for index, (workload, tick) in enumerate(
+            sorted(entries, key=lambda e: e[1])
+        )
+    ]
+)
+
+
+def _policy_factories():
+    return (
+        lambda: NoBatching(),
+        lambda: FixedSizeBatching(batch_size=3, max_wait_s=0.4),
+        lambda: ContinuousBatching(max_batch_size=4, slo_s=2.0),
+    )
+
+
+def _assert_identical(fast, generic):
+    assert fast.records == generic.records
+    assert fast.chip_busy_s == generic.chip_busy_s
+    assert fast.chip_requests == generic.chip_requests
+    assert fast.energy_joules == generic.energy_joules
+    assert fast.num_batches == generic.num_batches
+    assert fast.horizon_s == generic.horizon_s
+    assert fast.requests_lost == generic.requests_lost
+    assert fast.requests_shed == generic.requests_shed
+    assert fast.incidents == generic.incidents
+
+
+#: chaos timelines for a 3-chip fleet: seeded failure/straggler storms over
+#: the request streams' 4 s span, or one outage that never recovers (its
+#: queue is swept as stranded when the heap drains)
+chaos_timelines = st.one_of(
+    st.builds(
+        lambda seed: ChaosTimeline.seeded(
+            seed, num_chips=3, horizon_s=4.0, failure_rate=0.5,
+            straggler_rate=0.5, mean_duration_s=0.6, multiplier=3.0,
+        ),
+        st.integers(0, 50),
+    ),
+    st.builds(
+        lambda chip, tick: ChaosTimeline(
+            (chip_failure(chip, tick / 10.0, math.inf),)
+        ),
+        st.integers(0, 2),
+        st.integers(0, 40),
+    ),
+)
+
+
 class TestFastPathEquivalence:
-    """The slot-keyed fast path must match the generic select path exactly."""
+    """Built-in ``plan`` must match the ``select`` adapter exactly."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -196,22 +259,54 @@ class TestFastPathEquivalence:
     def test_fast_and_generic_paths_are_byte_identical(
         self, stream, num_chips, router
     ):
-        for policy_factory in (
-            lambda: NoBatching(),
-            lambda: FixedSizeBatching(batch_size=3, max_wait_s=0.4),
-            lambda: ContinuousBatching(max_batch_size=4, slo_s=2.0),
-        ):
+        for policy_factory in _policy_factories():
             fast = _run(stream, num_chips, router, policy_factory())
             generic = _run(
                 stream, num_chips, router,
                 _ForcedGenericPolicy(policy_factory()),
             )
-            assert fast.records == generic.records
-            assert fast.chip_busy_s == generic.chip_busy_s
-            assert fast.chip_requests == generic.chip_requests
-            assert fast.energy_joules == generic.energy_joules
-            assert fast.num_batches == generic.num_batches
-            assert fast.horizon_s == generic.horizon_s
+            _assert_identical(fast, generic)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        stream=request_streams,
+        chaos=chaos_timelines,
+        router=st.sampled_from(ROUTERS),
+    )
+    def test_fast_and_generic_paths_agree_under_chaos(
+        self, stream, chaos, router
+    ):
+        for policy_factory in _policy_factories():
+            fast = _run(stream, 3, router, policy_factory(), chaos=chaos)
+            generic = _run(
+                stream, 3, router, _ForcedGenericPolicy(policy_factory()),
+                chaos=chaos,
+            )
+            _assert_identical(fast, generic)
+
+    @settings(max_examples=12, deadline=None)
+    @given(stream=dense_streams, num_chips=st.integers(2, 9))
+    def test_fast_and_generic_paths_agree_on_water_fill_spans(
+        self, stream, num_chips
+    ):
+        for policy_factory in _policy_factories():
+            fast = _run(stream, num_chips, "jsq", policy_factory())
+            generic = _run(
+                stream, num_chips, "jsq", _ForcedGenericPolicy(policy_factory())
+            )
+            _assert_identical(fast, generic)
+
+    def test_select_only_policy_rides_water_fill_spans(self):
+        # Two chips saturated by 200 back-to-back arrivals: the select
+        # adapter shares the slot-keyed queues, so whole spans route
+        # through the vectorized water fill.
+        stream = [
+            Request(index, WORKLOADS[index % 4], index / 1000.0)
+            for index in range(200)
+        ]
+        generic = _run(stream, 2, "jsq", _ForcedGenericPolicy(NoBatching()))
+        assert generic.provenance["event_paths"]["water_fill_requests"] > 0
+        _assert_identical(_run(stream, 2, "jsq", NoBatching()), generic)
 
 
 class TestShardedEquivalence:
@@ -239,26 +334,6 @@ class TestShardedEquivalence:
                 sharded.energy_joules, base.energy_joules, rel_tol=1e-12
             )
             assert sharded.provenance["shards"] == shards
-
-
-#: dense bursty streams: arrivals on a 0.01 s grid packed tightly enough
-#: that a 2-chip fleet saturates and whole runs dispatch as water-fill
-#: spans (the vectorized path needs runs past its minimum span length)
-dense_streams = st.lists(
-    st.tuples(
-        st.sampled_from(WORKLOADS),
-        st.integers(min_value=0, max_value=300),
-    ),
-    min_size=60,
-    max_size=160,
-).map(
-    lambda entries: [
-        Request(request_id=index, workload=workload, arrival_s=tick / 100.0)
-        for index, (workload, tick) in enumerate(
-            sorted(entries, key=lambda e: e[1])
-        )
-    ]
-)
 
 
 class TestCoupledEngineEquivalence:

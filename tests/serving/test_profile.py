@@ -53,6 +53,11 @@ class TestProfileScenario:
     def test_bad_scales_rejected(self):
         with pytest.raises(ServingError, match="must be positive"):
             profile_scenario("steady", load_scale=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ServingError, match="finite"):
+                profile_scenario("steady", load_scale=bad)
+            with pytest.raises(ServingError, match="finite"):
+                profile_scenario("steady", duration_scale=bad)
 
     def test_sharded_profile_aggregates_phase_timings(self):
         payload = profile_scenario(

@@ -4,16 +4,16 @@ import time
 
 import pytest
 
+from repro.backends import ExecutionCache
 from repro.errors import ServingError
 from repro.evaluation.serving_experiments import latency_load_sweep
-from repro.serving.fleet import AcceleratorServiceModel
 from repro.serving.scenarios import SCENARIOS, get_scenario, run_scenario
 
 
 @pytest.fixture(scope="module")
 def shared_model():
     """One memoized accelerator model shared by every scenario test."""
-    return AcceleratorServiceModel()
+    return ExecutionCache("cogsys")
 
 
 class TestPresets:
@@ -36,6 +36,11 @@ class TestPresets:
             run_scenario("steady", load_scale=0.0)
         with pytest.raises(ServingError):
             run_scenario("steady", duration_scale=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ServingError, match="finite"):
+                run_scenario("steady", load_scale=bad)
+            with pytest.raises(ServingError, match="finite"):
+                run_scenario("steady", duration_scale=bad)
 
 
 class TestRunScenario:

@@ -110,6 +110,24 @@ class TestBatching:
         with pytest.raises(ServingError, match="share one workload"):
             _simulator(fake_model, policy=BrokenPolicy()).run(requests)
 
+    def test_select_only_policy_must_batch_the_oldest_requests(self, fake_model):
+        # The select adapter only accepts one workload's oldest requests;
+        # newest-first is a non-prefix subset and gets a typed error.
+        from repro.serving.batching import BatchDecision, BatchingPolicy
+
+        class NewestFirst(BatchingPolicy):
+            name = "newest_first"
+
+            def select(self, queue, now_s):
+                return BatchDecision(batch=[queue[-1]]) if queue else BatchDecision(None)
+
+        requests = [
+            Request(request_id=index, workload="nvsa", arrival_s=0.0)
+            for index in range(3)
+        ]
+        with pytest.raises(ServingError, match="oldest queued requests"):
+            _simulator(fake_model, policy=NewestFirst()).run(requests)
+
     def test_batches_never_mix_workloads(self, fake_model):
         requests = PoissonArrivals(100.0, WorkloadMix.uniform()).generate(0.5, seed=8)
         result = _simulator(

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.errors import ReproError, ServingError
+from repro.errors import ServingError
 from repro.serving.benchmark import (
     COUPLED_SUITE,
     CoupledThroughputCase,

@@ -28,7 +28,6 @@ from repro.serving.simulator import ServingSimulator, columnar_chunks
 from repro.serving.telemetry import (
     SPAN_FIELDS,
     TELEMETRY_FIELDS,
-    derive_series,
     request_spans,
 )
 from repro.serving.traffic import Request

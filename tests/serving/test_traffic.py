@@ -104,6 +104,12 @@ class TestPoissonArrivals:
         with pytest.raises(ServingError):
             PoissonArrivals(100.0, WorkloadMix.uniform()).generate(0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, bad):
+        # A NaN or infinite rate would spin the generator forever.
+        with pytest.raises(ServingError, match="finite"):
+            PoissonArrivals(bad, WorkloadMix.uniform())
+
 
 class TestMMPPArrivals:
     def _process(self, **overrides):
@@ -137,6 +143,10 @@ class TestMMPPArrivals:
             {"burst_rate_rps": -1.0},
             {"mean_normal_s": 0.0},
             {"mean_burst_s": -0.5},
+            {"normal_rate_rps": float("nan")},
+            {"burst_rate_rps": float("inf")},
+            {"mean_normal_s": float("inf")},
+            {"mean_burst_s": float("nan")},
         ],
     )
     def test_invalid_parameters_rejected(self, overrides):
@@ -164,6 +174,15 @@ class TestTraceArrivals:
             TraceArrivals([])
         with pytest.raises(ServingError):
             TraceArrivals([(0.1, "bogus")])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, bad):
+        # A finite trace keeps this test from hanging if the check regresses.
+        process = TraceArrivals([(0.1, "nvsa")])
+        with pytest.raises(ServingError, match="finite"):
+            process.generate(bad)
+        with pytest.raises(ServingError, match="finite"):
+            process.generate(1.0, start_s=bad)
 
 
 class TestConcatenateSegments:

@@ -1,6 +1,5 @@
 """Tests for the probabilistic abduction and execution engine."""
 
-import numpy as np
 import pytest
 
 from repro.errors import TaskGenerationError
