@@ -778,22 +778,12 @@ def run_controlled(
     )
     if telemetry_window_s is None:
         return result
-    from repro.serving.telemetry import derive_series
+    from repro.serving.telemetry import _series_from_records
 
     # The dynamic fleet can outgrow the simulator's static chip-model
-    # list, so derive the series directly over the homogeneous model.
-    series = derive_series(result, telemetry_window_s, [model] * len(chips))
-    if shed_times and series.windows:
-        # Admission control finally populates the schema's reserved
-        # ``shed`` field: count each shed instant into its window.
-        lo = series.windows[0]["window"]
-        hi = series.windows[-1]["window"]
-        by_window: dict[int, int] = {}
-        for at_s in shed_times:
-            index = min(hi, max(lo, int(at_s // series.window_s)))
-            by_window[index] = by_window.get(index, 0) + 1
-        for row in series.windows:
-            count = by_window.get(row["window"])
-            if count:
-                row["shed"] = count
+    # list, so derive the series directly over the homogeneous model;
+    # admission control and chip failures fill the ``shed`` field.
+    series = _series_from_records(
+        result, telemetry_window_s, [model] * len(chips), shed_s=shed_times
+    )
     return replace(result, telemetry=series)

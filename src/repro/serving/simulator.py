@@ -542,6 +542,10 @@ def columnar_chunks(
         yield arrivals, workloads, ids
 
 
+def _discard(_arrivals) -> None:
+    """The ``drop`` callback of runs without telemetry."""
+
+
 def _tap_arrival_chunks(chunks, collector):
     """Yield columnar chunks unchanged while feeding arrivals to telemetry."""
     for chunk in chunks:
@@ -552,13 +556,16 @@ def _tap_arrival_chunks(chunks, collector):
 def _tap_emits(emit, emit_run, collector):
     """Wrap the stream emit callbacks so the collector sees every batch."""
 
+    on_batch = collector.on_batch
+    on_run = collector.on_run
+
     def tapped_emit(chip_id, dispatch_s, finish_s, size, workload, members):
         emit(chip_id, dispatch_s, finish_s, size, workload, members)
-        collector.on_batch(chip_id, dispatch_s, finish_s, size, workload, members)
+        on_batch(chip_id, dispatch_s, finish_s, size, workload, members)
 
     def tapped_emit_run(chip_ids, arrivals, finishes, names, codes, run_ids):
         emit_run(chip_ids, arrivals, finishes, names, codes, run_ids)
-        collector.on_run(chip_ids, arrivals, finishes, codes)
+        on_run(chip_ids, arrivals, finishes, codes)
 
     return tapped_emit, tapped_emit_run
 
@@ -747,6 +754,7 @@ class ServingSimulator:
         def emit_run(chip_ids, arrivals, finishes, names, codes, run_ids):
             bulk_runs.append((chip_ids, arrivals, finishes, names, codes, run_ids))
 
+        dropped: list[float] = []
         # One pre-sorted columnar chunk: run() already holds the whole list.
         chunks = [(
             [request.arrival_s for request in stream],
@@ -754,7 +762,10 @@ class ServingSimulator:
             [request.request_id for request in stream],
         )]
         chips, energy, num_batches, horizon, first_arrival, served = (
-            self._simulate(chunks, workloads, emit, emit_run=emit_run)
+            self._simulate(
+                chunks, workloads, emit, emit_run=emit_run,
+                drop=dropped.extend if telemetry_window_s is not None else None,
+            )
         )
         event_paths = self._event_paths
         chaos_stats = self._chaos_stats
@@ -792,9 +803,7 @@ class ServingSimulator:
                 telemetry_window_s,
                 horizon,
                 first_arrival,
-                dropped_arrivals=(
-                    chaos_stats["dropped_arrivals"] if chaos_stats else None
-                ),
+                dropped_arrivals=dropped,
             )
         records = [
             RequestRecord(
@@ -970,6 +979,7 @@ class ServingSimulator:
             self._simulate(
                 chunks, workload_names, emit_cb, emit_run=emit_run_cb,
                 chip_models=chip_models,
+                drop=collector.on_drop if collector is not None else None,
             )
         )
         chaos_stats = self._chaos_stats
@@ -1016,6 +1026,7 @@ class ServingSimulator:
         emit_run=None,
         router=None,
         chip_models=None,
+        drop=None,
     ):
         """Advance the event core over sorted columnar arrival chunks.
 
@@ -1033,6 +1044,10 @@ class ServingSimulator:
         ``codes`` int array indices into sorted ``workloads``, and ``ids``
         the request-id column slice.  Without it, runs are replayed through
         ``emit`` one singleton at a time.
+
+        ``drop(arrivals)``, when given, receives the arrival instants of
+        the requests a chaos incident loses or sheds, as it drops them (a
+        chip that never recovers drops what it queues on arrival).
 
         ``router``/``chip_models`` inject a pre-built router and per-chip
         service oracles — the sharding layer uses this to simulate a
@@ -1087,13 +1102,25 @@ class ServingSimulator:
             chaos_lost = 0
             chaos_shed = 0
             chaos_log: list[dict] = []
-            # Arrival instants of every lost/shed request, so telemetry
-            # can still count them as arrivals (they never emit).
-            chaos_dropped: list[float] = []
+            # Every lost/shed request's arrival instant goes to ``drop``
+            # so telemetry can still count it as an arrival (it never
+            # emits).
+            if drop is None:
+                drop = _discard
             for ev_time, op, ev_chip, ev_mult in self.chaos.compile(num_chips):
                 heappush(
                     heap, (ev_time, _CHAOS, next_seq(), (op, ev_chip, ev_mult))
                 )
+            # From this instant on a chip is down for good.
+            chaos_dead_from = [math.inf] * num_chips
+            for incident in self.chaos.incidents:
+                if (
+                    incident.kind == "chip_failure"
+                    and not math.isfinite(incident.end_s)
+                ):
+                    chaos_dead_from[incident.chip] = min(
+                        chaos_dead_from[incident.chip], incident.at_s
+                    )
 
         # Routing fast paths for the exact built-in router classes; any
         # subclass (overridden route()) goes through the generic call.
@@ -1143,6 +1170,13 @@ class ServingSimulator:
             if chip.busy or not chip.depth:
                 return
             if chaos_on and chaos_down[chip.chip_id]:
+                if now >= chaos_dead_from[chip.chip_id]:
+                    # The chip never recovers, so its queue is stranded:
+                    # hand the arrivals to ``drop`` now (the drain sweep
+                    # still counts them shed) so telemetry need not wait.
+                    for group in chip.groups.values():
+                        drop(group.arrs[group.head:])
+                    chip.groups.clear()
                 return  # queued work waits out the chip's down window
             groups = chip.groups
             if len(groups) == 1 and single_cap is not None:
@@ -1236,7 +1270,7 @@ class ServingSimulator:
                             # dropped, so the FREE event still in the heap
                             # pops as a stale no-op.
                             lost_here = chip.inflight
-                            chaos_dropped.extend(chip.pending_emit[5][0])
+                            drop(chip.pending_emit[5][0])
                             chip.pending_emit = None
                             chip.busy = False
                             busy_count -= 1
@@ -1249,7 +1283,7 @@ class ServingSimulator:
                             chip.inflight = 0
                         shed_here = chip.depth
                         for group in chip.groups.values():
-                            chaos_dropped.extend(group.arrs[group.head:])
+                            drop(group.arrs[group.head:])
                         chip.groups.clear()
                         chip.depth = 0
                         if shed_here:
@@ -2052,7 +2086,7 @@ class ServingSimulator:
                 stranded = chip.depth
                 if stranded:
                     for group in chip.groups.values():
-                        chaos_dropped.extend(group.arrs[group.head:])
+                        drop(group.arrs[group.head:])
                     chip.groups.clear()
                     chip.depth = 0
                     chip.pending -= stranded
@@ -2065,7 +2099,6 @@ class ServingSimulator:
                 "requests_lost": chaos_lost,
                 "requests_shed": chaos_shed,
                 "incidents": tuple(chaos_log),
-                "dropped_arrivals": np.asarray(chaos_dropped, dtype=float),
             }
 
         # Routing-path attribution for the most recent simulation, read by

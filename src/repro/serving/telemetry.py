@@ -3,31 +3,34 @@
 The simulator's results are end-of-run aggregates; this module adds the
 *over time* view: the run is cut into fixed simulated-time windows
 (anchored at ``t = 0``, width ``window_s``) and each window reports
-arrival/completion/batch counts and rates, windowed latency percentiles,
-energy, fleet utilization, and per-chip queue depth / in-flight state at
-the window boundary — the sensor series a closed-loop controller (or a
-dashboard) consumes.
+arrival/completion/batch/shed counts and rates, windowed latency
+percentiles, energy, fleet utilization, and per-chip queue depth /
+in-flight state at the window boundary — the sensor series a closed-loop
+controller (or a dashboard) consumes.
 
-Three producers build the exact same series:
+One kernel builds every row: :func:`_series_from_parts` turns event
+columns (the window of every arrival, per-request latency/chip columns,
+per-batch occupancy/energy columns and optional shed instants) into the
+rows of a ``[first, stop)`` window range.  Two feeds reach it:
 
-* :func:`_series_from_emits` — vectorized derivation straight from the
-  emit structures ``run()`` already captures (the event core is never
-  touched, so telemetry-off runs pay nothing); :func:`derive_series`
-  rebuilds the identical series post-hoc from any finished full-trace
-  :class:`~repro.serving.simulator.ServingResult`,
-* :class:`TelemetryCollector` — an incremental tap on ``run_stream()``'s
-  ``emit``/``emit_run`` callbacks plus the fed arrival chunks, flushing
-  windows as soon as their content is provably complete so multi-million
-  request replays keep bounded memory,
-* the sharded merge (:mod:`repro.serving.sharding`) — derives from the
-  canonically merged columns via the same vectorized kernel.
+* **whole runs** — :func:`_series_from_emits` reads the emit structures
+  ``run()`` already captures (the event core is never touched, so
+  telemetry-off runs pay nothing); :func:`_series_from_columns` serves
+  the sharded merge and :func:`derive_series` any finished full-trace
+  :class:`~repro.serving.simulator.ServingResult` (the controller adds
+  its shed instants on this path);
+* **streams** — :class:`TelemetryCollector` buffers the same emit
+  tuples and bulk-run columns from ``run_stream()`` and sends each
+  prefix of provably complete windows through the kernel, carrying the
+  per-chip cumulative counts across flushes, so multi-million request
+  replays keep bounded memory.
 
-Byte-identity across the three is a hard guarantee (and CI-tested): all
-floating-point reductions happen per window over *sorted* value
-multisets inside :func:`_window_row`, window indices use the identical
-``t // window_s`` floor division everywhere, and per-batch energy comes
-from the same memoized ``model.energy_joules(workload, batch_size)``
-call the event core uses.
+All floating-point reductions happen per window over *sorted* value
+multisets inside :func:`_window_row` and window indices use the same
+``t // window_s`` floor division everywhere, so any split of a run into
+flushes yields the same bytes as one pass.  Per-batch energy comes from
+the same memoized ``model.energy_joules(workload, batch_size)`` call the
+event core uses.
 
 Per-request lifecycle *spans* (arrive -> dispatch -> complete with
 queue-wait and service segments) are derived from the existing records
@@ -37,6 +40,7 @@ by :func:`request_spans`; nothing is added to the hot path.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -92,6 +96,14 @@ SPAN_FIELDS = (
     "batch_size",
 )
 
+#: kernel columns with one entry per completed request / per batch
+_REQUEST_COLUMNS = ("latency", "aw", "dw", "fw", "req_chip")
+_BATCH_COLUMNS = ("b_chip", "b_disp", "b_fin", "b_dw", "b_fw", "b_energy")
+_FLOAT_COLUMNS = frozenset(("latency", "b_disp", "b_fin", "b_energy"))
+
+#: window indices are int64: quotients must stay below this magnitude
+_INDEX_LIMIT = float(2**63)
+
 
 @dataclass(frozen=True)
 class TelemetrySeries:
@@ -101,7 +113,9 @@ class TelemetrySeries:
     first arrival through the horizon) whose keys are exactly
     :data:`TELEMETRY_FIELDS`.  ``queue_depth`` and ``inflight`` are
     per-chip integer lists sampled at the window's end boundary;
-    ``shed`` is reserved for admission control (always 0 today);
+    ``shed`` counts the requests a controller run's admission control
+    or chip failures turned away in the window (0 on open-loop runs,
+    whose lost and shed requests count under ``arrivals`` instead);
     latency percentiles are ``None`` in windows with no completions.
     """
 
@@ -164,6 +178,7 @@ def _window_row(
     arrivals: int,
     completions: int,
     batches: int,
+    shed: int,
     latencies,
     energies,
     busy,
@@ -172,9 +187,8 @@ def _window_row(
 ) -> dict:
     """Finalize one window's raw accumulators into its schema row.
 
-    Every producer funnels through this function with the same value
-    *multisets*; all float reductions sort first, so any two producers
-    that accumulated the same values in any order emit identical bytes.
+    All float reductions sort first, so the same value *multisets* in any
+    order emit identical bytes.
     """
     lat = np.sort(np.asarray(latencies, dtype=float))
     if lat.size:
@@ -193,7 +207,7 @@ def _window_row(
         "arrivals": int(arrivals),
         "completions": int(completions),
         "batches": int(batches),
-        "shed": 0,
+        "shed": int(shed),
         "arrival_rate_rps": round(arrivals / window_s, 3),
         "completion_rate_rps": round(completions / window_s, 3),
         "p50_ms": p50,
@@ -204,24 +218,6 @@ def _window_row(
         "queue_depth": [int(v) for v in queue_depth],
         "inflight": [int(v) for v in inflight],
     }
-
-
-def _busy_overlaps(dispatch_s: float, finish_s: float, w_lo: int, w_hi: int,
-                   window_s: float) -> list[tuple[int, float]]:
-    """Per-window busy overlap of one batch spanning several windows.
-
-    Only called when ``w_lo < w_hi``; same-window batches contribute the
-    plain ``finish - dispatch`` everywhere so the arithmetic stays
-    identical across the scalar and vectorized producers.
-    """
-    out = []
-    for w in range(w_lo, w_hi + 1):
-        start = w * window_s
-        end = (w + 1) * window_s
-        lo = dispatch_s if dispatch_s > start else start
-        hi = finish_s if finish_s < end else end
-        out.append((w, hi - lo))
-    return out
 
 
 def _energy_lookup(chip_models):
@@ -247,24 +243,66 @@ def _energy_lookup(chip_models):
 def _check_window(window_s) -> float:
     """Validate and normalize a window width."""
     window_s = float(window_s)
-    if not window_s > 0:
+    if not (window_s > 0 and math.isfinite(window_s)):
         raise ServingError(
-            f"telemetry window must be positive, got {window_s}"
+            f"telemetry window must be positive and finite, got {window_s}"
         )
     return window_s
 
 
-def _window_slices(widx: np.ndarray, values: np.ndarray, n_win: int) -> list:
-    """Group ``values`` by 0-based window index into per-window arrays."""
+def _window_index(times, window_s: float) -> np.ndarray:
+    """``times // window_s`` as int64 window indices.
+
+    A window far narrower than the run's time scale would wrap the int64
+    cast around; that is a typed error instead.
+    """
+    quotient = np.floor_divide(times, window_s)
+    if quotient.size and not (
+        quotient.min() >= -_INDEX_LIMIT and quotient.max() < _INDEX_LIMIT
+    ):
+        raise ServingError(
+            f"telemetry window {window_s!r} s is too narrow for this run: "
+            "window indices overflow int64"
+        )
+    return quotient.astype(np.int64)
+
+
+def _last_window(horizon_s: float, window_s: float, *windows) -> int:
+    """A series' last window: the horizon's, or any later event's."""
+    return max(
+        [int(_window_index(np.float64(horizon_s), window_s))]
+        + [int(widx.max()) for widx in windows if widx.size]
+    )
+
+
+def _cat(parts: list, dtype) -> np.ndarray:
+    """Concatenate column parts (no copy for one part; typed when none)."""
+    if len(parts) == 1:
+        return parts[0]
+    if parts:
+        return np.concatenate(parts)
+    return np.empty(0, dtype=dtype)
+
+
+def _hist(widx: np.ndarray, first: int, n_win: int) -> np.ndarray:
+    """Counts per window of ``[first, first + n_win)``; others are ignored."""
+    clipped = np.clip(widx - (first - 1), 0, n_win + 1)
+    return np.bincount(clipped, minlength=n_win + 2)[1:-1]
+
+
+def _window_slices(
+    widx: np.ndarray, values: np.ndarray, first: int, n_win: int
+) -> list:
+    """Group ``values`` into per-window arrays of ``[first, first + n_win)``."""
     sorter = np.argsort(widx, kind="stable")
-    return _sorted_slices(widx[sorter], values[sorter], n_win)
+    return _sorted_slices(widx[sorter], values[sorter], first, n_win)
 
 
 def _sorted_slices(
-    sorted_w: np.ndarray, sorted_v: np.ndarray, n_win: int
+    sorted_w: np.ndarray, sorted_v: np.ndarray, first: int, n_win: int
 ) -> list:
     """Per-window views of values already ordered by window index."""
-    bounds = np.searchsorted(sorted_w, np.arange(n_win + 1))
+    bounds = np.searchsorted(sorted_w, np.arange(first, first + n_win + 1))
     return [sorted_v[bounds[i]:bounds[i + 1]] for i in range(n_win)]
 
 
@@ -306,6 +344,7 @@ def _batch_energy(b_chip, b_codes, b_size, names, energy_of) -> np.ndarray:
 
 def _series_from_parts(
     *,
+    arrival_w: np.ndarray,
     latency: np.ndarray,
     aw: np.ndarray,
     dw: np.ndarray,
@@ -319,111 +358,142 @@ def _series_from_parts(
     b_energy: np.ndarray,
     num_chips: int,
     window_s: float,
-    horizon_s: float,
-    first_arrival_s: float,
-    extra_aw: np.ndarray | None = None,
-) -> TelemetrySeries:
-    """Windowing core shared by every vectorized telemetry producer.
+    first: int,
+    stop: int,
+    carry: tuple | None = None,
+    shed_s: np.ndarray | None = None,
+) -> list[dict]:
+    """The windowing kernel: the rows of windows ``[first, stop)``.
 
-    ``extra_aw`` carries the arrival *window indices* of requests that
-    never completed (lost/shed by a chaos incident): they count toward
-    each window's arrivals — matching the streaming collector, which
-    counts fed arrivals — but contribute to nothing else.
+    ``arrival_w`` holds the window of every arrival, served or not (lost
+    and shed requests count as arrivals and contribute nothing else).
+    The per-request columns — latency, chip and arrival/dispatch/finish
+    *window indices* — cover completed requests; the per-batch columns
+    carry occupancy and energy.  Rows may come in *any* order and may
+    reach outside the range: counts are range-clipped ``bincount``
+    histograms and float multisets are grouped per window and reduced
+    inside :func:`_window_row`, which sorts first.  That is what lets
+    ``run()``, record derivation, the sharded merge and the streaming
+    collector's prefix flushes emit the same bytes.
 
-    Takes per-request latency/chip columns with their arrival/dispatch/
-    finish *window indices* (``t // window_s``, computed by the caller —
-    the emit path repeats batch-level indices instead of re-dividing
-    per-request columns) plus per-batch occupancy/energy columns, all in
-    *any* row order: counts become ``bincount`` histograms over window
-    indices and float multisets are grouped per window and reduced
-    inside :func:`_window_row`, which sorts first.  Row-order
-    independence is what makes the ``run()`` emit-tap path, the
-    record-derivation path and the sharded merge byte-identical.
+    ``carry`` holds the per-chip ``(queue_depth, inflight)`` at the end
+    of window ``first - 1`` (zeros when omitted), so a flush can pick up
+    where the previous one stopped.  ``shed_s`` holds shed instants;
+    each counts into its window, clamped into the range.
     """
-    w0 = int(first_arrival_s // window_s)
-    last = max(int(horizon_s // window_s), int(fw.max()))
-    if extra_aw is not None and extra_aw.size:
-        last = max(last, int(extra_aw.max()))
-    n_win = last - w0 + 1
-
-    count_arrived = np.bincount(aw - w0, minlength=n_win)
-    if extra_aw is not None and extra_aw.size:
-        count_arrived = count_arrived + np.bincount(
-            extra_aw - w0, minlength=n_win
-        )
-    count_finished = np.bincount(fw - w0, minlength=n_win)
-    b_widx = b_dw - w0
-    count_batches = np.bincount(b_widx, minlength=n_win)
+    n_win = stop - first
+    arrived = _hist(arrival_w, first, n_win).tolist()
+    finished = _hist(fw, first, n_win).tolist()
+    batches = _hist(b_dw, first, n_win).tolist()
+    if shed_s is None:
+        shed = [0] * n_win
+    else:
+        shed = _hist(
+            np.clip(_window_index(shed_s, window_s), first, stop - 1),
+            first, n_win,
+        ).tolist()
 
     # Latency multiset of each window's completions.
-    lat_groups = _window_slices(fw - w0, latency, n_win)
+    lat_groups = _window_slices(fw, latency, first, n_win)
     # Energy and busy are both keyed by the batch dispatch window, so one
     # stable argsort serves both groupings (busy falls back to its own
     # sort only when a window-spanning batch rewrites its key list).
-    b_sorter = np.argsort(b_widx, kind="stable")
-    b_widx_sorted = b_widx[b_sorter]
-    energy_groups = _sorted_slices(b_widx_sorted, b_energy[b_sorter], n_win)
+    b_sorter = np.argsort(b_dw, kind="stable")
+    b_dw_sorted = b_dw[b_sorter]
+    energy_groups = _sorted_slices(
+        b_dw_sorted, b_energy[b_sorter], first, n_win
+    )
 
     # Busy overlap: batches inside one window contribute finish - dispatch;
-    # the rare window-spanning batch splits via the shared scalar helper.
+    # a window-spanning batch is split over the in-range windows it covers.
+    service = b_fin - b_disp
     same = b_dw == b_fw
     spanning = np.nonzero(~same)[0]
     if spanning.size:
         span_w: list[int] = []
         span_v: list[float] = []
         for i in spanning.tolist():
-            for w, overlap in _busy_overlaps(
-                float(b_disp[i]), float(b_fin[i]), int(b_dw[i]), int(b_fw[i]),
-                window_s,
-            ):
-                span_w.append(w - w0)
-                span_v.append(overlap)
+            dispatch_s = float(b_disp[i])
+            finish_s = float(b_fin[i])
+            for w in range(max(int(b_dw[i]), first),
+                           min(int(b_fw[i]), stop - 1) + 1):
+                start = w * window_s
+                end = (w + 1) * window_s
+                lo = dispatch_s if dispatch_s > start else start
+                hi = finish_s if finish_s < end else end
+                span_w.append(w)
+                span_v.append(hi - lo)
         busy_groups = _window_slices(
-            np.concatenate([b_widx[same], np.asarray(span_w, dtype=np.int64)]),
-            np.concatenate(
-                [(b_fin - b_disp)[same], np.asarray(span_v, dtype=float)]
-            ),
-            n_win,
+            np.concatenate([b_dw[same], np.asarray(span_w, dtype=np.int64)]),
+            np.concatenate([service[same], np.asarray(span_v, dtype=float)]),
+            first, n_win,
         )
     else:
         busy_groups = _sorted_slices(
-            b_widx_sorted, (b_fin - b_disp)[b_sorter], n_win
+            b_dw_sorted, service[b_sorter], first, n_win
         )
 
     # Per-chip boundary state: cumulative routed/dispatched requests give
     # queue depth, cumulative started/finished batches give in-flight.
-    # (chip, window) histograms via bincount over a flat composite index —
-    # np.add.at on 2-D targets is an order of magnitude slower.
-    cells = num_chips * n_win
+    # (chip, window) histograms via one bincount over a flat composite
+    # index, clipped like _hist — np.add.at on 2-D targets is an order of
+    # magnitude slower.
+    span = n_win + 2
 
-    def per_chip(chips, widx):
+    def chip_hist(chips, widx):
+        clipped = np.clip(widx - (first - 1), 0, n_win + 1)
         return np.bincount(
-            chips * n_win + widx, minlength=cells
-        ).reshape(num_chips, n_win)
+            chips * span + clipped, minlength=num_chips * span
+        ).reshape(num_chips, span)[:, 1:-1]
 
-    routed = per_chip(req_chip, aw - w0)
-    dispatched = per_chip(req_chip, dw - w0)
-    started = per_chip(b_chip, b_dw - w0)
-    finished = per_chip(b_chip, b_fw - w0)
-    queue_depth = routed.cumsum(axis=1) - dispatched.cumsum(axis=1)
-    inflight = started.cumsum(axis=1) - finished.cumsum(axis=1)
+    queue_depth = (
+        chip_hist(req_chip, aw).cumsum(axis=1)
+        - chip_hist(req_chip, dw).cumsum(axis=1)
+    )
+    inflight = (
+        chip_hist(b_chip, b_dw).cumsum(axis=1)
+        - chip_hist(b_chip, b_fw).cumsum(axis=1)
+    )
+    if carry is not None:
+        queue_depth += np.asarray(carry[0], dtype=np.int64)[:, None]
+        inflight += np.asarray(carry[1], dtype=np.int64)[:, None]
 
     # One C-level transpose+tolist per matrix instead of one ndarray
     # slice + tolist per window.
-    arrived_list = count_arrived.tolist()
-    finished_list = count_finished.tolist()
-    batches_list = count_batches.tolist()
     depth_cols = queue_depth.T.tolist()
     inflight_cols = inflight.T.tolist()
-    rows = [
+    return [
         _window_row(
-            w0 + i, window_s, num_chips,
-            arrived_list[i], finished_list[i], batches_list[i],
+            first + i, window_s, num_chips,
+            arrived[i], finished[i], batches[i], shed[i],
             lat_groups[i], energy_groups[i], busy_groups[i],
             depth_cols[i], inflight_cols[i],
         )
         for i in range(n_win)
     ]
+
+
+def _whole_series(
+    columns: dict,
+    arrival_w: np.ndarray,
+    num_chips: int,
+    window_s: float,
+    horizon_s: float,
+    first_arrival_s: float,
+    shed_s: np.ndarray | None = None,
+) -> TelemetrySeries:
+    """Every window of a finished run: first arrival through the horizon."""
+    if not arrival_w.size:
+        return TelemetrySeries(window_s, int(num_chips), ())
+    rows = _series_from_parts(
+        **columns,
+        arrival_w=arrival_w,
+        num_chips=num_chips,
+        window_s=window_s,
+        first=int(_window_index(np.float64(first_arrival_s), window_s)),
+        stop=_last_window(horizon_s, window_s, arrival_w, columns["fw"]) + 1,
+        shed_s=shed_s,
+    )
     return TelemetrySeries(window_s, int(num_chips), tuple(rows))
 
 
@@ -441,13 +511,14 @@ def _series_from_columns(
     window_s: float,
     horizon_s: float,
     first_arrival_s: float,
+    shed_s: np.ndarray | None = None,
 ) -> TelemetrySeries:
     """Windowed-series derivation from full per-request columns.
 
-    Used by the ``run()`` record path and the sharded-stream merge:
-    batches are recovered as unique ``(chip, dispatch)`` pairs (a chip is
-    serial, so a dispatch instant identifies one batch) and the shared
-    windowing core does the rest.
+    Used by the record path and the sharded-stream merge: batches are
+    recovered as unique ``(chip, dispatch)`` pairs (a chip is serial, so
+    a dispatch instant identifies one batch) and the kernel does the
+    rest.
     """
     window_s = _check_window(window_s)
     arrival = np.ascontiguousarray(arrival, dtype=float)
@@ -471,42 +542,32 @@ def _series_from_columns(
         disp_sorted[1:] != disp_sorted[:-1]
     )
     batch_rows = order[first_of_batch]
-    dw = (dispatch // window_s).astype(np.int64)
-    fw = (finish // window_s).astype(np.int64)
-    return _series_from_parts(
-        latency=finish - arrival,
-        aw=(arrival // window_s).astype(np.int64),
-        dw=dw,
-        fw=fw,
-        req_chip=chip,
-        b_chip=chip[batch_rows],
-        b_disp=dispatch[batch_rows],
-        b_fin=finish[batch_rows],
-        b_dw=dw[batch_rows],
-        b_fw=fw[batch_rows],
-        b_energy=_batch_energy(
+    aw = _window_index(arrival, window_s)
+    dw = _window_index(dispatch, window_s)
+    fw = _window_index(finish, window_s)
+    columns = {
+        "latency": finish - arrival,
+        "aw": aw,
+        "dw": dw,
+        "fw": fw,
+        "req_chip": chip,
+        "b_chip": chip[batch_rows],
+        "b_disp": dispatch[batch_rows],
+        "b_fin": finish[batch_rows],
+        "b_dw": dw[batch_rows],
+        "b_fw": fw[batch_rows],
+        "b_energy": _batch_energy(
             chip[batch_rows], codes[batch_rows], size[batch_rows],
             names, energy_of,
         ),
-        num_chips=num_chips,
-        window_s=window_s,
-        horizon_s=horizon_s,
-        first_arrival_s=first_arrival_s,
+    }
+    return _whole_series(
+        columns, aw, num_chips, window_s, horizon_s, first_arrival_s, shed_s
     )
 
 
-def _series_from_emits(
-    raw_batches,
-    bulk_runs,
-    names: tuple[str, ...],
-    num_chips: int,
-    energy_of,
-    window_s: float,
-    horizon_s: float,
-    first_arrival_s: float,
-    dropped_arrivals: np.ndarray | None = None,
-) -> TelemetrySeries:
-    """Windowed series straight from ``run()``'s captured emit structures.
+def _emit_columns(raw_batches, bulk_runs, names, energy_of, window_s) -> dict:
+    """Kernel columns straight from the event core's emit structures.
 
     ``raw_batches`` holds the per-batch emit tuples
     ``(chip, dispatch, finish, size, workload, members)``; ``bulk_runs``
@@ -514,8 +575,7 @@ def _series_from_emits(
     whose columns are already numpy arrays.  Skipping the per-record
     round trip (build records, then unzip them back into columns) is
     what keeps telemetry-on ``run()`` overhead in the sub-microsecond
-    per-request range; byte-identity with the record/merge paths holds
-    because the multisets fed to the shared core are the same.
+    per-request range.
 
     Every per-batch column goes straight from the emit tuples into a
     numpy array via ``fromiter`` — no ``zip(*...)`` transposition, no
@@ -524,12 +584,11 @@ def _series_from_emits(
     they are alive rescans them, which roughly doubled the measured
     overhead before they were eliminated.
     """
-    window_s = _check_window(window_s)
-    code_of = {name: code for code, name in enumerate(names)}
-    lat_p, aw_p, dw_p, fw_p, chip_p = [], [], [], [], []
-    b_chip_p, b_disp_p, b_fin_p = [], [], []
-    b_dw_p, b_fw_p, b_energy_p = [], [], []
+    parts: dict[str, list] = {
+        key: [] for key in _REQUEST_COLUMNS + _BATCH_COLUMNS
+    }
     if raw_batches:
+        code_of = {name: code for code, name in enumerate(names)}
         n_batches = len(raw_batches)
 
         def column(index: int, dtype) -> np.ndarray:
@@ -557,19 +616,19 @@ def _series_from_emits(
             float,
             total,
         )
-        b_dw = (b_disp // window_s).astype(np.int64)
-        b_fw = (b_fin // window_s).astype(np.int64)
-        lat_p.append(np.repeat(b_fin, counts) - arrivals)
-        aw_p.append((arrivals // window_s).astype(np.int64))
-        dw_p.append(np.repeat(b_dw, counts))
-        fw_p.append(np.repeat(b_fw, counts))
-        chip_p.append(np.repeat(b_chip, counts))
-        b_chip_p.append(b_chip)
-        b_disp_p.append(b_disp)
-        b_fin_p.append(b_fin)
-        b_dw_p.append(b_dw)
-        b_fw_p.append(b_fw)
-        b_energy_p.append(
+        b_dw = _window_index(b_disp, window_s)
+        b_fw = _window_index(b_fin, window_s)
+        parts["latency"].append(np.repeat(b_fin, counts) - arrivals)
+        parts["aw"].append(_window_index(arrivals, window_s))
+        parts["dw"].append(np.repeat(b_dw, counts))
+        parts["fw"].append(np.repeat(b_fw, counts))
+        parts["req_chip"].append(np.repeat(b_chip, counts))
+        parts["b_chip"].append(b_chip)
+        parts["b_disp"].append(b_disp)
+        parts["b_fin"].append(b_fin)
+        parts["b_dw"].append(b_dw)
+        parts["b_fw"].append(b_fw)
+        parts["b_energy"].append(
             _batch_energy(b_chip, b_codes, b_size, names, energy_of)
         )
     for chip_ids, arrivals, finishes, codes in bulk_runs:
@@ -579,80 +638,67 @@ def _series_from_emits(
         finishes = np.ascontiguousarray(finishes, dtype=float)
         chips = (
             np.full(arrivals.size, chip_ids, dtype=np.int64)
-            if isinstance(chip_ids, int)
+            if isinstance(chip_ids, (int, np.integer))
             else np.ascontiguousarray(chip_ids, dtype=np.int64)
         )
         codes = np.ascontiguousarray(codes, dtype=np.int64)
-        aw = (arrivals // window_s).astype(np.int64)
-        fw = (finishes // window_s).astype(np.int64)
-        lat_p.append(finishes - arrivals)
-        aw_p.append(aw)
-        dw_p.append(aw)
-        fw_p.append(fw)
-        chip_p.append(chips)
-        b_chip_p.append(chips)
-        b_disp_p.append(arrivals)
-        b_fin_p.append(finishes)
-        b_dw_p.append(aw)
-        b_fw_p.append(fw)
-        b_energy_p.append(
+        aw = _window_index(arrivals, window_s)
+        fw = _window_index(finishes, window_s)
+        parts["latency"].append(finishes - arrivals)
+        parts["aw"].append(aw)
+        parts["dw"].append(aw)
+        parts["fw"].append(fw)
+        parts["req_chip"].append(chips)
+        parts["b_chip"].append(chips)
+        parts["b_disp"].append(arrivals)
+        parts["b_fin"].append(finishes)
+        parts["b_dw"].append(aw)
+        parts["b_fw"].append(fw)
+        parts["b_energy"].append(
             _batch_energy(
                 chips, codes, np.ones(arrivals.size, dtype=np.int64),
                 names, energy_of,
             )
         )
-    extra_aw = None
-    if dropped_arrivals is not None and dropped_arrivals.size:
-        # Lost/shed requests still arrived: count them into their arrival
-        # windows so the series matches the streaming collector's fed-
-        # arrival accounting.
-        extra_aw = (dropped_arrivals // window_s).astype(np.int64)
-    if not lat_p:
-        if extra_aw is None:
-            return TelemetrySeries(window_s, int(num_chips), ())
-        # Every request dropped before any batch completed: the series is
-        # arrival counts over otherwise-empty windows.
-        w0 = int(first_arrival_s // window_s)
-        last = max(int(horizon_s // window_s), int(extra_aw.max()))
-        n_win = last - w0 + 1
-        counts = np.bincount(extra_aw - w0, minlength=n_win).tolist()
-        zeros = [0] * num_chips
-        return TelemetrySeries(window_s, int(num_chips), tuple(
-            _window_row(w0 + i, window_s, num_chips, counts[i], 0, 0,
-                        [], [], [], zeros, zeros)
-            for i in range(n_win)
-        ))
-    def cat(parts: list) -> np.ndarray:
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return {
+        key: _cat(values, float if key in _FLOAT_COLUMNS else np.int64)
+        for key, values in parts.items()
+    }
 
-    return _series_from_parts(
-        latency=cat(lat_p),
-        aw=cat(aw_p),
-        dw=cat(dw_p),
-        fw=cat(fw_p),
-        req_chip=cat(chip_p),
-        b_chip=cat(b_chip_p),
-        b_disp=cat(b_disp_p),
-        b_fin=cat(b_fin_p),
-        b_dw=cat(b_dw_p),
-        b_fw=cat(b_fw_p),
-        b_energy=cat(b_energy_p),
-        num_chips=num_chips,
-        window_s=window_s,
-        horizon_s=horizon_s,
-        first_arrival_s=first_arrival_s,
-        extra_aw=extra_aw,
+
+def _series_from_emits(
+    raw_batches,
+    bulk_runs,
+    names: tuple[str, ...],
+    num_chips: int,
+    energy_of,
+    window_s: float,
+    horizon_s: float,
+    first_arrival_s: float,
+    dropped_arrivals: np.ndarray | None = None,
+) -> TelemetrySeries:
+    """Windowed series straight from ``run()``'s captured emit structures.
+
+    ``dropped_arrivals`` holds the arrival instants of requests a chaos
+    incident lost or shed: they join the arrival column and nothing else.
+    """
+    window_s = _check_window(window_s)
+    columns = _emit_columns(raw_batches, bulk_runs, names, energy_of, window_s)
+    arrival_w = columns["aw"]
+    if dropped_arrivals is not None and len(dropped_arrivals):
+        arrival_w = np.concatenate([
+            arrival_w,
+            _window_index(np.asarray(dropped_arrivals, dtype=float), window_s),
+        ])
+    return _whole_series(
+        columns, arrival_w, num_chips, window_s, horizon_s, first_arrival_s
     )
 
 
-def derive_series(result, window_s, chip_models) -> TelemetrySeries:
-    """Windowed series derived post-hoc from a full-trace ``ServingResult``.
-
-    ``chip_models`` are the per-chip service oracles the run used
-    (``ServingSimulator._chip_models()``); the event core itself is never
-    re-run, so deriving telemetry after the fact costs a single
-    vectorized pass over the records.
-    """
+def _series_from_records(
+    result, window_s, chip_models, shed_s=None
+) -> TelemetrySeries:
+    """:func:`derive_series`, plus the controller's shed instants."""
     records = result.records
     window_s = _check_window(window_s)
     if not records:
@@ -678,48 +724,40 @@ def derive_series(result, window_s, chip_models) -> TelemetrySeries:
         window_s=window_s,
         horizon_s=result.horizon_s,
         first_arrival_s=result.first_arrival_s,
+        shed_s=shed_s,
     )
 
 
-class _WindowAcc:
-    """Raw accumulators of one still-open window in the streaming collector."""
+def derive_series(result, window_s, chip_models) -> TelemetrySeries:
+    """Windowed series derived post-hoc from a full-trace ``ServingResult``.
 
-    __slots__ = (
-        "arrivals", "completions", "batches", "lat", "energy", "busy",
-        "routed", "dispatched", "started", "finished",
-    )
-
-    def __init__(self, num_chips: int) -> None:
-        self.arrivals = 0
-        self.completions = 0
-        self.batches = 0
-        self.lat: list[float] = []
-        self.energy: list[float] = []
-        self.busy: list[float] = []
-        self.routed = np.zeros(num_chips, dtype=np.int64)
-        self.dispatched = np.zeros(num_chips, dtype=np.int64)
-        self.started = np.zeros(num_chips, dtype=np.int64)
-        self.finished = np.zeros(num_chips, dtype=np.int64)
+    ``chip_models`` are the per-chip service oracles the run used
+    (``ServingSimulator._chip_models()``); the event core itself is never
+    re-run, so deriving telemetry after the fact costs a single
+    vectorized pass over the records.
+    """
+    return _series_from_records(result, window_s, chip_models)
 
 
 class TelemetryCollector:
-    """Incremental windowed-series builder for ``run_stream``.
+    """The streaming feed of the windowing kernel, for ``run_stream``.
 
-    Taps three streams: fed arrival chunks (:meth:`on_arrivals`),
-    per-batch emits (:meth:`on_batch`) and idle-disjoint bulk runs
-    (:meth:`on_run`).  A window flushes to its final row as soon as it is
-    provably complete — the feed and dispatch watermarks have both passed
-    its end boundary *and* every request that arrived inside it has
-    dispatched (so its chip, and hence the per-chip queue depths, are
-    known).  Emit order guarantees dispatch times are non-decreasing
-    across emits, which makes both watermarks sound.
+    Buffers what ``run()`` captures — per-batch emit tuples
+    (:meth:`on_batch`) and idle-disjoint bulk runs (:meth:`on_run`) — plus
+    the fed arrival chunks (:meth:`on_arrivals`) and the arrivals a chaos
+    incident drops (:meth:`on_drop`).  A window is complete once the feed
+    has passed it and every request that arrived in it or earlier has
+    emitted or been dropped: every batch dispatched by then has emitted
+    too, so all of the window's counts, multisets and boundary state are
+    known.  Each flush sends the complete prefix of windows through
+    :func:`_series_from_parts` and keeps only the columns later windows
+    still need, so memory is bounded by the open windows.
 
     The finished series is byte-identical to :func:`derive_series` over
-    the same run's records: both paths accumulate the same per-window
-    value multisets and share :func:`_window_row`'s sorted reductions.
+    the same run's records.
     """
 
-    #: emit count between opportunistic flush attempts
+    #: buffered requests that trigger a flush attempt between chunks
     _FLUSH_EVERY = 4096
 
     def __init__(self, window_s, num_chips, chip_models, workload_names):
@@ -727,219 +765,124 @@ class TelemetryCollector:
         self.num_chips = int(num_chips)
         self._names = tuple(workload_names)
         self._energy_of = _energy_lookup(list(chip_models))
-        self._pending: dict[int, _WindowAcc] = {}
+        self._batches: list[tuple] = []  # emit tuples since the last flush
+        self._runs: list[tuple] = []     # bulk runs since the last flush
+        self._buffered = 0               # requests in those two lists
+        self._flush_at = self._FLUSH_EVERY
+        self._parts: list[dict] = []     # kernel columns still needed
+        self._fed: list[np.ndarray] = []      # arrival windows >= _next
+        self._dropped: list[np.ndarray] = []  # dropped ones, likewise
+        self._fed_idx = -1       # window of the newest fed arrival
+        self._next: int | None = None  # first window not yet flushed
         self._rows: list[dict] = []
-        self._first: int | None = None
-        self._next: int | None = None
-        self._fed_idx = -1       # window index of the feed watermark
-        self._disp_idx = -1      # window index of the dispatch watermark
-        self._fed_flushed = 0    # fed arrivals inside flushed windows
-        self._routed_flushed = 0  # dispatched-known arrivals inside them
-        self._routed_cum = np.zeros(self.num_chips, dtype=np.int64)
-        self._dispatched_cum = np.zeros(self.num_chips, dtype=np.int64)
-        self._started_cum = np.zeros(self.num_chips, dtype=np.int64)
-        self._finished_cum = np.zeros(self.num_chips, dtype=np.int64)
-        self._emits = 0
-
-    def _acc(self, window: int) -> _WindowAcc:
-        """The (created-on-demand) accumulator of one window."""
-        acc = self._pending.get(window)
-        if acc is None:
-            acc = self._pending[window] = _WindowAcc(self.num_chips)
-        return acc
 
     def on_arrivals(self, arrivals) -> None:
         """Record one fed columnar chunk's arrival times (sorted)."""
-        arr = np.asarray(arrivals, dtype=float)
-        if arr.size == 0:
+        widx = _window_index(np.asarray(arrivals, dtype=float), self.window_s)
+        if widx.size == 0:
             return
-        widx = (arr // self.window_s).astype(np.int64)
-        if self._first is None:
-            self._first = int(widx[0])
-            self._next = self._first
-        for w, count in zip(*(a.tolist() for a in np.unique(widx, return_counts=True))):
-            self._acc(w).arrivals += count
-        self._fed_idx = max(self._fed_idx, int(widx[-1]))
+        if self._next is None:
+            self._next = int(widx[0])
+        self._fed.append(widx)
+        self._fed_idx = int(widx[-1])
         self._flush()
 
     def on_batch(self, chip_id, dispatch_s, finish_s, size, workload,
                  members) -> None:
         """Record one dispatched batch (the ``emit`` tap)."""
-        window_s = self.window_s
-        wd = int(dispatch_s // window_s)
-        wf = int(finish_s // window_s)
-        acc_d = self._acc(wd)
-        acc_d.batches += 1
-        acc_d.started[chip_id] += 1
-        acc_d.dispatched[chip_id] += size
-        acc_d.energy.append(self._energy_of(chip_id, workload, size))
-        acc_f = self._acc(wf)
-        acc_f.completions += size
-        acc_f.finished[chip_id] += 1
-        lat = acc_f.lat
-        for arrival_s in members[0]:
-            lat.append(finish_s - arrival_s)
-            self._acc(int(arrival_s // window_s)).routed[chip_id] += 1
-        if wd == wf:
-            acc_d.busy.append(finish_s - dispatch_s)
-        else:
-            for w, overlap in _busy_overlaps(
-                dispatch_s, finish_s, wd, wf, window_s
-            ):
-                self._acc(w).busy.append(overlap)
-        if wd > self._disp_idx:
-            self._disp_idx = wd
-        self._emits += 1
-        if not self._emits % self._FLUSH_EVERY:
+        self._batches.append(
+            (chip_id, dispatch_s, finish_s, size, workload, members)
+        )
+        self._buffered += size
+        if self._buffered >= self._flush_at:
             self._flush()
 
-    def _add_chip_counts(self, attr: str, widx: np.ndarray, chips) -> None:
-        """Bump a per-chip counter per ``(window, chip)`` occurrence."""
-        if isinstance(chips, (int, np.integer)):
-            for w, count in zip(
-                *(a.tolist() for a in np.unique(widx, return_counts=True))
-            ):
-                getattr(self._acc(w), attr)[chips] += count
-        else:
-            key = widx * self.num_chips + chips
-            for k, count in zip(
-                *(a.tolist() for a in np.unique(key, return_counts=True))
-            ):
-                getattr(self._acc(k // self.num_chips), attr)[
-                    k % self.num_chips
-                ] += count
-
     def on_run(self, chip_ids, arrivals, finishes, codes) -> None:
-        """Record one idle-disjoint bulk run (the ``emit_run`` tap).
+        """Record one idle-disjoint bulk run (the ``emit_run`` tap)."""
+        self._runs.append((chip_ids, arrivals, finishes, codes))
+        self._buffered += len(arrivals)
+        if self._buffered >= self._flush_at:
+            self._flush()
 
-        Every request of a run is a singleton batch served at its arrival
-        instant (``dispatch == arrival``, batch size 1).
-        """
-        window_s = self.window_s
-        arr = np.asarray(arrivals, dtype=float)
-        if arr.size == 0:
-            return
-        fin = np.asarray(finishes, dtype=float)
-        codes = np.ascontiguousarray(codes, dtype=np.int64)
-        aw = (arr // window_s).astype(np.int64)
-        fw = (fin // window_s).astype(np.int64)
-        scalar_chip = isinstance(chip_ids, (int, np.integer))
-        chips = int(chip_ids) if scalar_chip else np.ascontiguousarray(
-            chip_ids, dtype=np.int64
+    def on_drop(self, arrivals) -> None:
+        """Record the arrival instants of requests lost or shed by chaos."""
+        self._dropped.append(
+            _window_index(np.asarray(arrivals, dtype=float), self.window_s)
         )
-        lat = fin - arr
 
-        # Completions and the latency multiset, grouped by finish window.
-        sorter = np.argsort(fw, kind="stable")
-        fw_sorted = fw[sorter]
-        lat_sorted = lat[sorter]
-        uniq_f, starts = np.unique(fw_sorted, return_index=True)
-        bounds = np.append(starts, fw_sorted.size)
-        for i, w in enumerate(uniq_f.tolist()):
-            acc = self._acc(w)
-            acc.completions += int(bounds[i + 1] - bounds[i])
-            acc.lat.extend(lat_sorted[bounds[i]:bounds[i + 1]].tolist())
+    def _complete_prefix(self, first: int, fed: np.ndarray) -> int:
+        """How many windows from ``first`` on are complete."""
+        n_win = self._fed_idx - first
+        if n_win <= 0:
+            return 0
+        # An arrival not yet emitted or dropped (queued or in flight) holds
+        # its window and every later one open.
+        owed = _hist(fed, first, n_win)
+        for widx in [part["aw"] for part in self._parts] + self._dropped:
+            owed -= _hist(widx, first, n_win)
+        held = np.flatnonzero(np.cumsum(owed))
+        return int(held[0]) if held.size else n_win
 
-        # Batch count per dispatch (== arrival) window.
-        for w, count in zip(*(a.tolist() for a in np.unique(aw, return_counts=True))):
-            self._acc(w).batches += count
-
-        # Per-chip counters: routed/dispatched/started key on the arrival
-        # window, finished on the finish window.
-        self._add_chip_counts("routed", aw, chips)
-        self._add_chip_counts("dispatched", aw, chips)
-        self._add_chip_counts("started", aw, chips)
-        self._add_chip_counts("finished", fw, chips)
-
-        # Per-singleton energy over unique (chip, workload) pairs.
-        n_names = len(self._names)
-        key = chips * n_names + codes  # broadcasts over a scalar chip too
-        uniq_keys, inverse = np.unique(key, return_inverse=True)
-        uniq_energy = np.empty(uniq_keys.size, dtype=float)
-        for i, k in enumerate(uniq_keys.tolist()):
-            uniq_energy[i] = self._energy_of(
-                int(k // n_names), self._names[int(k % n_names)], 1
-            )
-        energy = uniq_energy[inverse]
-        sorter_a = np.argsort(aw, kind="stable")
-        aw_sorted = aw[sorter_a]
-        energy_sorted = energy[sorter_a]
-        uniq_a, starts_a = np.unique(aw_sorted, return_index=True)
-        bounds_a = np.append(starts_a, aw_sorted.size)
-        for i, w in enumerate(uniq_a.tolist()):
-            self._acc(w).energy.extend(
-                energy_sorted[bounds_a[i]:bounds_a[i + 1]].tolist()
-            )
-
-        # Busy overlap: singleton service time, split when spanning.
-        same = aw == fw
-        lat_same = lat[same]
-        aw_same = aw[same]
-        sorter_b = np.argsort(aw_same, kind="stable")
-        aw_b = aw_same[sorter_b]
-        lat_b = lat_same[sorter_b]
-        uniq_b, starts_b = np.unique(aw_b, return_index=True)
-        bounds_b = np.append(starts_b, aw_b.size)
-        for i, w in enumerate(uniq_b.tolist()):
-            self._acc(w).busy.extend(lat_b[bounds_b[i]:bounds_b[i + 1]].tolist())
-        spanning = np.nonzero(~same)[0]
-        for i in spanning.tolist():
-            for w, overlap in _busy_overlaps(
-                float(arr[i]), float(fin[i]), int(aw[i]), int(fw[i]), window_s
-            ):
-                self._acc(w).busy.append(overlap)
-
-        self._disp_idx = max(self._disp_idx, int(aw[-1]))
-        self._flush()
-
-    def _emit_row(self, window: int, acc: _WindowAcc) -> None:
-        """Finalize one window into its row and advance cumulative state."""
-        self._fed_flushed += acc.arrivals
-        self._routed_flushed += int(acc.routed.sum())
-        self._routed_cum += acc.routed
-        self._dispatched_cum += acc.dispatched
-        self._started_cum += acc.started
-        self._finished_cum += acc.finished
-        self._rows.append(_window_row(
-            window, self.window_s, self.num_chips,
-            acc.arrivals, acc.completions, acc.batches,
-            acc.lat, acc.energy, acc.busy,
-            (self._routed_cum - self._dispatched_cum).tolist(),
-            (self._started_cum - self._finished_cum).tolist(),
-        ))
-
-    def _flush(self) -> None:
-        """Flush every window whose content is provably complete."""
+    def _flush(self, horizon_s: float | None = None) -> None:
+        """Send every complete window (all of them given the horizon)."""
         if self._next is None:
             return
-        limit = min(self._fed_idx, self._disp_idx)
-        while self._next < limit:
-            window = self._next
-            acc = self._pending.get(window)
-            if acc is None:
-                acc = _WindowAcc(self.num_chips)
-            if (
-                self._fed_flushed + acc.arrivals
-                != self._routed_flushed + int(acc.routed.sum())
-            ):
-                return  # a request that arrived <= end(window) is still queued
-            self._emit_row(window, acc)
-            self._pending.pop(window, None)
-            self._next = window + 1
+        if self._batches or self._runs:
+            self._parts.append(_emit_columns(
+                self._batches, self._runs, self._names, self._energy_of,
+                self.window_s,
+            ))
+            self._batches, self._runs, self._buffered = [], [], 0
+        first = self._next
+        fed = _cat(self._fed, np.int64)
+        if horizon_s is None:
+            stop = first + self._complete_prefix(first, fed)
+        else:
+            stop = 1 + _last_window(
+                horizon_s, self.window_s, fed,
+                *(part["fw"] for part in self._parts),
+            )
+        if stop > first:
+            columns = {
+                key: _cat([part[key] for part in self._parts],
+                          float if key in _FLOAT_COLUMNS else np.int64)
+                for key in _REQUEST_COLUMNS + _BATCH_COLUMNS
+            }
+            self._rows.extend(_series_from_parts(
+                **columns,
+                arrival_w=fed,
+                num_chips=self.num_chips,
+                window_s=self.window_s,
+                first=first,
+                stop=stop,
+                carry=(
+                    (self._rows[-1]["queue_depth"], self._rows[-1]["inflight"])
+                    if self._rows else None
+                ),
+            ))
+            self._next = stop
+            # Keep what windows from ``stop`` on still need: the requests
+            # and batches finishing there, and their arrival windows.
+            keep_request = columns["fw"] >= stop
+            keep_batch = columns["b_fw"] >= stop
+            self._parts = [{
+                key: values[
+                    keep_request if key in _REQUEST_COLUMNS else keep_batch
+                ]
+                for key, values in columns.items()
+            }]
+            self._fed = [fed[fed >= stop]]
+            dropped = _cat(self._dropped, np.int64)
+            self._dropped = [dropped[dropped >= stop]]
+        # An attempt costs O(retained columns), so the trigger grows with
+        # them: work stays linear while a long queue holds windows open.
+        self._flush_at = max(
+            self._FLUSH_EVERY, sum(part["aw"].size for part in self._parts)
+        )
 
     def finalize(self, horizon_s: float) -> TelemetrySeries:
         """Flush all remaining windows and return the finished series."""
-        if self._first is None or self._next is None:
-            return TelemetrySeries(self.window_s, self.num_chips, ())
-        last = int(horizon_s // self.window_s)
-        if self._pending:
-            last = max(last, max(self._pending))
-        for window in range(self._next, last + 1):
-            acc = self._pending.pop(window, None)
-            if acc is None:
-                acc = _WindowAcc(self.num_chips)
-            self._emit_row(window, acc)
-        self._next = last + 1
+        self._flush(horizon_s)
         return TelemetrySeries(self.window_s, self.num_chips, tuple(self._rows))
 
 

@@ -282,18 +282,45 @@ class TestAdmission:
         keep_run = run_controlled(_simulator(), loose, stream)
         assert keep_run.requests_shed == 0
 
-    def test_shed_counts_land_in_telemetry_windows(self):
-        stream = [Request(i, "nvsa", 0.0005 * i) for i in range(100)]
-        config = ControllerConfig(
-            policy="target_util", slo_s=0.004, max_chips=2,
-            adapt_batching=False,
-        )
+    @pytest.mark.parametrize(
+        "chaos, expected_shed",
+        (
+            # Each admission shed lands in the window of its arrival.
+            (None, [18, 18, 19, 17, 18, 0]),
+            # A never-recovering failure at 12 ms (after the last
+            # completion, at 10 ms) sheds the queue past the series' last
+            # window: those instants clamp into it.
+            (
+                ChaosTimeline((chip_failure(0, 0.012, float("inf")),)),
+                [0, 0, 0, 0, 0, 8],
+            ),
+        ),
+        ids=("admission", "failure-after-last-completion"),
+    )
+    def test_shed_counts_land_in_telemetry_windows(self, chaos, expected_shed):
+        if chaos is None:
+            sim = _simulator()
+            stream = [Request(i, "nvsa", 0.0005 * i) for i in range(100)]
+            config = ControllerConfig(
+                policy="target_util", slo_s=0.004, max_chips=2,
+                adapt_batching=False,
+            )
+            window_s = 0.01
+        else:
+            sim = _simulator(policy=NoBatching(), num_chips=1, chaos=chaos)
+            stream = [Request(i, "nvsa", 0.001 * i) for i in range(10)]
+            config = ControllerConfig(
+                policy="target_util", max_chips=1, admission=False,
+                adapt_batching=False,
+            )
+            window_s = 0.002
         result = run_controlled(
-            _simulator(), config, stream, telemetry_window_s=0.01
+            sim, config, stream, telemetry_window_s=window_s
         )
         assert result.telemetry is not None
         shed_total = sum(row["shed"] for row in result.telemetry.windows)
         assert shed_total == result.requests_shed
+        assert result.telemetry.column("shed") == expected_shed
 
 
 class TestAdaptiveKnobs:

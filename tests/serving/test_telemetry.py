@@ -8,6 +8,7 @@ exported bytes for two presets.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.errors import ServingError
 from repro.serving.batching import ContinuousBatching, NoBatching
+from repro.serving.chaos import ChaosTimeline, chip_failure, straggler
 from repro.serving.exporters import (
     TELEMETRY_FORMAT,
     render_dashboard,
@@ -28,6 +30,7 @@ from repro.serving.simulator import ServingSimulator, columnar_chunks
 from repro.serving.telemetry import (
     SPAN_FIELDS,
     TELEMETRY_FIELDS,
+    TelemetryCollector,
     request_spans,
 )
 from repro.serving.traffic import Request
@@ -73,11 +76,22 @@ request_streams = st.lists(
 )
 
 
-def _simulator(num_chips, router="round_robin", policy=None):
+#: chaos inputs for the stream/full-trace identity: requests lost in
+#: flight and shed from queues (then recovered, or never), and a slow chip
+CHAOS_TIMELINES = {
+    "no-chaos": None,
+    "finite-failure": ChaosTimeline((chip_failure(0, 1.0, 1.5),)),
+    "never-recovering": ChaosTimeline((chip_failure(0, 1.0, math.inf),)),
+    "straggler": ChaosTimeline((straggler(0, 0.5, 2.0, 3.0),)),
+}
+
+
+def _simulator(num_chips, router="round_robin", policy=None, chaos=None):
     return ServingSimulator(
         service_model=TelemetryFakeModel(),
         fleet=Fleet(num_chips=num_chips, router=router),
         batching_policy=policy or ContinuousBatching(max_batch_size=4, slo_s=2.0),
+        chaos=chaos,
     )
 
 
@@ -105,12 +119,15 @@ class TestWindowConservation:
         assert series.windows[-1]["queue_depth"] == [0] * num_chips
         assert series.windows[-1]["inflight"] == [0] * num_chips
 
+    @pytest.mark.parametrize(
+        "chaos", CHAOS_TIMELINES.values(), ids=CHAOS_TIMELINES.keys()
+    )
     @settings(max_examples=25, deadline=None)
     @given(stream=request_streams, num_chips=st.integers(1, 3))
     def test_streamed_and_sharded_series_match_full_trace(
-        self, stream, num_chips
+        self, stream, num_chips, chaos
     ):
-        sim = _simulator(num_chips)
+        sim = _simulator(num_chips, chaos=chaos)
         full = sim.run(stream, telemetry_window_s=WINDOW_S)
         workloads = sorted({request.workload for request in stream})
         streamed = sim.run_stream(
@@ -129,6 +146,40 @@ class TestWindowConservation:
         result = sim.run(stream, telemetry_window_s=WINDOW_S)
         total = sum(result.telemetry.column("energy_j"))
         assert total == pytest.approx(result.energy_joules, rel=1e-9)
+
+
+class TestStreamedTelemetryMemory:
+    def test_open_windows_stay_bounded_under_never_recovering_failure(
+        self, monkeypatch
+    ):
+        # Requests lost, shed or stranded on the dead chip never emit; the
+        # collector must still flush past them instead of holding every
+        # window after the first drop open until the stream ends.
+        open_windows = []
+        flush = TelemetryCollector._flush
+
+        def spy(collector, *args):
+            flush(collector, *args)
+            open_windows.append(collector._fed_idx - collector._next)
+
+        monkeypatch.setattr(TelemetryCollector, "_flush", spy)
+        stream = [
+            Request(request_id=i, workload=WORKLOADS[i % 4], arrival_s=0.2 * i)
+            for i in range(10_000)
+        ]
+        sim = _simulator(
+            4, router="jsq",
+            chaos=ChaosTimeline((chip_failure(1, 100.0, math.inf),)),
+        )
+        streamed = sim.run_stream(
+            columnar_chunks(stream, 256), WORKLOADS, telemetry_window_s=WINDOW_S
+        )
+        assert streamed.requests_lost + streamed.requests_shed > 0
+        assert streamed.telemetry.num_windows > 4000
+        # One chunk spans ~100 windows; the feed runs at most that far ahead.
+        assert max(open_windows) <= 200
+        full = sim.run(stream, telemetry_window_s=WINDOW_S)
+        assert streamed.telemetry.windows == full.telemetry.windows
 
 
 class TestTelemetrySeries:
@@ -153,17 +204,31 @@ class TestTelemetrySeries:
         assert quiet
         assert all(row["p99_ms"] is None for row in quiet)
 
+    def test_shed_instants_clamp_into_the_window_range(self):
+        from repro.serving.telemetry import _series_from_columns
+
+        series = _series_from_columns(
+            arrival=[0.6, 1.2], dispatch=[0.6, 1.2], finish=[0.9, 1.6],
+            chip=[0, 0], size=[1, 1], codes=[0, 0], names=("nvsa",),
+            num_chips=1, energy_of=lambda chip, workload, size: 1.0,
+            window_s=WINDOW_S, horizon_s=1.6, first_arrival_s=0.6,
+            shed_s=[0.1, 0.7, 9.0],
+        )
+        assert series.column("window") == [1, 2, 3]
+        assert series.column("shed") == [2, 0, 1]
+
     def test_unknown_column_rejected(self):
         series = self._series([("nvsa", 0.0)])
         with pytest.raises(ServingError, match="unknown telemetry field"):
             series.column("p42_ms")
 
-    def test_bad_window_rejected(self):
+    @pytest.mark.parametrize("window_s", (0.0, math.inf, 1e-303))
+    def test_bad_window_rejected(self, window_s):
         sim = _simulator(1)
         with pytest.raises(ServingError, match="window"):
             sim.run(
                 [Request(request_id=0, workload="nvsa", arrival_s=0.0)],
-                telemetry_window_s=0.0,
+                telemetry_window_s=window_s,
             )
 
     def test_telemetry_off_by_default(self):
@@ -306,11 +371,15 @@ class TestServeTelemetryCLI:
             ["serve", "steady", "--profile", "--telemetry", "x.jsonl"],
             ["serve", "--list", "--dashboard"],
             ["serve", "steady", "--telemetry", "x.jsonl", "--window-ms", "0"],
+            ["serve", "steady", "--duration-scale", "0.05",
+             "--telemetry", "x.jsonl", "--window-ms", "inf"],
+            ["serve", "steady", "--duration-scale", "0.05",
+             "--telemetry", "x.jsonl", "--window-ms", "1e-300"],
         ),
         ids=(
             "window-without-telemetry", "format-without-telemetry",
             "dashboard-json", "profile-telemetry", "list-dashboard",
-            "zero-window",
+            "zero-window", "infinite-window", "overflowing-window",
         ),
     )
     def test_stray_telemetry_flags_rejected(self, argv, capsys):
