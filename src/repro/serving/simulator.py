@@ -32,6 +32,13 @@ additionally run with ``shards > 1`` (see :mod:`repro.serving.sharding`):
 each component simulates in isolation — optionally on worker processes —
 and the results merge deterministically.
 
+The closed-loop controller (:func:`~repro.serving.control.run_controlled`)
+is a private ``_simulate`` hook: the core pre-allocates ``max_chips`` chips,
+routes only over the ones the controller reports ACTIVE, asks it to admit
+each arrival, reports completions to its sensors and hands it the
+``_WARM``/``_TICK`` heap events.  Like chaos, it disables the vectorized
+spans and defers each batch's accounting to its completion.
+
 Determinism: events order by ``(time, kind, sequence)`` with arrivals
 before completions before wake-ups at an instant, routing and batching
 policies are deterministic functions of observable state, and all
@@ -97,8 +104,10 @@ __all__ = [
 # and batch formation see every request that lands at an instant, then chip
 # completions, then batching wake-ups, then chaos incidents — a batch that
 # finishes exactly at a failure instant completes normally, and requests
-# arriving exactly then are enqueued first (and therefore shed).
-_ARRIVAL, _FREE, _WAKE, _CHAOS = 0, 1, 2, 3
+# arriving exactly then are enqueued first (and therefore shed).  Controlled
+# runs add chip warm-ups and, last, the control tick, so a tick never
+# observes a half-applied instant.
+_ARRIVAL, _FREE, _WAKE, _CHAOS, _WARM, _TICK = 0, 1, 2, 3, 4, 5
 
 #: shard-fallback reason recorded when a chaos timeline forces the
 #: single-shard path (lost/shed accounting and fleet-wide power caps are
@@ -444,16 +453,18 @@ class _DepthIndex:
     it), so buckets left empty cost one dict probe each, once.
     """
 
-    __slots__ = ("chips", "buckets", "min_depth")
+    __slots__ = ("chips", "members", "buckets", "min_depth")
 
-    def __init__(self, chips: list) -> None:
+    def __init__(self, chips: list, members: list | None = None) -> None:
         self.chips = chips
+        #: the chips routing may choose (every chip unless given)
+        self.members = chips if members is None else members
         self.rebuild()
 
     def rebuild(self) -> None:
-        """Re-derive every bucket from the chips' current ``pending``."""
+        """Re-derive every bucket from the members' current ``pending``."""
         buckets: dict[int, list[int]] = {}
-        for chip in self.chips:
+        for chip in self.members:
             buckets.setdefault(chip.pending, []).append(chip.chip_id)
         self.buckets = buckets
         self.min_depth = min(buckets)
@@ -485,6 +496,57 @@ class _DepthIndex:
             insort(bucket, chip_id)
         if new_depth < self.min_depth:
             self.min_depth = new_depth
+
+
+class _ActiveDepthIndex(_DepthIndex):
+    """A :class:`_DepthIndex` over a controller's ACTIVE chips.
+
+    The other chips still change depth (a draining chip completes its
+    batches); their moves are no-ops.
+    """
+
+    __slots__ = ("member_ids",)
+
+    def __init__(self, chips: list, members: list) -> None:
+        self.member_ids = frozenset(chip.chip_id for chip in members)
+        super().__init__(chips, members)
+
+    def move(self, chip_id: int, old_depth: int, new_depth: int) -> None:
+        if chip_id in self.member_ids:
+            _DepthIndex.move(self, chip_id, old_depth, new_depth)
+
+
+def _jsq_router(chips: list, members: list | None = None):
+    """``(take, index)``: join-shortest-queue over ``members`` (default all).
+
+    Two candidates (the most common fleet shape) need one comparison, more
+    use the depth-bucket index.  Ties go to the lower chip id, and callers
+    increment the chosen chip's ``pending`` (which ``take`` pre-files).
+    """
+    pool = chips if members is None else members
+    if len(pool) == 2:
+        chip_a, chip_b = pool
+
+        def take():
+            return chip_a if chip_a.pending <= chip_b.pending else chip_b
+
+        return take, None
+    index = (
+        _DepthIndex(chips) if members is None
+        else _ActiveDepthIndex(chips, members)
+    )
+    return index.take, index
+
+
+def _batch_records(raw_batches) -> list[RequestRecord]:
+    """Per-request records of ``_simulate``'s ``emit`` argument tuples."""
+    return [
+        RequestRecord(
+            request_id, workload, chip_id, arrival_s, dispatch_s, finish_s, size
+        )
+        for chip_id, dispatch_s, finish_s, size, workload, members in raw_batches
+        for arrival_s, request_id in zip(*members)
+    ]
 
 
 #: policies whose dispatch-shortcut attributes (``single_group_cap``,
@@ -805,13 +867,7 @@ class ServingSimulator:
                 first_arrival,
                 dropped_arrivals=dropped,
             )
-        records = [
-            RequestRecord(
-                request_id, workload, chip_id, arrival_s, dispatch_s, finish_s, size
-            )
-            for chip_id, dispatch_s, finish_s, size, workload, members in raw_batches
-            for arrival_s, request_id in zip(*members)
-        ]
+        records = _batch_records(raw_batches)
         one = itertools.repeat(1)
         for chip_ids, arrivals, finishes, names, _codes, run_ids in bulk_runs:
             # An idle-disjoint run: every request served alone at its
@@ -1027,6 +1083,7 @@ class ServingSimulator:
         router=None,
         chip_models=None,
         drop=None,
+        controller=None,
     ):
         """Advance the event core over sorted columnar arrival chunks.
 
@@ -1053,9 +1110,15 @@ class ServingSimulator:
         service oracles — the sharding layer uses this to simulate a
         sub-fleet without constructing a sub-``Fleet`` (the chip count is
         ``len(chip_models)``).
+
+        ``controller`` is :func:`~repro.serving.control.run_controlled`'s
+        hook object; the returned chips are then its pool.
         """
         if chip_models is None:
             chip_models = self._chip_models()
+        if controller is not None:
+            # Interchangeable chips, provisioned as a prefix of the pool.
+            chip_models = [chip_models[0]] * controller.config.max_chips
         if router is None:
             router = self._make_router(workloads, chip_models)
         policy = self.batching_policy
@@ -1090,9 +1153,12 @@ class ServingSimulator:
         # dispatch and per heap pop, nothing on the vectorized spans
         # (which chaos disables outright so an incident can interrupt any
         # batch mid-flight on the one scalar path both engines share).
+        # A controller takes the same deferred path: its sensors read
+        # completions, and scale actions depend on observed state.
         self._chaos_stats = None
         chaos_on = self.chaos is not None
-        if chaos_on:
+        deferred = chaos_on or controller is not None
+        if deferred:
             # Down state is a counter, not a bool: a failure window that
             # starts exactly where the previous one ends must keep the
             # chip down regardless of same-instant event order.
@@ -1107,12 +1173,16 @@ class ServingSimulator:
             # emits).
             if drop is None:
                 drop = _discard
-            for ev_time, op, ev_chip, ev_mult in self.chaos.compile(num_chips):
+            # From this instant on a chip is down for good.
+            chaos_dead_from = [math.inf] * num_chips
+        if chaos_on:
+            # A controlled fleet's timeline targets its initial chips.
+            for ev_time, op, ev_chip, ev_mult in self.chaos.compile(
+                self.fleet.num_chips
+            ):
                 heappush(
                     heap, (ev_time, _CHAOS, next_seq(), (op, ev_chip, ev_mult))
                 )
-            # From this instant on a chip is down for good.
-            chaos_dead_from = [math.inf] * num_chips
             for incident in self.chaos.incidents:
                 if (
                     incident.kind == "chip_failure"
@@ -1127,27 +1197,15 @@ class ServingSimulator:
         router_type = type(router)
         route_generic = router.route
         jsq_index = None
+        # A controller narrows round-robin to its ACTIVE chips.
+        rr_chips = chips
+        rr_size = num_chips
         if router_type is RoundRobinRouter:
             route_mode = "rr"
             rr_next = router._next
         elif router_type is JoinShortestQueueRouter:
-            # One JSQ helper shared by every arrival site.  Two chips (the
-            # most common fleet shape) collapse the argmin to a single
-            # comparison; wider fleets route through the depth-bucket
-            # index instead of a per-arrival O(num_chips) scan.  Both
-            # resolve ties to the lower chip id, and every caller
-            # increments the chosen chip's ``pending`` right after (the
-            # index's ``take`` pre-files that increment).
             route_mode = "jsq"
-            if num_chips == 2:
-                chip_a, chip_b = chips
-
-                def jsq_take():
-                    return chip_a if chip_a.pending <= chip_b.pending else chip_b
-
-            else:
-                jsq_index = _DepthIndex(chips)
-                jsq_take = jsq_index.take
+            jsq_take, jsq_index = _jsq_router(chips)
         elif router_type in (
             WorkloadAffinityRouter, SymbolicAffinityRouter, FixedOwnersRouter
         ):
@@ -1161,6 +1219,66 @@ class ServingSimulator:
 
         single_cap = policy.single_group_cap if shortcuts_trusted else None
 
+        # -- controller hooks ----------------------------------------------
+        # A run without a controller pays one ``admit is None`` per arrival.
+        admit = None
+        if controller is not None:
+            interval_s = controller.config.interval_s
+
+            def reroute():
+                """Route over the ACTIVE chips in the controller's mode."""
+                nonlocal route_mode, rr_chips, rr_size, jsq_take, jsq_index
+                active = controller.active_chips()
+                if controller.router == "jsq":
+                    route_mode = "jsq"
+                    jsq_take, jsq_index = _jsq_router(chips, active)
+                else:
+                    route_mode = "rr"
+                    rr_chips = active
+                    rr_size = len(active)
+
+            def admit(chosen, workload, now):
+                """Admission control: False sheds the routed arrival."""
+                nonlocal chaos_shed
+                if controller.admits(workload, chosen.pending, now):
+                    return True
+                chaos_shed += 1
+                if jsq_index is not None:
+                    # Undo the increment ``take`` pre-filed for it.
+                    jsq_index.move(
+                        chosen.chip_id, chosen.pending + 1, chosen.pending
+                    )
+                return False
+
+            def control_step(now, kind, payload):
+                """A chip warm-up (``_WARM``) or a control tick (``_TICK``)."""
+                nonlocal single_cap
+                if kind == _WARM:
+                    if controller.warm(now, payload):
+                        reroute()
+                    return
+                if controller.tick(now):  # an action: re-read cap and routing
+                    single_cap = (
+                        policy.single_group_cap if shortcuts_trusted else None
+                    )
+                    reroute()
+                # Keep ticking while work can still arrive or progress;
+                # queues stranded on down chips do not hold the clock open.
+                if not exhausted or any(
+                    chip.busy or (chip.depth and not chaos_down[chip.chip_id])
+                    for chip in chips
+                ):
+                    heappush(heap, (now + interval_s, _TICK, next_seq(), None))
+
+            controller.bind(
+                chips,
+                lambda at_s, payload: heappush(
+                    heap, (at_s, _WARM, next_seq(), payload)
+                ),
+            )
+            reroute()
+            heappush(heap, (interval_s, _TICK, next_seq(), None))
+
         # Busy chips, maintained at every idle<->busy transition so the
         # water-fill dispatch can test "whole fleet busy" in O(1).
         busy_count = 0
@@ -1169,7 +1287,7 @@ class ServingSimulator:
             nonlocal energy, num_batches, served, busy_count
             if chip.busy or not chip.depth:
                 return
-            if chaos_on and chaos_down[chip.chip_id]:
+            if deferred and chaos_down[chip.chip_id]:
                 if now >= chaos_dead_from[chip.chip_id]:
                     # The chip never recovers, so its queue is stranded:
                     # hand the arrivals to ``drop`` now (the drain sweep
@@ -1217,7 +1335,7 @@ class ServingSimulator:
                 )
                 service_table[key] = cached
             service_s, energy_j = cached
-            if chaos_on:
+            if deferred:
                 factor = chaos_mult[chip.chip_id]
                 if factor != 1.0:
                     service_s *= factor
@@ -1247,15 +1365,15 @@ class ServingSimulator:
             emit(chip.chip_id, now, finish, count, workload, members)
             heappush(heap, (finish, _FREE, next_seq(), chip.chip_id))
 
-        # -- chaos event handling ------------------------------------------
-        if chaos_on:
+        # -- deferred event handling ---------------------------------------
+        if deferred:
 
-            def chaos_step(now, kind, seq, payload):
-                """Handle one heap pop of a chaos run.
+            def deferred_step(now, kind, seq, payload):
+                """Handle one heap pop of a chaos or controlled run.
 
-                Owns all three event kinds: incidents (``_CHAOS``),
-                completions (``_FREE`` — deferred accounting, stale pops
-                from killed batches ignored) and wake-ups.
+                Owns every event kind: incidents (``_CHAOS``), completions
+                (``_FREE`` — deferred accounting, stale pops from killed
+                batches ignored), wake-ups, and the controller's events.
                 """
                 nonlocal energy, num_batches, served, busy_count, horizon
                 nonlocal chaos_lost, chaos_shed
@@ -1300,6 +1418,8 @@ class ServingSimulator:
                             "requests_lost": lost_here,
                             "requests_shed": shed_here,
                         })
+                        if controller is not None:
+                            controller.park_if_idle(chip)
                     elif op == OP_RECOVER:
                         chaos_down[ev_chip] -= 1
                         chaos_log.append(
@@ -1325,6 +1445,9 @@ class ServingSimulator:
                             "at_s": now, "kind": "slow_end", "chip": ev_chip,
                             "multiplier": ev_mult,
                         })
+                    return
+                if kind > _CHAOS:
+                    control_step(now, kind, payload)
                     return
                 chip = chips[payload]
                 if kind == _FREE:
@@ -1352,6 +1475,10 @@ class ServingSimulator:
                     chip.pending -= chip.inflight
                     chip.inflight = 0
                     dispatch(chip, now)
+                    if controller is not None:
+                        controller.completed(
+                            chip, service_s, finish_s, members[0]
+                        )
                 else:  # _WAKE — re-check a timed-out partial batch.
                     if (
                         chip.pending_wake_s is not None
@@ -1392,9 +1519,10 @@ class ServingSimulator:
         horizon = first_arrival
         prev_arrival = -float("inf")
         prev_id = -1
-        # Chaos bars the eager inline dispatch (and with it the bulk run):
-        # every batch must park a pending emit so a failure can kill it.
-        eager = shortcuts_trusted and policy.eager_singleton and not chaos_on
+        # Deferred runs bar the eager inline dispatch (and with it the bulk
+        # run): every batch must park a pending emit so a failure can kill
+        # it and a controller can observe it complete.
+        eager = shortcuts_trusted and policy.eager_singleton and not deferred
         # Per-chip singleton (service, energy) rows — the eager path's
         # tuple-key-free view of the memoized service table.
         singleton_tables: list[dict] = [{} for _ in range(num_chips)]
@@ -1436,7 +1564,7 @@ class ServingSimulator:
         # all chips level out the remainder is a pure round-robin.  The
         # whole span therefore routes as a short catch-up prefix plus
         # strided slices, byte-identical to the per-arrival scan.
-        fill_mode = self.vectorize and route_mode == "jsq" and not chaos_on
+        fill_mode = self.vectorize and route_mode == "jsq" and not deferred
         fill_cols = None  # lazily-built per-chunk fill arrays
         # Position the chunk must reach before the next fill attempt: a
         # span that came up shorter than FILL_MIN_RUN stays short for every
@@ -1920,12 +2048,14 @@ class ServingSimulator:
                                 best = candidate.pending
                                 chosen = candidate
                     elif route_mode == "rr":
-                        chosen = chips[rr_next % num_chips]
+                        chosen = rr_chips[rr_next % rr_size]
                         rr_next += 1
                     else:
                         chosen = chips[
                             route_generic(Request(request_id, workload, now), chips)
                         ]
+                    if admit is not None and not admit(chosen, workload, now):
+                        continue
 
                     if eager and not chosen.busy and not chosen.depth:
                         # Immediate singleton batch: empty queue, idle chip.
@@ -2010,7 +2140,7 @@ class ServingSimulator:
                                     best = candidate.pending
                                     chosen = candidate
                         elif route_mode == "rr":
-                            chosen = chips[rr_next % num_chips]
+                            chosen = rr_chips[rr_next % rr_size]
                             rr_next += 1
                         else:
                             chosen = chips[
@@ -2020,13 +2150,14 @@ class ServingSimulator:
                                 )
                             ]
 
-                        group = chosen.groups.get(workload)
-                        if group is None:
-                            chosen.groups[workload] = group = _Group()
-                        group.append(arrival_s, request_id)
-                        chosen.depth += 1
-                        chosen.pending += 1
-                        add_touched(chosen)
+                        if admit is None or admit(chosen, workload, arrival_s):
+                            group = chosen.groups.get(workload)
+                            if group is None:
+                                chosen.groups[workload] = group = _Group()
+                            group.append(arrival_s, request_id)
+                            chosen.depth += 1
+                            chosen.pending += 1
+                            add_touched(chosen)
 
                         index += 1
                         if index == limit:
@@ -2052,8 +2183,8 @@ class ServingSimulator:
                 break
 
             now, kind, _seq, chip_id = heappop(heap)
-            if chaos_on:
-                chaos_step(now, kind, _seq, chip_id)
+            if deferred:
+                deferred_step(now, kind, _seq, chip_id)
                 continue
             chip = chips[chip_id]
             if kind == _FREE:
@@ -2077,7 +2208,7 @@ class ServingSimulator:
                     chip.pending_wake_s = None
                 dispatch(chip, now)
 
-        if chaos_on:
+        if deferred:
             # Requests still queued when the event heap drained can only
             # sit on a chip whose failure window never closed: count them
             # shed (never dispatched, never completed) so conservation

@@ -10,6 +10,11 @@ Four invariant families the controller must uphold:
   `run_scenario` reproduces the PR 9 goldens exactly; the control plane
   is pay-for-what-you-use.
 * **Determinism** — same seed, same action log, per policy.
+* **Pinned identity** — a controller with nothing to decide serves
+  exactly like the plain event core, chaos and simultaneous arrivals
+  included.
+* **Frozen captures** — unpinned controlled runs reproduce
+  ``golden/controlled.json`` field for field.
 
 Plus `ControllerConfig` validation and the CLI flag-combination
 rejections the controller multiplies.
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.errors import ServingError
 from repro.serving.batching import ContinuousBatching, NoBatching
-from repro.serving.chaos import ChaosTimeline, chip_failure
+from repro.serving.chaos import ChaosTimeline, chip_failure, straggler
 from repro.serving.control import (
     CONTROLLER_POLICIES,
     ControllerConfig,
@@ -114,6 +119,29 @@ class TestConfigValidation:
             (dict(batch_min=8, batch_max=2), "batch"),
             (dict(imbalance_threshold=0), "imbalance_threshold"),
             (dict(deadband=float("nan")), "deadband"),
+            # non-integer bounds (a fractional chip bound never lets the
+            # scale loop finish; a fractional batch cap reaches the policy)
+            (dict(max_chips=2.5), "max_chips"),
+            (dict(min_chips=1.5), "min_chips"),
+            (dict(batch_min=1.5), "batch_min"),
+            (dict(batch_max=8.5), "batch_max"),
+            (dict(imbalance_threshold=2.5), "imbalance_threshold"),
+            # non-finite gains, setpoints and SLOs
+            (dict(policy="queue_pid", target_queue=float("nan")),
+             "target_queue"),
+            (dict(policy="queue_pid", target_queue=float("inf")),
+             "target_queue"),
+            (dict(policy="queue_pid", kp=float("nan")), "kp"),
+            (dict(policy="queue_pid", kp=float("inf")), "kp"),
+            (dict(policy="queue_pid", ki=float("nan")), "ki"),
+            (dict(policy="queue_pid", ki=float("-inf")), "ki"),
+            (dict(policy="queue_pid", kd=float("nan")), "kd"),
+            (dict(policy="queue_pid", kd=float("inf")), "kd"),
+            (dict(deadband=float("inf")), "deadband"),
+            (dict(slo_s=float("nan")), "slo_s"),
+            (dict(slo_s=float("inf")), "slo_s"),
+            (dict(slo_budget_s=float("nan")), "slo_budget_s"),
+            (dict(slo_budget_s={"nvsa": float("nan")}), "slo_budget_s"),
         ],
     )
     def test_bad_knobs_rejected(self, kwargs, match):
@@ -455,3 +483,236 @@ class TestServeCliFlags:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+
+def _pinned_streams():
+    """``name -> (requests, chips)``: scenario traffic plus one tied stream.
+
+    Scenario traffic has no simultaneous arrivals; the tied stream (bursts
+    of six ``nvsa`` requests every 5 ms) checks that a controlled run
+    drains a whole instant before dispatching, exactly like the core.
+    """
+    from repro.serving.scenarios import get_scenario
+
+    streams = {}
+    for name in ("flash_crowd", "steady", "mixed_workload"):
+        scenario = get_scenario(name)
+        streams[name] = (scenario.traffic(0, 1.0, 0.2), scenario.num_chips)
+    streams["tied_bursts"] = (
+        [Request(i, "nvsa", 0.005 * (i // 6)) for i in range(60)], 2
+    )
+    return streams
+
+
+def _pinned_chaos(kind, requests):
+    """A chaos timeline placed at fractions of the stream's arrival span."""
+    span = requests[-1].arrival_s
+    if kind == "none":
+        return None
+    if kind == "failure_straggler":
+        return ChaosTimeline((
+            chip_failure(0, 0.25 * span, 0.125 * span),
+            straggler(1, 0.375 * span, 0.25 * span, 3.0),
+        ))
+    return ChaosTimeline((chip_failure(1, 0.625 * span, float("inf")),))
+
+
+@pytest.fixture(scope="module")
+def pinned_streams():
+    return _pinned_streams()
+
+
+@pytest.fixture(scope="module")
+def execution_cache():
+    from repro.backends import ExecutionCache
+
+    return ExecutionCache()
+
+
+class TestPinnedControllerMatchesCore:
+    """A controller with nothing to decide must serve exactly like the core.
+
+    Pinned: ``min_chips == max_chips ==`` the fleet size, admission and
+    adaptive batching off.  Every output the two paths share must agree
+    field for field, floats included.
+    """
+
+    @pytest.mark.parametrize(
+        "chaos_kind", ("none", "failure_straggler", "dead_chip")
+    )
+    @pytest.mark.parametrize("router", ("jsq", "round_robin"))
+    @pytest.mark.parametrize(
+        "stream", ("flash_crowd", "steady", "mixed_workload", "tied_bursts")
+    )
+    def test_pinned_controller_reproduces_core(
+        self, stream, router, chaos_kind, pinned_streams, execution_cache
+    ):
+        requests, chips = pinned_streams[stream]
+        chaos = _pinned_chaos(chaos_kind, requests)
+
+        def simulator():
+            return ServingSimulator(
+                service_model=execution_cache,
+                fleet=Fleet(num_chips=chips, router=router),
+                batching_policy=ContinuousBatching(max_batch_size=8),
+                chaos=chaos,
+            )
+
+        config = ControllerConfig(
+            min_chips=chips, max_chips=chips, admission=False,
+            adapt_batching=False, slo_s=0.005,
+        )
+        plain = simulator().run(requests)
+        pinned = run_controlled(simulator(), config, requests)
+        assert pinned.provenance["controller"]["actions"] == []
+        assert _record_rows(pinned) == _record_rows(plain)
+        assert pinned.chip_busy_s == plain.chip_busy_s
+        assert pinned.chip_requests == plain.chip_requests
+        # Energy is the one sum whose order differs: a chaos-free core run
+        # adds each batch's energy at dispatch, a controlled (or chaos)
+        # run at completion, so the two totals may differ in the last ulp.
+        assert pinned.energy_joules == pytest.approx(
+            plain.energy_joules, rel=1e-12, abs=0.0
+        )
+        assert pinned.num_batches == plain.num_batches
+        assert pinned.horizon_s == plain.horizon_s
+        assert pinned.requests_lost == plain.requests_lost
+        assert pinned.requests_shed == plain.requests_shed
+        assert pinned.incidents == plain.incidents
+        if chaos_kind != "none":
+            assert plain.incidents
+
+    def test_run_without_completions_matches_core(self):
+        # The only chip is down for good before the first arrival: nothing
+        # completes, so the horizon (and the stranded sweep's instant)
+        # stays at the first arrival, as in the core.
+        def simulator():
+            return ServingSimulator(
+                service_model=FakeServiceModel(),
+                fleet=Fleet(num_chips=1, router="jsq"),
+                chaos=ChaosTimeline((chip_failure(0, 0.0, float("inf")),)),
+            )
+
+        stream = [Request(i, "nvsa", 0.001 * (i + 1)) for i in range(5)]
+        config = ControllerConfig(
+            max_chips=1, admission=False, adapt_batching=False
+        )
+        plain = simulator().run(stream)
+        pinned = run_controlled(simulator(), config, stream)
+        assert pinned.records == plain.records == ()
+        assert pinned.horizon_s == plain.horizon_s == 0.001
+        assert pinned.incidents == plain.incidents
+        assert pinned.requests_shed == plain.requests_shed == 5
+
+
+#: unpinned controlled runs frozen in ``golden/controlled.json``
+CONTROLLED_SPECS = {
+    # admission and adaptive batching on (the defaults), per policy
+    "target_util_flash_crowd": dict(
+        scenario="flash_crowd", load_scale=1.0, duration_scale=0.2,
+        controller=dict(policy="target_util"),
+    ),
+    "queue_pid_ramp_surge": dict(
+        scenario="ramp_surge", load_scale=1.0, duration_scale=0.2,
+        controller=dict(policy="queue_pid", interval_s=0.02, warmup_s=0.02),
+    ),
+    # a round_robin fleet the controller upgrades to jsq mid-run
+    "adapt_routing_steady": dict(
+        scenario="steady", load_scale=2.0, duration_scale=0.1,
+        router="round_robin",
+        controller=dict(
+            policy="target_util", adapt_routing=True, imbalance_threshold=2
+        ),
+    ),
+    # the scenario's chip-failure timeline under a controller
+    "chaos_chip_outage": dict(
+        scenario="chip_outage", load_scale=1.0, duration_scale=0.2,
+        controller=dict(policy="queue_pid"),
+    ),
+    "telemetry_flash_crowd": dict(
+        scenario="flash_crowd", load_scale=1.0, duration_scale=0.2,
+        controller=dict(policy="queue_pid"), telemetry_window_s=0.02,
+    ),
+    # a draining chip scaled back up before it parked (reactivation);
+    # scenario traffic never takes that path, so the arrival instants of
+    # a tie-free two-rate Poisson stream are stored with the golden
+    "drain_reactivation": dict(
+        num_chips=2, router="round_robin",
+        controller=dict(
+            policy="queue_pid", interval_s=0.005, warmup_s=0.005,
+            admission=False, adapt_batching=False, target_queue=4.0,
+            max_chips=6, kp=2.0, ki=2.0, kd=0.05,
+        ),
+    ),
+}
+
+
+def _run_controlled_spec(spec, service_model, arrivals=None):
+    """Execute one :data:`CONTROLLED_SPECS` entry, returning the result.
+
+    Entries without a ``scenario`` serve ``nvsa`` requests at ``arrivals``.
+    """
+    config = ControllerConfig(**spec["controller"])
+    window_s = spec.get("telemetry_window_s")
+    if "scenario" in spec:
+        return run_scenario(
+            spec["scenario"], seed=0, load_scale=spec["load_scale"],
+            duration_scale=spec["duration_scale"], router=spec.get("router"),
+            service_model=service_model, controller=config,
+            telemetry_window_s=window_s,
+        )[1]
+    sim = ServingSimulator(
+        service_model=service_model,
+        fleet=Fleet(num_chips=spec["num_chips"], router=spec["router"]),
+        batching_policy=NoBatching(),
+    )
+    requests = [Request(i, "nvsa", at) for i, at in enumerate(arrivals)]
+    return run_controlled(sim, config, requests, telemetry_window_s=window_s)
+
+
+def _controlled_outputs(result):
+    """Every output of a controlled run, as JSON-ready values."""
+    return {
+        "records": _record_rows(result),
+        "chip_busy_s": list(result.chip_busy_s),
+        "chip_requests": list(result.chip_requests),
+        "energy_joules": result.energy_joules,
+        "num_batches": result.num_batches,
+        "horizon_s": result.horizon_s,
+        "first_arrival_s": result.first_arrival_s,
+        "requests_lost": result.requests_lost,
+        "requests_shed": result.requests_shed,
+        "incidents": list(result.incidents),
+        "controller": result.provenance["controller"],
+        "telemetry": (
+            None if result.telemetry is None
+            else list(result.telemetry.windows)
+        ),
+    }
+
+
+class TestControlledGoldens:
+    """Unpinned controlled runs reproduce their frozen capture exactly.
+
+    ``golden/controlled.json`` was captured before the controller moved
+    onto the event core (see ``golden/README.md``); every field must
+    match, floats included.  Fields compare as canonical JSON so window
+    rows holding NaN compare equal to themselves.
+    """
+
+    @pytest.mark.parametrize("name", sorted(CONTROLLED_SPECS))
+    def test_controlled_run_matches_golden(self, name, execution_cache):
+        golden = json.loads((GOLDEN_DIR / "controlled.json").read_text())
+        assert golden["specs"][name] == json.loads(
+            json.dumps(CONTROLLED_SPECS[name])
+        )
+        produced = _controlled_outputs(_run_controlled_spec(
+            CONTROLLED_SPECS[name], execution_cache,
+            golden["streams"].get(name),
+        ))
+        expected = golden["runs"][name]
+        assert sorted(produced) == sorted(expected)
+        for key in sorted(expected):
+            assert json.dumps(produced[key], sort_keys=True) == json.dumps(
+                expected[key], sort_keys=True
+            ), key
