@@ -1225,17 +1225,16 @@ class ServingSimulator:
         if controller is not None:
             interval_s = controller.config.interval_s
 
-            def reroute():
-                """Route over the ACTIVE chips in the controller's mode."""
-                nonlocal route_mode, rr_chips, rr_size, jsq_take, jsq_index
+            def route_active():
+                """Routing state over the controller's ACTIVE chips.
+
+                ``(route_mode, rr_chips, rr_size, jsq_take, jsq_index)``
+                in the controller's current mode.
+                """
                 active = controller.active_chips()
                 if controller.router == "jsq":
-                    route_mode = "jsq"
-                    jsq_take, jsq_index = _jsq_router(chips, active)
-                else:
-                    route_mode = "rr"
-                    rr_chips = active
-                    rr_size = len(active)
+                    return ("jsq", active, len(active), *_jsq_router(chips, active))
+                return "rr", active, len(active), None, None
 
             def admit(chosen, workload, now):
                 """Admission control: False sheds the routed arrival."""
@@ -1250,33 +1249,13 @@ class ServingSimulator:
                     )
                 return False
 
-            def control_step(now, kind, payload):
-                """A chip warm-up (``_WARM``) or a control tick (``_TICK``)."""
-                nonlocal single_cap
-                if kind == _WARM:
-                    if controller.warm(now, payload):
-                        reroute()
-                    return
-                if controller.tick(now):  # an action: re-read cap and routing
-                    single_cap = (
-                        policy.single_group_cap if shortcuts_trusted else None
-                    )
-                    reroute()
-                # Keep ticking while work can still arrive or progress;
-                # queues stranded on down chips do not hold the clock open.
-                if not exhausted or any(
-                    chip.busy or (chip.depth and not chaos_down[chip.chip_id])
-                    for chip in chips
-                ):
-                    heappush(heap, (now + interval_s, _TICK, next_seq(), None))
-
             controller.bind(
                 chips,
                 lambda at_s, payload: heappush(
                     heap, (at_s, _WARM, next_seq(), payload)
                 ),
             )
-            reroute()
+            route_mode, rr_chips, rr_size, jsq_take, jsq_index = route_active()
             heappush(heap, (interval_s, _TICK, next_seq(), None))
 
         # Busy chips, maintained at every idle<->busy transition so the
@@ -1371,9 +1350,9 @@ class ServingSimulator:
             def deferred_step(now, kind, seq, payload):
                 """Handle one heap pop of a chaos or controlled run.
 
-                Owns every event kind: incidents (``_CHAOS``), completions
-                (``_FREE`` — deferred accounting, stale pops from killed
-                batches ignored), wake-ups, and the controller's events.
+                Owns incidents (``_CHAOS``), completions (``_FREE`` —
+                deferred accounting, stale pops from killed batches
+                ignored) and wake-ups.
                 """
                 nonlocal energy, num_batches, served, busy_count, horizon
                 nonlocal chaos_lost, chaos_shed
@@ -1445,9 +1424,6 @@ class ServingSimulator:
                             "at_s": now, "kind": "slow_end", "chip": ev_chip,
                             "multiplier": ev_mult,
                         })
-                    return
-                if kind > _CHAOS:
-                    control_step(now, kind, payload)
                     return
                 chip = chips[payload]
                 if kind == _FREE:
@@ -2184,7 +2160,31 @@ class ServingSimulator:
 
             now, kind, _seq, chip_id = heappop(heap)
             if deferred:
-                deferred_step(now, kind, _seq, chip_id)
+                if kind < _WARM:
+                    deferred_step(now, kind, _seq, chip_id)
+                    continue
+                # A controller event (a _WARM pop's payload is not a chip).
+                if kind == _WARM:
+                    acted = controller.warm(now, chip_id)
+                else:
+                    acted = controller.tick(now)
+                    # Keep ticking while work can still arrive or progress;
+                    # queues stranded on down chips do not hold the clock.
+                    if not exhausted or any(
+                        chip.busy
+                        or (chip.depth and not chaos_down[chip.chip_id])
+                        for chip in chips
+                    ):
+                        heappush(
+                            heap, (now + interval_s, _TICK, next_seq(), None)
+                        )
+                if acted:  # re-read the batch cap and the routing set
+                    single_cap = (
+                        policy.single_group_cap if shortcuts_trusted else None
+                    )
+                    route_mode, rr_chips, rr_size, jsq_take, jsq_index = (
+                        route_active()
+                    )
                 continue
             chip = chips[chip_id]
             if kind == _FREE:
