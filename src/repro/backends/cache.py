@@ -9,6 +9,7 @@ serving scenario matrices fast.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
 
 from repro.backends.base import Backend, ExecutionReport
@@ -46,8 +47,14 @@ class ExecutionCache:
 
     def report(self, workload: str, batch_size: int) -> ExecutionReport:
         """The backend report for a batch, computed once and memoized."""
-        if batch_size < 1:
-            raise BackendError(f"batch_size must be positive, got {batch_size}")
+        try:
+            valid = operator.index(batch_size) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
+            raise BackendError(
+                f"batch_size must be a positive integer, got {batch_size!r}"
+            )
         key = (workload, batch_size)
         if key not in self._reports:
             graph = build_workload(

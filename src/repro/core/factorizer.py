@@ -25,7 +25,9 @@ factorization into kernels.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from repro.core.convergence import ConvergenceTracker
 from repro.core.stochastic import NoiseSchedule, NoNoise
 from repro.errors import FactorizationError
 from repro.vsa.codebook import CodebookSet, ProductCodebook
+from repro.vsa.spaces import BipolarSpace
 
 __all__ = [
     "FactorizerConfig",
@@ -77,18 +80,20 @@ class FactorizerConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise FactorizationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if self.convergence_patience < 1:
-            raise FactorizationError(
-                f"convergence_patience must be >= 1, got {self.convergence_patience}"
-            )
-        if self.max_restarts < 0:
-            raise FactorizationError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
+        for name, minimum in (
+            ("max_iterations", 1),
+            ("convergence_patience", 1),
+            ("max_restarts", 0),
+        ):
+            value = getattr(self, name)
+            try:
+                valid = operator.index(value) >= minimum
+            except TypeError:
+                valid = False
+            if not valid:
+                raise FactorizationError(
+                    f"{name} must be an integer >= {minimum}, got {value!r}"
+                )
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise FactorizationError(
                 f"confidence_threshold must be in [0, 1], got {self.confidence_threshold}"
@@ -177,6 +182,8 @@ class Factorizer:
             raise FactorizationError(
                 f"query has shape {query.shape}, expected ({self.codebooks.dim},)"
             )
+        if not np.isfinite(query).all():
+            raise FactorizationError("query has non-finite (NaN or inf) elements")
 
         total_ops = OperationCount()
         best: _Attempt | None = None
@@ -203,40 +210,74 @@ class Factorizer:
         """Run one resonator sweep sequence from (possibly perturbed) init."""
         estimates = self._initial_estimates(perturb)
         tracker = ConvergenceTracker(patience=self.config.convergence_patience)
-        count = OperationCount()
-        decoded = [0] * len(self.codebooks)
+        rng = self._rng
+        similarity_noise = self.config.similarity_noise.apply
+        projection_noise = self.config.projection_noise.apply
+        cleanup = self.space.cleanup
+        matrices = [codebook.vectors for codebook in self.codebooks]
+        # Bipolar estimates are exactly +-1 once cleaned up, so the product of
+        # all estimates can stand in for the F - 1 unbindings (see below).
+        product_unbinding = type(self.space) is BipolarSpace
+        product = None
+        decoded = [0] * len(matrices)
+        iterations = 0
 
         for iteration in range(self.config.max_iterations):
+            if product_unbinding and iteration == 1:
+                # Every estimate has been through ``cleanup`` by now.
+                product = reduce(np.multiply, estimates)
             decoded = []
-            for idx, codebook in enumerate(self.codebooks):
-                unbound = self._unbind_others(query, estimates, idx)
-                similarities = codebook.vectors @ unbound
-                similarities = self.config.similarity_noise.apply(
-                    similarities, iteration, self._rng
-                )
-                projected = similarities @ codebook.vectors
-                projected = self.config.projection_noise.apply(
-                    projected, iteration, self._rng
-                )
+            for idx, vectors in enumerate(matrices):
+                if product is None:
+                    unbound = self._unbind_others(query, estimates, idx)
+                else:
+                    # Each factor is +-1, so every product here only flips
+                    # signs: it is exact in any order (signed zeros
+                    # included), and ``query * others`` is bit-equal to
+                    # unbinding the other estimates one by one.
+                    # ``factorize`` rejects non-finite queries, so no NaN
+                    # reaches this point.
+                    others = product * estimates[idx]
+                    unbound = query * others
+                similarities = similarity_noise(vectors @ unbound, iteration, rng)
+                projected = projection_noise(similarities @ vectors, iteration, rng)
                 # In-place (Gauss-Seidel style) update: later factors in the
                 # same sweep immediately benefit from this factor's refined
                 # estimate, which is what makes the resonator converge fast.
-                estimates[idx] = self.space.cleanup(projected)
-                decoded.append(int(np.argmax(similarities)))
+                estimates[idx] = cleanup(projected)
+                if product is not None:
+                    product = others * estimates[idx]
+                decoded.append(int(similarities.argmax()))
 
-                count.unbind_ops += len(self.codebooks) - 1
-                count.matvec_ops += 2
-                count.matvec_flops += 4 * len(codebook) * self.codebooks.dim
-                count.elementwise_flops += self.codebooks.dim
-
-            count.iterations += 1
+            iterations += 1
             tracker.update(decoded)
             if tracker.converged:
                 break
 
         confidence = self._reconstruction_confidence(query, decoded)
         return _Attempt(
-            decoded=decoded, tracker=tracker, operations=count, confidence=confidence
+            decoded=decoded,
+            tracker=tracker,
+            operations=self._sweep_operations(iterations),
+            confidence=confidence,
+        )
+
+    def _sweep_operations(self, iterations: int) -> OperationCount:
+        """Operations of ``iterations`` full sweeps over every factor.
+
+        Per factor and sweep: ``F - 1`` unbindings, a similarity search and
+        a projection (two matvecs of ``4 * M * d`` FLOPs together) and one
+        ``d``-element cleanup.
+        """
+        num_factors = len(self.codebooks)
+        dim = self.codebooks.dim
+        rows = sum(len(codebook) for codebook in self.codebooks)
+        return OperationCount(
+            iterations=iterations,
+            unbind_ops=iterations * num_factors * (num_factors - 1),
+            matvec_ops=iterations * 2 * num_factors,
+            matvec_flops=iterations * 4 * rows * dim,
+            elementwise_flops=iterations * num_factors * dim,
         )
 
     def _initial_estimates(self, perturb: bool) -> list[np.ndarray]:

@@ -4,10 +4,16 @@ Both schedulers consume a *cycle model*: a callable
 ``cycles(kernel, num_cells) -> int`` supplied by the accelerator model (or an
 ablated variant of it).  Element-wise kernels are assumed to run on the SIMD
 unit, which is a separate resource, so they can overlap array kernels.
+
+A cycle model must depend only on the kernel's kind, stage and cost fields
+(FLOPs, bytes, shape, counts), not on its name, task or dependencies: a
+batch of tasks repeats the same few kernel shapes, so each ``schedule``
+call memoizes the model on those fields and the cell count.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from collections.abc import Callable
@@ -78,6 +84,23 @@ def _uses_simd(kernel: KernelOp) -> bool:
     return kernel.kind is KernelKind.ELEMENTWISE
 
 
+def _memoized(cycle_model: CycleModel) -> CycleModel:
+    """``cycle_model`` answering repeated kernel shapes from a local table."""
+    cycles: dict[tuple, int] = {}
+
+    def lookup(kernel: KernelOp, num_cells: int) -> int:
+        key = (
+            kernel.kind, kernel.stage, kernel.flops, kernel.bytes_read,
+            kernel.bytes_written, kernel.m, kernel.k, kernel.n,
+            kernel.vector_dim, kernel.count, kernel.launches, num_cells,
+        )
+        if key not in cycles:
+            cycles[key] = int(cycle_model(kernel, num_cells))
+        return cycles[key]
+
+    return lookup
+
+
 class SequentialScheduler:
     """Run every kernel on the full array, one after another.
 
@@ -98,9 +121,10 @@ class SequentialScheduler:
         """Produce the sequential schedule."""
         entries = []
         clock = 0
+        cycle_model = _memoized(self.cycle_model)
         for kernel in workload.topological_order():
             cells = self.num_cells
-            duration = int(self.cycle_model(kernel, cells))
+            duration = cycle_model(kernel, cells)
             entries.append(
                 ScheduledKernel(
                     name=kernel.name,
@@ -170,54 +194,72 @@ class AdaptiveScheduler:
 
     # -- main loop -------------------------------------------------------------------
     def schedule(self, workload: Workload) -> ScheduleResult:
-        """Produce the adaptive schedule."""
+        """Produce the adaptive schedule.
+
+        Undispatched ready kernels wait in a list kept sorted by (neural
+        first, larger FLOPs first, workload order); kernels that a
+        completion unblocks are inserted into it, so no round re-sorts the
+        ready set.  A round scans the list in order and stops early once no
+        cells are free and the SIMD unit is busy.
+        """
         graph = OperationGraph(workload)
+        position = {kernel.name: index for index, kernel in enumerate(workload.kernels)}
+        cycle_model = _memoized(self.cycle_model)
         entries: list[ScheduledKernel] = []
         free_cells = self.num_cells
         simd_busy = False
-        running: set[str] = set()
         clock = 0
         # Event queue of (end_cycle, sequence, kernel_name, cells, uses_simd).
         events: list[tuple[int, int, str, int, bool]] = []
         sequence = itertools.count()
 
+        def candidate(kernel: KernelOp) -> tuple[bool, int, int, KernelOp]:
+            # ``position`` is unique, so the kernel itself is never compared.
+            return (kernel.stage is not Stage.NEURAL, -kernel.flops, position[kernel.name], kernel)
+
+        waiting = sorted(candidate(kernel) for kernel in graph.ready_kernels())
+
         def try_dispatch() -> None:
-            nonlocal free_cells, simd_busy
-            ready = graph.ready_kernels(exclude=running)
-            # Large neural kernels first, then large symbolic kernels.
-            ready.sort(key=lambda k: (k.stage is not Stage.NEURAL, -k.flops))
-            for kernel in ready:
-                if _uses_simd(kernel):
+            nonlocal free_cells, simd_busy, waiting
+            num_ready = len(waiting)
+            kept = []
+            for index, entry in enumerate(waiting):
+                if free_cells == 0 and simd_busy:
+                    kept.extend(waiting[index:])
+                    break
+                kernel = entry[3]
+                uses_simd = _uses_simd(kernel)
+                if uses_simd:
                     if simd_busy:
+                        kept.append(entry)
                         continue
                     cells = 0
                     simd_busy = True
                 else:
                     if free_cells == 0:
+                        kept.append(entry)
                         continue
                     cells = min(
                         free_cells,
-                        self._preferred_cells(kernel, free_cells, len(ready)),
+                        self._preferred_cells(kernel, free_cells, num_ready),
                     )
                     if cells == 0:
+                        kept.append(entry)
                         continue
                     free_cells -= cells
-                duration = int(self.cycle_model(kernel, max(cells, 1)))
-                end = clock + duration
-                running.add(kernel.name)
+                end = clock + cycle_model(kernel, max(cells, 1))
                 entries.append(
                     ScheduledKernel(
                         name=kernel.name,
                         start_cycle=clock,
                         end_cycle=end,
                         cells_used=cells,
-                        uses_simd=_uses_simd(kernel),
+                        uses_simd=uses_simd,
                         stage=kernel.stage,
                     )
                 )
-                heapq.heappush(
-                    events, (end, next(sequence), kernel.name, cells, _uses_simd(kernel))
-                )
+                heapq.heappush(events, (end, next(sequence), kernel.name, cells, uses_simd))
+            waiting = kept
 
         try_dispatch()
         if not events and not graph.all_complete:
@@ -225,23 +267,16 @@ class AdaptiveScheduler:
                 f"workload '{workload.name}' has no dispatchable kernels"
             )
         while events:
-            end, _, name, cells, used_simd = heapq.heappop(events)
-            clock = end
-            graph.mark_complete(name)
-            running.discard(name)
-            if used_simd:
-                simd_busy = False
-            else:
-                free_cells += cells
+            clock = events[0][0]
             # Drain all events completing at the same cycle before dispatching.
             while events and events[0][0] == clock:
-                end, _, other, other_cells, other_simd = heapq.heappop(events)
-                graph.mark_complete(other)
-                running.discard(other)
-                if other_simd:
+                _, _, name, cells, used_simd = heapq.heappop(events)
+                for kernel in graph.mark_complete(name):
+                    bisect.insort(waiting, candidate(kernel))
+                if used_simd:
                     simd_busy = False
                 else:
-                    free_cells += other_cells
+                    free_cells += cells
             try_dispatch()
 
         if not graph.all_complete:

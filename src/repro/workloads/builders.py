@@ -9,6 +9,9 @@ every workload is accounted the same way.
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Sequence
+
 from repro.errors import WorkloadError
 from repro.neural.layers import Conv2d, Linear
 from repro.neural.network import SequentialNetwork
@@ -20,7 +23,8 @@ __all__ = [
     "matvec_kernel",
     "circconv_kernel",
     "elementwise_kernel",
-    "perception_kernels",
+    "lower_perception",
+    "stamp_chain",
 ]
 
 #: storage width used for traffic accounting (FP32 activations/weights)
@@ -189,66 +193,78 @@ def elementwise_kernel(
     )
 
 
-def perception_kernels(
+def lower_perception(
     network: SequentialNetwork,
     input_shape: tuple[int, int, int],
-    prefix: str,
     num_panels: int,
-    task_id: int = 0,
-    depends_on: tuple[str, ...] = (),
 ) -> list[KernelOp]:
-    """Lower a perception backbone into a chain of neural kernels.
+    """Lower a perception backbone into the template of its kernel chain.
 
     The ``num_panels`` panels of a reasoning task are processed as a batch,
     which multiplies the GEMM ``m`` dimension rather than duplicating
     kernels (matching how the frameworks the paper profiles execute them).
+    Kernels are named after their layers and carry no task or dependencies;
+    :func:`stamp_chain` places copies of the template into tasks, so a
+    batch of tasks lowers the backbone once.
     """
     if num_panels < 1:
         raise WorkloadError(f"num_panels must be positive, got {num_panels}")
     kernels: list[KernelOp] = []
     shape = tuple(input_shape)
-    previous = tuple(depends_on)
     elementwise_elements = 0
-    elementwise_index = 0
     for layer in network.layers:
         stats = layer.stats(shape)
         if isinstance(layer, Conv2d):
             _, out_h, out_w = stats.output_shape
-            kernel = conv_kernel(
-                f"{prefix}/{layer.name}",
-                in_channels=layer.in_channels,
-                out_channels=layer.out_channels,
-                kernel_size=layer.kernel_size,
-                output_height=out_h,
-                output_width=out_w * num_panels,
-                task_id=task_id,
-                depends_on=previous,
+            kernels.append(
+                conv_kernel(
+                    layer.name,
+                    in_channels=layer.in_channels,
+                    out_channels=layer.out_channels,
+                    kernel_size=layer.kernel_size,
+                    output_height=out_h,
+                    output_width=out_w * num_panels,
+                )
             )
-            kernels.append(kernel)
-            previous = (kernel.name,)
         elif isinstance(layer, Linear):
-            kernel = gemm_kernel(
-                f"{prefix}/{layer.name}",
-                m=num_panels,
-                k=layer.in_features,
-                n=layer.out_features,
-                task_id=task_id,
-                depends_on=previous,
+            kernels.append(
+                gemm_kernel(
+                    layer.name, m=num_panels, k=layer.in_features, n=layer.out_features
+                )
             )
-            kernels.append(kernel)
-            previous = (kernel.name,)
         else:
             # Fuse consecutive activation/normalisation layers into a single
             # element-wise kernel to keep the graph compact.
             elementwise_elements += int(stats.flops) * num_panels
         shape = stats.output_shape
     if elementwise_elements:
-        kernel = elementwise_kernel(
-            f"{prefix}/activations{elementwise_index}",
-            elements=elementwise_elements,
-            stage=Stage.NEURAL,
-            task_id=task_id,
-            depends_on=previous,
+        kernels.append(
+            elementwise_kernel(
+                "activations0",
+                elements=elementwise_elements,
+                stage=Stage.NEURAL,
+            )
         )
-        kernels.append(kernel)
+    return kernels
+
+
+def stamp_chain(
+    template: Sequence[KernelOp],
+    prefix: str,
+    task_id: int = 0,
+    depends_on: tuple[str, ...] = (),
+) -> list[KernelOp]:
+    """Copies of ``template`` for one task, chained in order.
+
+    Each copy is named ``{prefix}/{name}`` and tagged with ``task_id``; the
+    first depends on ``depends_on`` and every later one on its predecessor.
+    """
+    kernels: list[KernelOp] = []
+    previous = tuple(depends_on)
+    for kernel in template:
+        stamped = dataclasses.replace(
+            kernel, name=f"{prefix}/{kernel.name}", task_id=task_id, depends_on=previous
+        )
+        kernels.append(stamped)
+        previous = (stamped.name,)
     return kernels

@@ -17,7 +17,8 @@ from repro.workloads.builders import (
     circconv_kernel,
     elementwise_kernel,
     gemm_kernel,
-    perception_kernels,
+    lower_perception,
+    stamp_chain,
 )
 from repro.neural.network import build_perception_backbone
 
@@ -58,6 +59,9 @@ def build_mimonet_workload(
         num_blocks=2,
     )
 
+    tokenizer = lower_perception(
+        backbone, input_shape=(1, image_size, image_size), num_panels=1
+    )
     kernels = []
     for task in range(num_tasks):
         prefix = f"task{task}"
@@ -74,13 +78,8 @@ def build_mimonet_workload(
 
         # Neural trunk: CNN tokenizer followed by transformer layers running
         # on the superposed representation.
-        neural = perception_kernels(
-            backbone,
-            input_shape=(1, image_size, image_size),
-            prefix=f"{prefix}/neuro/tokenizer",
-            num_panels=1,
-            task_id=task,
-            depends_on=(bind.name,),
+        neural = stamp_chain(
+            tokenizer, f"{prefix}/neuro/tokenizer", task_id=task, depends_on=(bind.name,)
         )
         kernels.extend(neural)
         previous = neural[-1].name

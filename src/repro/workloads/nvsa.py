@@ -20,7 +20,8 @@ from repro.workloads.builders import (
     circconv_kernel,
     elementwise_kernel,
     matvec_kernel,
-    perception_kernels,
+    lower_perception,
+    stamp_chain,
 )
 
 __all__ = ["build_nvsa_workload"]
@@ -80,16 +81,13 @@ def build_nvsa_workload(
         num_blocks=4,
     )
 
+    perception = lower_perception(
+        backbone, input_shape=(1, image_size, image_size), num_panels=num_panels
+    )
     kernels = []
     for task in range(num_tasks):
         prefix = f"task{task}"
-        neural = perception_kernels(
-            backbone,
-            input_shape=(1, image_size, image_size),
-            prefix=f"{prefix}/neuro",
-            num_panels=num_panels,
-            task_id=task,
-        )
+        neural = stamp_chain(perception, f"{prefix}/neuro", task_id=task)
         kernels.extend(neural)
         last_neural = neural[-1].name
 

@@ -1,5 +1,6 @@
 """Tests for the shared per-(workload, batch) execution cache."""
 
+import numpy as np
 import pytest
 
 from repro.backends import ExecutionCache, get_backend
@@ -58,6 +59,15 @@ class TestErrors:
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(BackendError, match="positive"):
             ExecutionCache("cogsys").report("nvsa", 0)
+
+    @pytest.mark.parametrize("batch_size", [2.5, float("nan"), 2.0, "2", None])
+    def test_non_integral_batch_size_rejected(self, batch_size):
+        with pytest.raises(BackendError, match="positive integer"):
+            ExecutionCache("cogsys").report("nvsa", batch_size)
+
+    def test_numpy_integer_batch_size_accepted(self):
+        cache = ExecutionCache("cogsys")
+        assert cache.report("nvsa", np.int64(2)) is cache.report("nvsa", 2)
 
     def test_unknown_backend_name_rejected(self):
         with pytest.raises(BackendError, match="unknown backend"):

@@ -31,6 +31,11 @@ class TestFactorizerConfig:
             {"convergence_patience": 0},
             {"max_restarts": -1},
             {"confidence_threshold": 1.5},
+            {"max_iterations": 2.5},
+            {"max_iterations": float("inf")},
+            {"max_restarts": 1.5},
+            {"convergence_patience": 1.5},
+            {"confidence_threshold": float("nan")},
         ],
     )
     def test_invalid_parameters_raise(self, kwargs):
@@ -83,6 +88,15 @@ class TestFactorizerBipolar:
         assert result.operations.iterations == result.iterations
         assert result.operations.matvec_flops > 0
         assert all(-1.0 <= s <= 1.0 + 1e-9 for s in result.similarities.values())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_query(self, bipolar_codebooks, bipolar_encoder, bad):
+        query = bipolar_encoder.encode_object(
+            {"type": "square", "size": "large", "color": "red"}
+        ).copy()
+        query[3] = bad
+        with pytest.raises(FactorizationError, match="non-finite"):
+            Factorizer(bipolar_codebooks).factorize(query)
 
     def test_rejects_wrong_query_shape(self, bipolar_codebooks):
         factorizer = Factorizer(bipolar_codebooks)

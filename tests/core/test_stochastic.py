@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import AnnealedGaussianNoise, ConstantGaussianNoise, NoNoise
+from repro.core.stochastic import _relative_scale
 from repro.errors import FactorizationError
 
 
@@ -46,6 +47,11 @@ class TestConstantGaussianNoise:
         with pytest.raises(FactorizationError):
             ConstantGaussianNoise(-0.1)
 
+    @pytest.mark.parametrize("std", [float("nan"), float("inf")])
+    def test_non_finite_std_rejected(self, std):
+        with pytest.raises(FactorizationError):
+            ConstantGaussianNoise(std)
+
 
 class TestAnnealedGaussianNoise:
     def test_std_decays_monotonically(self):
@@ -65,8 +71,37 @@ class TestAnnealedGaussianNoise:
             {"decay": 0.0},
             {"decay": 1.5},
             {"floor": -0.1},
+            {"initial_std": float("inf")},
+            {"floor": float("nan")},
+            {"initial_std": float("nan")},
+            {"decay": float("nan")},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(FactorizationError):
             AnnealedGaussianNoise(**kwargs)
+
+
+class TestRelativeScale:
+    """The noise scale equals ``float(np.std(x))`` bit for bit."""
+
+    @pytest.mark.parametrize("size", [*range(1, 17), 512])
+    def test_matches_numpy_std(self, size):
+        rng = np.random.default_rng(size)
+        for values in (
+            rng.normal(size=size),
+            rng.normal(3.0, 1e-6, size=size),
+            rng.integers(-40, 40, size=size).astype(float),
+            rng.normal(size=size) * 1e12,
+        ):
+            assert _relative_scale(values) == float(np.std(values))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 512])
+    @pytest.mark.parametrize("value", [0.0, 0.1, -3.7, 1e-300, 12345.678])
+    def test_constant_vectors(self, size, value):
+        values = np.full(size, value)
+        assert _relative_scale(values) == float(np.std(values))
+
+    def test_matrix_input(self):
+        values = np.random.default_rng(0).normal(size=(6, 50))
+        assert _relative_scale(values) == float(np.std(values))

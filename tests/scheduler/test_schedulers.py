@@ -1,5 +1,10 @@
 """Tests for the sequential and adaptive (adSCH) schedulers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SchedulingError
@@ -105,3 +110,26 @@ class TestAdaptiveScheduler:
             AdaptiveScheduler(_unit_cycle_model, num_cells=0)
         with pytest.raises(SchedulingError):
             AdaptiveScheduler(_unit_cycle_model, num_cells=4, min_symbolic_cells=0)
+
+
+def test_scheduling_needs_no_networkx():
+    """An install with only the declared dependencies can schedule workloads."""
+    repo_root = Path(__file__).resolve().parents[2]
+    script = (
+        "import sys\n"
+        "sys.modules['networkx'] = None  # any import of it now fails\n"
+        "from repro.backends import get_backend\n"
+        "from repro.workloads import build_workload\n"
+        "workload = build_workload('nvsa', num_tasks=2)\n"
+        "for scheduler in ('adaptive', 'sequential'):\n"
+        "    report = get_backend('cogsys').execute(workload, scheduler=scheduler)\n"
+        "    assert report.total_cycles > 0, scheduler\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=repo_root,
+        env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+    )
+    assert result.returncode == 0, result.stderr

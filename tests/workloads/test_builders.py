@@ -10,8 +10,9 @@ from repro.workloads.builders import (
     conv_kernel,
     elementwise_kernel,
     gemm_kernel,
+    lower_perception,
     matvec_kernel,
-    perception_kernels,
+    stamp_chain,
 )
 
 
@@ -46,6 +47,10 @@ class TestKernelBuilders:
         assert kernel.device_launches == 4
 
 
+def perception_kernels(backbone, input_shape, prefix, num_panels):
+    return stamp_chain(lower_perception(backbone, input_shape, num_panels), prefix)
+
+
 class TestPerceptionKernels:
     def test_lowering_produces_conv_gemm_and_elementwise(self):
         backbone = build_perception_backbone(image_size=16, width=4, num_blocks=2, embedding_dim=32)
@@ -71,4 +76,19 @@ class TestPerceptionKernels:
     def test_invalid_panel_count_rejected(self):
         backbone = build_perception_backbone(image_size=16, width=4, num_blocks=2)
         with pytest.raises(WorkloadError):
-            perception_kernels(backbone, (1, 16, 16), "p", num_panels=0)
+            lower_perception(backbone, (1, 16, 16), num_panels=0)
+
+    def test_stamped_copies_are_per_task(self):
+        backbone = build_perception_backbone(image_size=16, width=4, num_blocks=2, embedding_dim=32)
+        template = lower_perception(backbone, (1, 16, 16), num_panels=3)
+        first = stamp_chain(template, "task0/neuro", task_id=0, depends_on=("task0/bind",))
+        second = stamp_chain(template, "task1/neuro", task_id=1)
+        assert [k.name for k in first] == [f"task0/neuro/{k.name}" for k in template]
+        assert {k.task_id for k in second} == {1}
+        assert first[0].depends_on == ("task0/bind",) and second[0].depends_on == ()
+        for kernels in (first, second):
+            for previous, current in zip(kernels, kernels[1:]):
+                assert current.depends_on == (previous.name,)
+        # Stamping changes only names, tasks and dependencies.
+        assert [k.flops for k in second] == [k.flops for k in template]
+        assert all(k.task_id == 0 and not k.depends_on for k in template)
