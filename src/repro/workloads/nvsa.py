@@ -19,8 +19,8 @@ from repro.workloads.base import Workload
 from repro.workloads.builders import (
     circconv_kernel,
     elementwise_kernel,
-    matvec_kernel,
     lower_perception,
+    matvec_kernel,
     stamp_chain,
 )
 

@@ -15,8 +15,8 @@ from repro.neural.network import build_perception_backbone
 from repro.workloads.base import Workload
 from repro.workloads.builders import (
     elementwise_kernel,
-    matvec_kernel,
     lower_perception,
+    matvec_kernel,
     stamp_chain,
 )
 
