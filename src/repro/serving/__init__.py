@@ -131,6 +131,7 @@ from repro.serving.simulator import (
     ServingSimulator,
     StreamedServingResult,
     columnar_chunks,
+    request_columns,
 )
 from repro.serving.suite import (
     SuiteCase,
@@ -150,6 +151,7 @@ from repro.serving.traffic import (
     MMPPArrivals,
     PoissonArrivals,
     Request,
+    RequestStream,
     TraceArrivals,
     WorkloadMix,
     concatenate_segments,
@@ -157,6 +159,7 @@ from repro.serving.traffic import (
 
 __all__ = [
     "Request",
+    "RequestStream",
     "WorkloadMix",
     "ArrivalProcess",
     "PoissonArrivals",
@@ -185,6 +188,7 @@ __all__ = [
     "StreamedServingResult",
     "ServingSimulator",
     "columnar_chunks",
+    "request_columns",
     "RequestTrace",
     "TraceInfo",
     "write_trace",

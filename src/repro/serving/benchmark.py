@@ -26,7 +26,7 @@ from typing import NamedTuple
 from repro.serving.batching import build_policy
 from repro.serving.fleet import Fleet, FleetServiceModel
 from repro.serving.scenarios import get_scenario
-from repro.serving.simulator import ServingSimulator
+from repro.serving.simulator import ServingSimulator, request_columns
 
 __all__ = [
     "ThroughputCase",
@@ -212,12 +212,8 @@ def measure_sharded_case(case: ShardedThroughputCase, repeats: int = 3) -> dict:
         fleet=fleet,
         batching_policy=build_policy(scenario.policy),
     )
-    columns = (
-        [request.arrival_s for request in requests],
-        [request.workload for request in requests],
-        [request.request_id for request in requests],
-    )
-    workloads = tuple(sorted({request.workload for request in requests}))
+    columns = request_columns(requests)
+    workloads = tuple(sorted(set(columns[1])))
     simulator.run_stream([columns], workloads)  # warm the service reports
 
     def best_of(shards: int) -> float:
@@ -275,12 +271,8 @@ def measure_coupled_case(case: CoupledThroughputCase, repeats: int = 3) -> dict:
             "continuous", max_batch_size=case.max_batch_size
         ),
     )
-    columns = (
-        [request.arrival_s for request in requests],
-        [request.workload for request in requests],
-        [request.request_id for request in requests],
-    )
-    workloads = tuple(sorted({request.workload for request in requests}))
+    columns = request_columns(requests)
+    workloads = tuple(sorted(set(columns[1])))
     result = simulator.run_stream([columns], workloads)  # warm the reports
     best = 0.0
     for _ in range(repeats):

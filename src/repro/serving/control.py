@@ -60,7 +60,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.simulator import ServingResult, _batch_records
+from repro.serving.simulator import (
+    ServingResult,
+    _batch_records,
+    request_columns,
+)
 
 __all__ = ["CONTROLLER_POLICIES", "ControllerConfig", "run_controlled"]
 
@@ -574,12 +578,7 @@ def run_controlled(
         if controller.adapt_batching else None
     )
 
-    stream = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-    columns = (
-        [request.arrival_s for request in stream],
-        [request.workload for request in stream],
-        [request.request_id for request in stream],
-    )
+    columns = request_columns(requests)
     raw_batches: list[tuple] = []
 
     def emit(*batch):
@@ -603,10 +602,10 @@ def run_controlled(
     shed = chaos_stats["requests_shed"]
     incidents = chaos_stats["incidents"]
     records = sorted(_batch_records(raw_batches))
-    if len(records) + lost + shed != len(stream):
+    if len(records) + lost + shed != len(columns[2]):
         raise ServingError(
             f"controlled run lost requests: {len(records)} served + {lost} "
-            f"lost + {shed} shed of {len(stream)}"
+            f"lost + {shed} shed of {len(columns[2])}"
         )
 
     chips = chips[:len(controller.state)]

@@ -27,7 +27,7 @@ identical to the originals), while multi-segment scenarios give segment
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import ServingError
@@ -40,6 +40,7 @@ from repro.serving.traffic import (
     MMPPArrivals,
     PoissonArrivals,
     Request,
+    RequestStream,
     WorkloadMix,
 )
 
@@ -327,7 +328,7 @@ class ScenarioSpec:
 
     def build_traffic(
         self, seed: int = 0, load_scale: float = 1.0, duration_scale: float = 1.0
-    ) -> list[Request]:
+    ) -> Sequence[Request]:
         """Generate the scenario's request stream.
 
         Single-segment scenarios use ``seed`` directly; multi-segment ones
@@ -346,20 +347,21 @@ class ScenarioSpec:
         for phase in self.phases:
             segments.extend(phase.segments(load_scale, duration_scale))
         single = len(segments) == 1
-        requests: list[Request] = []
+        arrivals: list[float] = []
+        workloads: list[str] = []
         offset = 0.0
         for index, (process, duration) in enumerate(segments):
             if process is not None:
-                requests.extend(
-                    process.generate(
-                        duration,
-                        seed=seed if single else seed * SEED_STRIDE + index,
-                        start_s=offset,
-                        start_id=len(requests),
-                    )
+                part = process.generate(
+                    duration,
+                    seed=seed if single else seed * SEED_STRIDE + index,
+                    start_s=offset,
+                    start_id=len(arrivals),
                 )
+                arrivals.extend(part.arrivals)
+                workloads.extend(part.workloads)
             offset += duration
-        return requests
+        return RequestStream(arrivals, workloads, range(len(arrivals)))
 
     def scenario(self):
         """This spec as a runtime :class:`~repro.serving.scenarios.Scenario`."""

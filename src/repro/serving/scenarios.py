@@ -66,7 +66,7 @@ __all__ = [
 SERVED_WORKLOADS = tuple(sorted(WORKLOAD_BUILDERS))
 
 #: traffic builder signature: (seed, load_scale, duration_scale) -> requests
-TrafficBuilder = Callable[[int, float, float], list[Request]]
+TrafficBuilder = Callable[[int, float, float], Sequence[Request]]
 
 
 @dataclass(frozen=True)

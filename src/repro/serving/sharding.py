@@ -60,6 +60,7 @@ from repro.serving.simulator import (
     ServingSimulator,
     StreamedServingResult,
     _plan_method,
+    request_columns,
 )
 from repro.serving.traffic import Request
 
@@ -698,11 +699,8 @@ def run_sharded(
     single-shard core runs and ``provenance["shard_fallback"]`` says why.
     """
     _validate_shard_args(shards, workers)
-    stream = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-    all_ids = [request.request_id for request in stream]
-    if len(set(all_ids)) != len(all_ids):
-        raise ServingError("request stream contains duplicate request ids")
-    workload_names = tuple(sorted({req.workload for req in stream}))
+    arrivals, names, all_ids = request_columns(requests)
+    workload_names = tuple(sorted(set(names)))
     chip_models = sim._chip_models()
     router = sim._make_router(workload_names, chip_models)
     plan = (
@@ -711,7 +709,7 @@ def run_sharded(
         else "shards=1 requested"
     )
     if isinstance(plan, str):
-        result = sim.run(stream)
+        result = sim.run(requests)
         result.provenance.update(
             {"shards": shards, "shards_effective": 1, "shard_fallback": plan}
         )
@@ -720,15 +718,13 @@ def run_sharded(
     wl_code = {name: code for code, name in enumerate(workload_names)}
     num_components = len(plan.components)
     per_component = [([], [], []) for _ in range(num_components)]
-    arr = np.array([request.arrival_s for request in stream], dtype=float)
+    arr = np.array(arrivals, dtype=float)
     ids = np.array(all_ids, dtype=np.int64)
     codes = np.fromiter(
-        (wl_code[request.workload] for request in stream),
-        dtype=np.int64,
-        count=len(stream),
+        map(wl_code.__getitem__, names), dtype=np.int64, count=len(names)
     )
     if plan.mode == "rr":
-        comp = np.arange(len(stream), dtype=np.int64) % num_components
+        comp = np.arange(len(names), dtype=np.int64) % num_components
     else:
         comp_of_code = np.array(
             [
@@ -741,10 +737,13 @@ def run_sharded(
         missing = np.flatnonzero(comp < 0)
         if missing.size:
             # The router raises its own (exact) unroutable-workload error.
-            router.route(stream[int(missing[0])], ())
+            position = int(missing[0])
+            router.route(
+                Request(all_ids[position], names[position], arrivals[position]),
+                (),
+            )
             raise ServingError(  # pragma: no cover
-                "router failed on workload "
-                f"'{stream[int(missing[0])].workload}'"
+                f"router failed on workload '{names[position]}'"
             )
     for index in range(num_components):
         mask = comp == index
@@ -759,9 +758,9 @@ def run_sharded(
     bundles, workers_used = _run_components(sim, jobs, workload_names, workers)
 
     served = sum(bundle.served for bundle in bundles)
-    if served != len(stream):
+    if served != len(all_ids):
         raise ServingError(
-            f"simulation lost requests: {served} served of {len(stream)}"
+            f"simulation lost requests: {served} served of {len(all_ids)}"
         )
     ids_all = np.concatenate([bundle.ids for bundle in bundles])
     order = np.argsort(ids_all)
@@ -783,7 +782,7 @@ def run_sharded(
     chip_requests = [0] * num_chips
     energy = 0.0
     num_batches = 0
-    horizon = stream[0].arrival_s
+    horizon = arrivals[0]
     for bundle in bundles:
         for chip, busy_s, chip_served in bundle.chip_rows:
             chip_busy[chip] = busy_s
@@ -792,7 +791,7 @@ def run_sharded(
         num_batches += bundle.num_batches
         if bundle.horizon > horizon:
             horizon = bundle.horizon
-    provenance = sim._provenance(len(stream))
+    provenance = sim._provenance(len(all_ids))
     provenance.update(_shard_keys(shards, plan, workers_used))
     return ServingResult(
         records=records,
@@ -802,7 +801,7 @@ def run_sharded(
         energy_joules=energy,
         num_batches=num_batches,
         horizon_s=horizon,
-        first_arrival_s=stream[0].arrival_s,
+        first_arrival_s=arrivals[0],
         chip_backends=sim.fleet.chip_backends,
         provenance=provenance,
     )

@@ -87,7 +87,7 @@ from repro.serving.fleet import (
     SymbolicAffinityRouter,
     WorkloadAffinityRouter,
 )
-from repro.serving.traffic import Request
+from repro.serving.traffic import Request, RequestStream
 
 if TYPE_CHECKING:
     from repro.serving.telemetry import TelemetrySeries
@@ -98,6 +98,7 @@ __all__ = [
     "StreamedServingResult",
     "ServingSimulator",
     "columnar_chunks",
+    "request_columns",
 ]
 
 # Event kinds, in tie-breaking order: arrivals first so load-aware routers
@@ -604,6 +605,29 @@ def columnar_chunks(
         yield arrivals, workloads, ids
 
 
+def request_columns(
+    requests: Iterable[Request],
+) -> tuple[Sequence[float], Sequence[str], Sequence[int]]:
+    """The ``(arrivals, workloads, ids)`` columns of a whole request stream.
+
+    A :class:`~repro.serving.traffic.RequestStream` already holds them,
+    sorted and checked, and returns them unchanged.  Any other iterable of
+    requests is sorted by ``(arrival_s, request_id)``, checked for
+    duplicate ids and split into columns.
+    """
+    if isinstance(requests, RequestStream):
+        return requests.arrivals, requests.workloads, requests.ids
+    stream = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    ids = [request.request_id for request in stream]
+    if len(set(ids)) != len(ids):
+        raise ServingError("request stream contains duplicate request ids")
+    return (
+        [request.arrival_s for request in stream],
+        [request.workload for request in stream],
+        ids,
+    )
+
+
 def _discard(_arrivals) -> None:
     """The ``drop`` callback of runs without telemetry."""
 
@@ -801,11 +825,8 @@ class ServingSimulator:
                 run_sharded(self, requests, shards=shards, workers=shard_workers),
                 telemetry_window_s,
             )
-        stream = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        ids = [request.request_id for request in stream]
-        if len(set(ids)) != len(ids):
-            raise ServingError("request stream contains duplicate request ids")
-        workloads = tuple(sorted({request.workload for request in stream}))
+        columns = request_columns(requests)
+        workloads = tuple(sorted(set(columns[1])))
 
         raw_batches: list[tuple] = []
         bulk_runs: list[tuple] = []
@@ -817,15 +838,10 @@ class ServingSimulator:
             bulk_runs.append((chip_ids, arrivals, finishes, names, codes, run_ids))
 
         dropped: list[float] = []
-        # One pre-sorted columnar chunk: run() already holds the whole list.
-        chunks = [(
-            [request.arrival_s for request in stream],
-            [request.workload for request in stream],
-            [request.request_id for request in stream],
-        )]
+        # One pre-sorted columnar chunk: run() already holds the whole stream.
         chips, energy, num_batches, horizon, first_arrival, served = (
             self._simulate(
-                chunks, workloads, emit, emit_run=emit_run,
+                [columns], workloads, emit, emit_run=emit_run,
                 drop=dropped.extend if telemetry_window_s is not None else None,
             )
         )
@@ -833,10 +849,11 @@ class ServingSimulator:
         chaos_stats = self._chaos_stats
         lost = chaos_stats["requests_lost"] if chaos_stats else 0
         shed = chaos_stats["requests_shed"] if chaos_stats else 0
-        if served + lost + shed != len(stream):
+        offered = len(columns[2])
+        if served + lost + shed != offered:
             raise ServingError(
                 f"simulation lost requests: {served} served + {lost} lost + "
-                f"{shed} shed of {len(stream)}"
+                f"{shed} shed of {offered}"
             )
         series = None
         if telemetry_window_s is not None:
@@ -903,7 +920,7 @@ class ServingSimulator:
             horizon_s=horizon,
             first_arrival_s=first_arrival,
             chip_backends=self.fleet.chip_backends,
-            provenance=self._provenance(len(stream), event_paths),
+            provenance=self._provenance(offered, event_paths),
             telemetry=series,
             requests_lost=lost,
             requests_shed=shed,

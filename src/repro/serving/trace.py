@@ -25,6 +25,7 @@ evaluation needs.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -212,7 +213,7 @@ class RequestTrace:
         """Yield ``(arrivals, workloads, request_ids)`` columnar chunks.
 
         Lines are parsed and validated on the fly — sortedness, strictly
-        increasing ids, known workloads, non-negative arrivals — and at
+        increasing ids, known workloads, finite non-negative arrivals — and at
         most ``chunk_size`` requests are in memory at once.  The header's
         ``num_requests`` must match the line count, so a truncated file
         fails loudly instead of replaying silently short.
@@ -222,6 +223,7 @@ class RequestTrace:
         info = self.info
         known = set(info.workloads)
         loads = json.loads
+        isfinite = math.isfinite
         count = 0
         prev_arrival = -float("inf")
         prev_id = -1
@@ -244,6 +246,11 @@ class RequestTrace:
                     raise ServingError(
                         f"trace '{self.path}' line names workload "
                         f"'{workload}' missing from its header"
+                    )
+                if not isfinite(arrival_s):
+                    raise ServingError(
+                        f"trace '{self.path}' has a non-finite arrival at "
+                        f"request {request_id}"
                     )
                 if arrival_s < 0:
                     raise ServingError(

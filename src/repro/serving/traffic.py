@@ -1,7 +1,8 @@
 """Seeded arrival-process generators for the serving simulator.
 
-Traffic is a stream of :class:`Request` objects — (id, workload, arrival
-time) — produced by one of three generators:
+Traffic is a :class:`RequestStream`: the (arrival time, workload, id) of
+every request, held as three columns — the form the serving event core
+reads — and produced by one of three generators:
 
 * :class:`PoissonArrivals` — homogeneous Poisson process with exponential
   inter-arrival gaps, the classic open-loop serving assumption.
@@ -13,13 +14,19 @@ time) — produced by one of three generators:
 Every generator is deterministic given a seed: the same ``(generator
 configuration, seed)`` pair always yields the identical request stream,
 which is what makes whole serving simulations replayable.
+
+A stream's invariants are checked once, when it is built: arrival times
+are finite, non-negative and non-decreasing, and ids strictly increase.
+The stream is still a ``Sequence[Request]`` — indexing and iteration
+yield :class:`Request` objects — so callers that want objects get them,
+while the simulator's intakes read the columns directly.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +36,7 @@ from repro.workloads.registry import WORKLOAD_BUILDERS
 
 __all__ = [
     "Request",
+    "RequestStream",
     "WorkloadMix",
     "ArrivalProcess",
     "PoissonArrivals",
@@ -58,10 +66,97 @@ class Request:
     arrival_s: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival_s):
+            raise ServingError(
+                f"request {self.request_id} has non-finite arrival time "
+                f"{self.arrival_s}"
+            )
         if self.arrival_s < 0:
             raise ServingError(
                 f"request {self.request_id} has negative arrival time {self.arrival_s}"
             )
+
+
+class RequestStream(Sequence[Request]):
+    """An immutable request stream held as ``arrivals``/``workloads``/``ids``.
+
+    The columns are tuples of plain floats, names and ints.  Construction
+    checks, in one vectorized pass, that arrivals are finite, non-negative
+    and non-decreasing and that ids strictly increase, so a stream is
+    always in the ``(arrival_s, request_id)`` order the event core needs.
+    """
+
+    __slots__ = ("arrivals", "workloads", "ids")
+
+    def __init__(
+        self,
+        arrivals: Iterable[float],
+        workloads: Iterable[str],
+        ids: Iterable[int],
+    ) -> None:
+        self.arrivals = tuple(arrivals)
+        self.workloads = tuple(workloads)
+        self.ids = tuple(ids)
+        if not len(self.arrivals) == len(self.workloads) == len(self.ids):
+            raise ServingError("request stream columns differ in length")
+        if not self.ids:
+            return
+        times = np.asarray(self.arrivals, dtype=float)
+        finite = np.isfinite(times)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ServingError(
+                f"request {self.ids[bad]} has non-finite arrival time "
+                f"{self.arrivals[bad]}"
+            )
+        if times[0] < 0:
+            raise ServingError(
+                f"request {self.ids[0]} has negative arrival time "
+                f"{self.arrivals[0]}"
+            )
+        order = np.flatnonzero(
+            (times[1:] < times[:-1])
+            | (np.diff(np.asarray(self.ids, dtype=np.int64)) <= 0)
+        )
+        if order.size:
+            raise ServingError(
+                "request stream is not sorted by arrival time with strictly "
+                f"increasing ids near request {self.ids[int(order[0]) + 1]}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(
+                map(
+                    Request,
+                    self.ids[index],
+                    self.workloads[index],
+                    self.arrivals[index],
+                )
+            )
+        return Request(self.ids[index], self.workloads[index], self.arrivals[index])
+
+    def __iter__(self) -> Iterator[Request]:
+        return map(Request, self.ids, self.workloads, self.arrivals)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RequestStream):
+            return (
+                self.ids == other.ids
+                and self.workloads == other.workloads
+                and self.arrivals == other.arrivals
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RequestStream({len(self)} requests)"
 
 
 def check_mix_weights(weights: Mapping[str, float], what: str = "workload mix") -> float:
@@ -144,8 +239,11 @@ class ArrivalProcess:
         seed: int = 0,
         start_s: float = 0.0,
         start_id: int = 0,
-    ) -> list[Request]:
-        """Produce the arrival stream for ``[start_s, start_s + duration_s)``."""
+    ) -> RequestStream:
+        """Produce the arrival stream for ``[start_s, start_s + duration_s)``.
+
+        Ids run from ``start_id`` in arrival order.
+        """
         if not (duration_s > 0 and math.isfinite(duration_s)):
             raise ServingError(
                 f"duration must be positive and finite, got {duration_s}"
@@ -153,17 +251,18 @@ class ArrivalProcess:
         if not math.isfinite(start_s):
             raise ServingError(f"start_s must be finite, got {start_s}")
         rng = np.random.default_rng(seed)
-        requests = self._generate(duration_s, rng, start_s, start_id)
-        return sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        arrivals, workloads = self._generate(duration_s, rng, start_s)
+        return RequestStream(
+            arrivals, workloads, range(start_id, start_id + len(arrivals))
+        )
 
     def _generate(
         self,
         duration_s: float,
         rng: np.random.Generator,
         start_s: float,
-        start_id: int,
-    ) -> list[Request]:
-        """Subclass hook producing the (possibly unsorted) raw arrivals."""
+    ) -> tuple[list[float], list[str]]:
+        """Subclass hook: the window's non-decreasing arrivals and workloads."""
         raise NotImplementedError
 
 
@@ -178,18 +277,25 @@ class PoissonArrivals(ArrivalProcess):
         self.rate_rps = rate_rps
         self.mix = mix
 
-    def _generate(self, duration_s, rng, start_s, start_id):
+    def _generate(self, duration_s, rng, start_s):
         """Exponential inter-arrival times, workloads sampled per request."""
-        requests = []
+        exponential = rng.exponential
+        random = rng.random
+        names = self.mix.names
+        cdf = self.mix._cdf
+        mean_gap = 1.0 / self.rate_rps
+        arrivals: list[float] = []
+        workloads: list[str] = []
+        add_arrival = arrivals.append
+        add_workload = workloads.append
         clock = start_s
         horizon = start_s + duration_s
         while True:
-            clock += rng.exponential(1.0 / self.rate_rps)
+            clock += exponential(mean_gap)
             if clock >= horizon:
-                return requests
-            requests.append(
-                Request(start_id + len(requests), self.mix.sample(rng), clock)
-            )
+                return arrivals, workloads
+            add_arrival(clock)
+            add_workload(names[bisect_right(cdf, random())])
 
 
 class MMPPArrivals(ArrivalProcess):
@@ -225,27 +331,34 @@ class MMPPArrivals(ArrivalProcess):
         self.mean_burst_s = mean_burst_s
         self.mix = mix
 
-    def _generate(self, duration_s, rng, start_s, start_id):
+    def _generate(self, duration_s, rng, start_s):
         """Two-state MMPP: alternate normal/burst dwells, Poisson within."""
-        requests = []
+        exponential = rng.exponential
+        random = rng.random
+        names = self.mix.names
+        cdf = self.mix._cdf
+        arrivals: list[float] = []
+        workloads: list[str] = []
+        add_arrival = arrivals.append
+        add_workload = workloads.append
         clock = start_s
         horizon = start_s + duration_s
         in_burst = False
         while clock < horizon:
             mean_dwell = self.mean_burst_s if in_burst else self.mean_normal_s
             rate = self.burst_rate_rps if in_burst else self.normal_rate_rps
-            dwell_end = min(horizon, clock + rng.exponential(mean_dwell))
+            dwell_end = min(horizon, clock + exponential(mean_dwell))
+            mean_gap = 1.0 / rate
             arrival = clock
             while True:
-                arrival += rng.exponential(1.0 / rate)
+                arrival += exponential(mean_gap)
                 if arrival >= dwell_end:
                     break
-                requests.append(
-                    Request(start_id + len(requests), self.mix.sample(rng), arrival)
-                )
+                add_arrival(arrival)
+                add_workload(names[bisect_right(cdf, random())])
             clock = dwell_end
             in_burst = not in_burst
-        return requests
+        return arrivals, workloads
 
 
 class TraceArrivals(ArrivalProcess):
@@ -264,24 +377,22 @@ class TraceArrivals(ArrivalProcess):
                 f"trace names unknown workloads {sorted(unknown)}; "
                 f"known: {sorted(WORKLOAD_BUILDERS)}"
             )
+        if not all(math.isfinite(t) for t, _ in trace):
+            raise ServingError("trace arrival times must be finite")
         self.trace = tuple(
             sorted(((float(t), workload) for t, workload in trace))
         )
 
-    def _generate(self, duration_s, rng, start_s, start_id):
+    def _generate(self, duration_s, rng, start_s):
         """Replay the trace entries that fall inside the window."""
         horizon = start_s + duration_s
-        return [
-            Request(start_id + index, workload, arrival)
-            for index, (arrival, workload) in enumerate(
-                (t, w) for t, w in self.trace if start_s <= t < horizon
-            )
-        ]
+        window = [(t, w) for t, w in self.trace if start_s <= t < horizon]
+        return [t for t, _ in window], [w for _, w in window]
 
 
 def concatenate_segments(
     segments: Sequence[tuple[ArrivalProcess, float]], seed: int = 0
-) -> list[Request]:
+) -> RequestStream:
     """Chain arrival processes back to back (e.g. a diurnal low/high/low day).
 
     Each segment is ``(process, duration_s)``; segment ``i`` starts where
@@ -290,16 +401,17 @@ def concatenate_segments(
     """
     if not segments:
         raise ServingError("concatenate_segments needs at least one segment")
-    requests: list[Request] = []
+    arrivals: list[float] = []
+    workloads: list[str] = []
     offset = 0.0
     for index, (process, duration_s) in enumerate(segments):
-        requests.extend(
-            process.generate(
-                duration_s,
-                seed=seed * SEED_STRIDE + index,
-                start_s=offset,
-                start_id=len(requests),
-            )
+        part = process.generate(
+            duration_s,
+            seed=seed * SEED_STRIDE + index,
+            start_s=offset,
+            start_id=len(arrivals),
         )
+        arrivals.extend(part.arrivals)
+        workloads.extend(part.workloads)
         offset += duration_s
-    return requests
+    return RequestStream(arrivals, workloads, range(len(arrivals)))

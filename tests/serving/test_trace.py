@@ -87,6 +87,19 @@ class TestFormat:
         with pytest.raises(ServingError, match="bogus"):
             list(RequestTrace(tmp_path / "bad.jsonl").iter_chunks())
 
+    @pytest.mark.parametrize("position", (0, 1, 2))
+    @pytest.mark.parametrize("token", ("NaN", "Infinity"))
+    def test_non_finite_arrival_is_rejected(self, tmp_path, token, position):
+        # A NaN arrival passes every ordering comparison and an Infinity on
+        # the last line passes the sortedness check, so both need their own.
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [Request(i, "nvsa", 0.25 * i) for i in range(3)])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1 + position] = f'[{position}, "nvsa", {token}]\n'
+        (tmp_path / "bad.jsonl").write_text("".join(lines))
+        with pytest.raises(ServingError, match="non-finite arrival"):
+            list(RequestTrace(tmp_path / "bad.jsonl").iter_chunks())
+
 
 class TestChunking:
     def test_chunks_partition_the_trace(self, tmp_path):

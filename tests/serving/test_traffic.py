@@ -10,6 +10,7 @@ from repro.serving.traffic import (
     MMPPArrivals,
     PoissonArrivals,
     Request,
+    RequestStream,
     TraceArrivals,
     WorkloadMix,
     concatenate_segments,
@@ -20,6 +21,90 @@ class TestRequest:
     def test_negative_arrival_rejected(self):
         with pytest.raises(ServingError):
             Request(request_id=0, workload="nvsa", arrival_s=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected(self, bad):
+        with pytest.raises(ServingError, match="non-finite arrival"):
+            Request(request_id=0, workload="nvsa", arrival_s=bad)
+
+
+class TestRequestStream:
+    def _stream(self):
+        return RequestStream(
+            [0.0, 0.5, 0.5, 2.0], ["nvsa", "lvrf", "prae", "nvsa"], [3, 4, 7, 8]
+        )
+
+    def test_columns_are_tuples(self):
+        stream = self._stream()
+        assert stream.arrivals == (0.0, 0.5, 0.5, 2.0)
+        assert stream.workloads == ("nvsa", "lvrf", "prae", "nvsa")
+        assert stream.ids == (3, 4, 7, 8)
+
+    def test_unsorted_arrivals_rejected(self):
+        with pytest.raises(ServingError, match="near request 5"):
+            RequestStream([0.0, 1.0, 0.5], ["nvsa"] * 3, [3, 4, 5])
+
+    @pytest.mark.parametrize("ids", [[0, 1, 1], [0, 2, 1]])
+    def test_repeated_or_decreasing_ids_rejected(self, ids):
+        with pytest.raises(ServingError, match="strictly increasing ids"):
+            RequestStream([0.0, 1.0, 2.0], ["nvsa"] * 3, ids)
+
+    def test_negative_arrival_message_is_unchanged(self):
+        with pytest.raises(
+            ServingError, match=r"^request 3 has negative arrival time -0\.5$"
+        ):
+            RequestStream([-0.5, 1.0], ["nvsa"] * 2, [3, 4])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arrival_rejected(self, bad):
+        with pytest.raises(
+            ServingError, match=f"request 4 has non-finite arrival time {bad}"
+        ):
+            RequestStream([0.0, bad, 3.0], ["nvsa"] * 3, [3, 4, 5])
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ServingError, match="differ in length"):
+            RequestStream([0.0, 1.0], ["nvsa"], [0, 1])
+
+    def test_empty_stream_is_falsy(self):
+        stream = RequestStream([], [], [])
+        assert not stream
+        assert len(stream) == 0
+        assert stream == []
+
+    def test_indexing(self):
+        stream = self._stream()
+        assert stream[0] == Request(3, "nvsa", 0.0)
+        assert stream[-1] == Request(8, "nvsa", 2.0)
+        assert stream[-4] == stream[0]
+        assert stream[1:3] == [Request(4, "lvrf", 0.5), Request(7, "prae", 0.5)]
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                stream[index]
+
+    def test_iteration_equals_the_materialized_list(self):
+        stream = self._stream()
+        materialized = [stream[index] for index in range(len(stream))]
+        assert list(stream) == materialized
+        assert list(reversed(stream)) == materialized[::-1]
+
+    def test_equality_with_lists_and_streams(self):
+        stream = self._stream()
+        as_list = list(stream)
+        assert stream == as_list and as_list == stream
+        assert stream == self._stream()
+        assert stream != as_list[:-1] and as_list[:-1] != stream
+        shifted = RequestStream([0.0, 0.5, 0.5, 2.5], stream.workloads, stream.ids)
+        assert stream != shifted
+        assert stream != tuple(as_list)
+        assert "RequestStream(4 requests)" == repr(stream)
+
+    def test_generated_stream_is_a_request_stream(self):
+        stream = PoissonArrivals(200.0, WorkloadMix.uniform()).generate(
+            1.0, seed=2, start_id=5
+        )
+        assert isinstance(stream, RequestStream)
+        assert stream.ids == tuple(range(5, 5 + len(stream)))
 
 
 class TestWorkloadMix:
@@ -174,6 +259,10 @@ class TestTraceArrivals:
             TraceArrivals([])
         with pytest.raises(ServingError):
             TraceArrivals([(0.1, "bogus")])
+        for bad in (math.nan, math.inf):
+            # A NaN entry used to be dropped silently by the window filter.
+            with pytest.raises(ServingError, match="finite"):
+                TraceArrivals([(0.1, "nvsa"), (bad, "nvsa")])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_window_rejected(self, bad):
