@@ -153,8 +153,6 @@ class RequestStream(Sequence[Request]):
             return list(self) == other
         return NotImplemented
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"RequestStream({len(self)} requests)"
 
@@ -377,11 +375,11 @@ class TraceArrivals(ArrivalProcess):
                 f"trace names unknown workloads {sorted(unknown)}; "
                 f"known: {sorted(WORKLOAD_BUILDERS)}"
             )
-        if not all(math.isfinite(t) for t, _ in trace):
-            raise ServingError("trace arrival times must be finite")
         self.trace = tuple(
             sorted(((float(t), workload) for t, workload in trace))
         )
+        if not all(math.isfinite(t) for t, _ in self.trace):
+            raise ServingError("trace arrival times must be finite")
 
     def _generate(self, duration_s, rng, start_s):
         """Replay the trace entries that fall inside the window."""

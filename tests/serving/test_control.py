@@ -177,6 +177,11 @@ class TestConfigValidation:
             run_controlled(
                 sim, ControllerConfig(min_chips=1, max_chips=1), requests
             )
+        with pytest.raises(ServingError, match="duplicate request ids"):
+            run_controlled(
+                sim, ControllerConfig(),
+                [Request(0, "nvsa", 0.0), Request(0, "nvsa", 0.5)],
+            )
 
 
 @pytest.mark.parametrize("policy_name", CONTROLLER_POLICIES)
