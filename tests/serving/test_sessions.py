@@ -12,21 +12,28 @@ completion plus think time.  Two properties define it:
 Chaos composes with the loop — a dropped request unblocks its user at
 the drop instant, and conservation over *submitted* requests holds — and
 an unrecovered outage strands users mid-conversation by design.
+
+Frozen captures — ``golden/sessions.json`` pins eight session runs
+(routers, batching policies and chaos kinds) field for field.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import ServingError
-from repro.serving.batching import ContinuousBatching
+from repro.serving.batching import ContinuousBatching, build_policy
 from repro.serving.chaos import ChaosTimeline, chip_failure, power_cap
 from repro.serving.fleet import Fleet
 from repro.serving.scenarios import run_scenario
 from repro.serving.sessions import SessionConfig, _User, run_sessions
 from repro.serving.simulator import ServingSimulator
 from repro.serving.traffic import choice_cdf
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 WORKLOADS = ("lvrf", "mimonet", "nvsa", "prae")
 
@@ -261,3 +268,144 @@ class TestScenarioIntegration:
     def test_closed_loop_runs_refuse_to_shard(self):
         with pytest.raises(ServingError, match="do not shard"):
             run_scenario("session_surge", load_scale=0.05, shards=2)
+
+
+#: Session runs frozen in ``golden/sessions.json``.  Every think time,
+#: session gap and start spread is positive, so no two submissions share
+#: an instant.  ``chaos`` lists ``[kind, *args]`` incidents
+#: (``chip_failure``/``power_cap`` arguments, or ``seeded`` keyword
+#: arguments of :meth:`ChaosTimeline.seeded`).
+SESSION_SPECS = {
+    "jsq_continuous_telemetry": dict(
+        router="jsq", chips=2, policy=["continuous", {"max_batch_size": 4}],
+        seed=7, telemetry_window_s=0.02,
+    ),
+    "round_robin_none": dict(
+        router="round_robin", chips=3, policy=["none", {}], seed=1,
+        config={"users": 16, "turns": 4, "sessions_per_user": 1},
+    ),
+    # a zero-weight workload still owns a shard of the affinity fleet
+    "affinity_fixed_wait": dict(
+        router="affinity", chips=5,
+        policy=["fixed", {"batch_size": 3, "max_wait_s": 0.004}], seed=2,
+        config={"mix": [["lvrf", 1.0], ["mimonet", 2.0], ["nvsa", 0.0],
+                        ["prae", 1.0]]},
+    ),
+    "jsq_fixed_failure_power_cap": dict(
+        router="jsq", chips=2,
+        policy=["fixed", {"batch_size": 4, "max_wait_s": 0.003}], seed=2,
+        config={"users": 24, "think_time_s": 0.002, "session_gap_s": 0.002,
+                "start_spread_s": 0.02},
+        chaos=[["chip_failure", 0, 0.05, 0.1], ["power_cap", 0.2, 0.1, 3.0]],
+    ),
+    "jsq_continuous_dead_chip": dict(
+        router="jsq", chips=2, policy=["continuous", {"max_batch_size": 4}],
+        seed=0, config={"users": 10, "start_spread_s": 0.01},
+        chaos=[["chip_failure", 0, 0.03, math.inf]],
+    ),
+    "round_robin_fixed_dead_chip": dict(
+        router="round_robin", chips=3,
+        policy=["fixed", {"batch_size": 2, "max_wait_s": 0.002}], seed=4,
+        config={"users": 24, "think_time_s": 0.004, "start_spread_s": 0.05},
+        chaos=[["chip_failure", 2, 0.06, math.inf]],
+    ),
+    "round_robin_continuous_storm": dict(
+        router="round_robin", chips=3,
+        policy=["continuous", {"max_batch_size": 4}], seed=5,
+        config={"users": 20, "start_spread_s": 0.05},
+        chaos=[["seeded", {"seed": 3, "num_chips": 3, "horizon_s": 0.3,
+                           "failure_rate": 4.0, "straggler_rate": 10.0,
+                           "mean_duration_s": 0.02}]],
+    ),
+    "affinity_none_failure": dict(
+        router="affinity", chips=4, policy=["none", {}], seed=6,
+        config={"users": 20, "think_time_s": 0.005},
+        chaos=[["chip_failure", 2, 0.04, 0.05]],
+    ),
+}
+
+
+def _spec_chaos(entries):
+    incidents = []
+    for kind, *args in entries or ():
+        if kind == "seeded":
+            incidents.extend(ChaosTimeline.seeded(**args[0]).incidents)
+        elif kind == "chip_failure":
+            incidents.append(chip_failure(*args))
+        else:
+            incidents.append(power_cap(*args))
+    return ChaosTimeline(tuple(incidents)) if incidents else None
+
+
+def _run_session_spec(spec):
+    """Execute one :data:`SESSION_SPECS` entry, returning the result."""
+    name, kwargs = spec["policy"]
+    simulator = ServingSimulator(
+        service_model=SessionFakeModel(),
+        fleet=Fleet(num_chips=spec["chips"], router=spec["router"]),
+        batching_policy=build_policy(name, **kwargs),
+        chaos=_spec_chaos(spec.get("chaos")),
+    )
+    overrides = dict(spec.get("config", {}))
+    if "mix" in overrides:
+        overrides["mix"] = tuple(tuple(pair) for pair in overrides["mix"])
+    return run_sessions(
+        simulator, _config(**overrides), seed=spec["seed"],
+        telemetry_window_s=spec.get("telemetry_window_s"),
+    )
+
+
+def _session_outputs(result):
+    """Every output of a session run, as JSON-ready values."""
+    return {
+        "records": _rows(result),
+        "chip_busy_s": list(result.chip_busy_s),
+        "chip_requests": list(result.chip_requests),
+        "energy_joules": result.energy_joules,
+        "num_batches": result.num_batches,
+        "horizon_s": result.horizon_s,
+        "first_arrival_s": result.first_arrival_s,
+        "requests_lost": result.requests_lost,
+        "requests_shed": result.requests_shed,
+        "incidents": list(result.incidents),
+        "provenance": result.provenance,
+        "telemetry": (
+            None if result.telemetry is None
+            else list(result.telemetry.windows)
+        ),
+    }
+
+
+class TestSessionGoldens:
+    """Session runs reproduce their frozen capture exactly.
+
+    ``golden/sessions.json`` was captured while ``run_sessions`` still had
+    its own heap loop (see ``golden/README.md``); every field must match,
+    floats included.  Fields compare as canonical JSON so window rows
+    holding NaN compare equal to themselves.
+    """
+
+    @pytest.mark.parametrize("name", sorted(SESSION_SPECS))
+    def test_session_run_matches_golden(self, name):
+        golden = json.loads((GOLDEN_DIR / "sessions.json").read_text())
+        assert golden["specs"][name] == json.loads(
+            json.dumps(SESSION_SPECS[name])
+        )
+        produced = _session_outputs(_run_session_spec(SESSION_SPECS[name]))
+        expected = golden["runs"][name]
+        assert sorted(produced) == sorted(expected)
+        for key in sorted(expected):
+            assert json.dumps(produced[key], sort_keys=True) == json.dumps(
+                expected[key], sort_keys=True
+            ), key
+
+    def test_goldens_cover_every_chaos_kind(self):
+        golden = json.loads((GOLDEN_DIR / "sessions.json").read_text())
+        runs = golden["runs"]
+        kinds = {
+            incident["kind"] for run in runs.values()
+            for incident in run["incidents"]
+        }
+        assert kinds == {"fail", "recover", "slow", "slow_end", "stranded"}
+        assert all(run["records"] for run in runs.values())
+        assert any(run["requests_lost"] for run in runs.values())
