@@ -39,6 +39,13 @@ each arrival, reports completions to its sensors and hands it the
 ``_WARM``/``_TICK`` heap events.  Like chaos, it disables the vectorized
 spans and defers each batch's accounting to its completion.
 
+Closed-loop sessions (:func:`~repro.serving.sessions.run_sessions`) are a
+private ``_simulate`` arrival-source hook on the same deferred path: each
+user's next submission waits in the event heap as an ``_ARRIVAL`` event,
+the submissions due at one instant become a one-instant chunk on the
+ordinary arrival path, and the source hears of completions and of the
+requests a chip failure drops, so users move on.
+
 Determinism: events order by ``(time, kind, sequence)`` with arrivals
 before completions before wake-ups at an instant, routing and batching
 policies are deterministic functions of observable state, and all
@@ -102,7 +109,9 @@ __all__ = [
 ]
 
 # Event kinds, in tie-breaking order: arrivals first so load-aware routers
-# and batch formation see every request that lands at an instant, then chip
+# and batch formation see every request that lands at an instant (only
+# closed-loop submissions enter the heap as arrivals; open-loop ones are
+# read from their columnar chunks, which outrank the heap at ties), then chip
 # completions, then batching wake-ups, then chaos incidents — a batch that
 # finishes exactly at a failure instant completes normally, and requests
 # arriving exactly then are enqueued first (and therefore shed).  Controlled
@@ -850,11 +859,6 @@ class ServingSimulator:
         lost = chaos_stats["requests_lost"] if chaos_stats else 0
         shed = chaos_stats["requests_shed"] if chaos_stats else 0
         offered = len(columns[2])
-        if served + lost + shed != offered:
-            raise ServingError(
-                f"simulation lost requests: {served} served + {lost} lost + "
-                f"{shed} shed of {offered}"
-            )
         series = None
         if telemetry_window_s is not None:
             # Derive the series straight from the captured emit structures
@@ -1101,6 +1105,7 @@ class ServingSimulator:
         chip_models=None,
         drop=None,
         controller=None,
+        source=None,
     ):
         """Advance the event core over sorted columnar arrival chunks.
 
@@ -1130,6 +1135,16 @@ class ServingSimulator:
 
         ``controller`` is :func:`~repro.serving.control.run_controlled`'s
         hook object; the returned chips are then its pool.
+
+        ``source`` is :func:`~repro.serving.sessions.run_sessions`'s
+        closed-loop arrival source and replaces ``chunks``: ``bind(push)``
+        returns the opening arrival chunk and gets ``push(at_s, user)``,
+        which files a later submission as an ``_ARRIVAL`` heap event.  Each
+        instant's popped submissions become one chunk from
+        ``submit(now, users)`` and take the chunk-arrival path.
+        ``advance(now, ids)`` hears of completions at their finish and of
+        requests a chip failure loses or sheds at the failure instant
+        (queues stranded on a chip that never recovers are not reported).
         """
         if chip_models is None:
             chip_models = self._chip_models()
@@ -1174,7 +1189,7 @@ class ServingSimulator:
         # completions, and scale actions depend on observed state.
         self._chaos_stats = None
         chaos_on = self.chaos is not None
-        deferred = chaos_on or controller is not None
+        deferred = chaos_on or controller is not None or source is not None
         if deferred:
             # Down state is a counter, not a bool: a failure window that
             # starts exactly where the previous one ends must keep the
@@ -1385,6 +1400,8 @@ class ServingSimulator:
                             # pops as a stale no-op.
                             lost_here = chip.inflight
                             drop(chip.pending_emit[5][0])
+                            if source is not None:
+                                source.advance(now, chip.pending_emit[5][1])
                             chip.pending_emit = None
                             chip.busy = False
                             busy_count -= 1
@@ -1398,6 +1415,12 @@ class ServingSimulator:
                         shed_here = chip.depth
                         for group in chip.groups.values():
                             drop(group.arrs[group.head:])
+                        if source is not None:
+                            # Users move on in submission order.
+                            source.advance(now, sorted(
+                                request_id for group in chip.groups.values()
+                                for request_id in group.rids[group.head:]
+                            ))
                         chip.groups.clear()
                         chip.depth = 0
                         if shed_here:
@@ -1459,6 +1482,8 @@ class ServingSimulator:
                     chip.served += count
                     emit(chip.chip_id, dispatch_s, finish_s, count, workload,
                          members)
+                    if source is not None:
+                        source.advance(finish_s, members[1])
                     chip.busy = False
                     busy_count -= 1
                     if jsq_index is not None and chip.inflight:
@@ -1481,11 +1506,19 @@ class ServingSimulator:
                     dispatch(chip, now)
 
         # -- arrival feed priming ------------------------------------------
+        offered = 0  # arrivals taken from the feed, for conservation
+        if source is not None:
+            chunks = (source.bind(
+                lambda at_s, user: heappush(
+                    heap, (at_s, _ARRIVAL, next_seq(), user)
+                )
+            ),)
         chunk_iter = iter(chunks)
 
         def next_chunk():
             """Columns of the next non-empty chunk, or ``None`` at the end."""
             nonlocal bulk_cols, fill_cols, codes_cache, arrf_cache, fill_skip
+            nonlocal offered
             bulk_cols = None
             fill_cols = None
             codes_cache = None
@@ -1497,6 +1530,7 @@ class ServingSimulator:
                         "columnar chunk has mismatched column lengths"
                     )
                 if len(arrivals):
+                    offered += len(arrivals)
                     return arrivals, names, ids
             return None
 
@@ -2177,6 +2211,19 @@ class ServingSimulator:
 
             now, kind, _seq, chip_id = heappop(heap)
             if deferred:
+                if kind == _ARRIVAL:
+                    # Closed-loop submissions: every user due at this
+                    # instant (arrivals pop first at an instant) becomes one
+                    # chunk for the arrival path above.
+                    due = [chip_id]
+                    while heap and heap[0][0] == now and heap[0][1] == _ARRIVAL:
+                        due.append(heappop(heap)[3])
+                    arrivals, names, ids = source.submit(now, due)
+                    index = 0
+                    limit = len(arrivals)
+                    offered += limit
+                    exhausted = False
+                    continue
                 if kind < _WARM:
                     deferred_step(now, kind, _seq, chip_id)
                     continue
@@ -2248,6 +2295,12 @@ class ServingSimulator:
                 "requests_shed": chaos_shed,
                 "incidents": tuple(chaos_log),
             }
+        lost, shed = (chaos_lost, chaos_shed) if deferred else (0, 0)
+        if served + lost + shed != offered:
+            raise ServingError(
+                f"simulation lost requests: {served} served + {lost} lost + "
+                f"{shed} shed of {offered}"
+            )
 
         # Routing-path attribution for the most recent simulation, read by
         # ``run``/``run_stream`` right after ``_simulate`` returns (it is

@@ -104,6 +104,11 @@ _FLOAT_COLUMNS = frozenset(("latency", "b_disp", "b_fin", "b_energy"))
 #: window indices are int64: quotients must stay below this magnitude
 _INDEX_LIMIT = float(2**63)
 
+#: most windows one series may cut a run into; every window costs a row
+#: and a slot in each per-window histogram, so a narrower window is a
+#: typed error before any of them is allocated
+MAX_WINDOWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class TelemetrySeries:
@@ -284,6 +289,15 @@ def _cat(parts: list, dtype) -> np.ndarray:
     return np.empty(0, dtype=dtype)
 
 
+def _check_window_count(n_win: int, window_s: float) -> None:
+    """Reject a window span longer than :data:`MAX_WINDOWS`."""
+    if n_win > MAX_WINDOWS:
+        raise ServingError(
+            f"telemetry window {window_s!r} s cuts this run into {n_win} "
+            f"windows; at most {MAX_WINDOWS} are allowed"
+        )
+
+
 def _hist(widx: np.ndarray, first: int, n_win: int) -> np.ndarray:
     """Counts per window of ``[first, first + n_win)``; others are ignored."""
     clipped = np.clip(widx - (first - 1), 0, n_win + 1)
@@ -382,6 +396,7 @@ def _series_from_parts(
     each counts into its window, clamped into the range.
     """
     n_win = stop - first
+    _check_window_count(n_win, window_s)
     arrived = _hist(arrival_w, first, n_win).tolist()
     finished = _hist(fw, first, n_win).tolist()
     batches = _hist(b_dw, first, n_win).tolist()
@@ -815,6 +830,7 @@ class TelemetryCollector:
         n_win = self._fed_idx - first
         if n_win <= 0:
             return 0
+        _check_window_count(n_win, self.window_s)
         # An arrival not yet emitted or dropped (queued or in flight) holds
         # its window and every later one open.
         owed = _hist(fed, first, n_win)

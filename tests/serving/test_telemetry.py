@@ -222,13 +222,27 @@ class TestTelemetrySeries:
         with pytest.raises(ServingError, match="unknown telemetry field"):
             series.column("p42_ms")
 
-    @pytest.mark.parametrize("window_s", (0.0, math.inf, 1e-303))
+    @pytest.mark.parametrize("window_s", (0.0, math.inf, 1e-303, 1e-12))
     def test_bad_window_rejected(self, window_s):
         sim = _simulator(1)
         with pytest.raises(ServingError, match="window"):
             sim.run(
                 [Request(request_id=0, workload="nvsa", arrival_s=0.0)],
                 telemetry_window_s=window_s,
+            )
+
+    @pytest.mark.parametrize("chunk_size", (1, 8))
+    def test_window_count_cap_holds_when_streamed(self, chunk_size):
+        # One chunk per request makes the collector's mid-stream flush
+        # meet the cap; one chunk for both leaves it to the final flush.
+        stream = [
+            Request(request_id=0, workload="nvsa", arrival_s=0.0),
+            Request(request_id=1, workload="nvsa", arrival_s=1.0),
+        ]
+        with pytest.raises(ServingError, match="windows; at most 1000000"):
+            _simulator(1).run_stream(
+                columnar_chunks(stream, chunk_size), ["nvsa"],
+                telemetry_window_s=1e-9,
             )
 
     def test_telemetry_off_by_default(self):
