@@ -28,12 +28,14 @@ it mid-run:
 
 :func:`run_controlled` serves an open-loop request stream under a
 :class:`ControllerConfig` on the serving event core itself: it builds a
-:class:`_Controller` and hands it to ``ServingSimulator._simulate`` as a
-private hook.  The core keeps the event heap, routing, batching,
-dispatch, chaos and accounting; this module keeps the decisions — the
-chip lifecycle, admission, the policy math, batch retuning and the
-routing upgrade.  The run returns an ordinary
-:class:`~repro.serving.simulator.ServingResult`, so the whole
+:class:`_Controller` and hands it to the simulator's whole-trace driver,
+which passes it to ``ServingSimulator._simulate`` as a private hook.  The
+core keeps the event heap, routing, batching, dispatch, chaos and
+accounting, and the driver builds the records, provenance and telemetry
+exactly as for :meth:`~repro.serving.simulator.ServingSimulator.run`;
+this module keeps the decisions — the chip lifecycle, admission, the
+policy math, batch retuning and the routing upgrade.  The run returns an
+ordinary :class:`~repro.serving.simulator.ServingResult`, so the whole
 metrics/telemetry/CLI surface works unchanged.  Chips move through a
 small lifecycle::
 
@@ -55,16 +57,12 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.simulator import (
-    ServingResult,
-    _batch_records,
-    request_columns,
-)
+from repro.serving.simulator import ServingResult, request_columns
 
 __all__ = ["CONTROLLER_POLICIES", "ControllerConfig", "run_controlled"]
 
@@ -273,7 +271,7 @@ class _Controller:
         self.scale_ups = 0
         self.scale_downs = 0
         self.peak = initial
-        self.shed_s: list[float] = []  # admission shed instants
+        self.shed_admission = 0
         # Windowed sensors, reset at every control tick, and PID state.
         self.win_busy_s = 0.0
         self.win_latencies: list[float] = []
@@ -294,7 +292,7 @@ class _Controller:
         """
         return [self.chips[i] for i, s in enumerate(self.state) if s == _ACTIVE]
 
-    def admits(self, workload: str, pending: int, now: float) -> bool:
+    def admits(self, workload: str, pending: int) -> bool:
         """SLO-aware admission of an arrival routed to a chip.
 
         The queue wait is estimated from the chip's pending depth, the
@@ -309,7 +307,7 @@ class _Controller:
             self.est_service[workload] = est
         cap = getattr(self.policy, "max_batch_size", None) or 1
         if -(-pending // cap) * est > budget:  # ceil division
-            self.shed_s.append(now)
+            self.shed_admission += 1
             return False
         return True
 
@@ -510,7 +508,7 @@ class _Controller:
             "final_max_batch_size": final_batch,
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
-            "shed_admission": len(self.shed_s),
+            "shed_admission": self.shed_admission,
             "actions": self.actions,
             "chips": [
                 {
@@ -579,17 +577,10 @@ def run_controlled(
     )
 
     columns = request_columns(requests)
-    raw_batches: list[tuple] = []
-
-    def emit(*batch):
-        raw_batches.append(batch)
-
     try:
-        chips, energy, num_batches, horizon, first_arrival, _ = (
-            simulator._simulate(
-                [columns], tuple(sorted(set(columns[1]))), emit,
-                controller=controller,
-            )
+        result = simulator._run_trace(
+            [columns], tuple(sorted(set(columns[1]))), telemetry_window_s,
+            controller=controller,
         )
         final_batch = getattr(policy, "max_batch_size", None)
     finally:
@@ -597,44 +588,5 @@ def run_controlled(
             # The policy object belongs to the caller; leave it as
             # configured.
             policy.max_batch_size, policy.single_group_cap = saved_batch
-    chaos_stats = simulator._chaos_stats
-    lost = chaos_stats["requests_lost"]
-    shed = chaos_stats["requests_shed"]
-    incidents = chaos_stats["incidents"]
-    records = sorted(_batch_records(raw_batches))
-
-    chips = chips[:len(controller.state)]
-    provenance = simulator._provenance(len(records), None)
-    provenance["controller"] = controller.provenance(final_batch)
-    result = ServingResult(
-        records=tuple(records),
-        num_chips=len(chips),
-        chip_busy_s=tuple(chip.busy_s for chip in chips),
-        chip_requests=tuple(chip.served for chip in chips),
-        energy_joules=energy,
-        num_batches=num_batches,
-        horizon_s=horizon,
-        first_arrival_s=first_arrival,
-        chip_backends=(simulator.fleet.chip_backends[0],) * len(chips),
-        provenance=provenance,
-        requests_lost=lost,
-        requests_shed=shed,
-        incidents=incidents,
-    )
-    if telemetry_window_s is None:
-        return result
-    from repro.serving.telemetry import _series_from_records
-
-    # The dynamic fleet can outgrow the simulator's static chip-model
-    # list, so derive the series directly over the homogeneous model.
-    # Shed requests count in the window they were shed: admission sheds
-    # at arrival, chip failures and the stranded sweep at their incident.
-    shed_s = controller.shed_s + [
-        incident["at_s"]
-        for incident in incidents
-        for _ in range(incident.get("requests_shed", 0))
-    ]
-    series = _series_from_records(
-        result, telemetry_window_s, [model] * len(chips), shed_s=shed_s
-    )
-    return replace(result, telemetry=series)
+    result.provenance["controller"] = controller.provenance(final_batch)
+    return result

@@ -13,7 +13,10 @@ think times between turns and gaps between conversations.
 arrival-source hook: each user's next submission waits in the core's event
 heap, each instant's submissions take the same routing and enqueue path as
 open-loop arrivals, and completions and chaos drops move users on.  The
-result is an ordinary :class:`~repro.serving.simulator.ServingResult`.
+simulator's whole-trace driver assembles the result exactly as for
+:meth:`~repro.serving.simulator.ServingSimulator.run`: an ordinary
+:class:`~repro.serving.simulator.ServingResult` whose telemetry counts
+every submitted request as an arrival.
 
 Determinism: user ``u`` of a run seeded ``s`` draws from
 ``default_rng(s * SEED_STRIDE + u)`` in a fixed per-user order (start
@@ -36,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.simulator import ServingResult, _batch_records
+from repro.serving.simulator import ServingResult
 from repro.serving.traffic import (
     SEED_STRIDE,
     check_mix_weights,
@@ -240,34 +243,8 @@ def run_sessions(
             f"config must be a SessionConfig, got {type(config).__name__}"
         )
     population = _Population(config, seed)
-    raw_batches: list[tuple] = []
-
-    def emit(*batch):
-        raw_batches.append(batch)
-
-    chips, energy, num_batches, horizon, first_arrival, _ = (
-        simulator._simulate((), population.names, emit, source=population)
+    result = simulator._run_trace(
+        (), population.names, telemetry_window_s, source=population
     )
-    chaos_stats = simulator._chaos_stats
-    records = sorted(_batch_records(raw_batches))
-    provenance = simulator._provenance(len(records), None)
-    provenance["closed_loop"] = {"seed": seed, **config.to_dict()}
-    result = ServingResult(
-        records=tuple(records),
-        num_chips=len(chips),
-        chip_busy_s=tuple(chip.busy_s for chip in chips),
-        chip_requests=tuple(chip.served for chip in chips),
-        energy_joules=energy,
-        num_batches=num_batches,
-        horizon_s=horizon,
-        first_arrival_s=first_arrival,
-        chip_backends=tuple(simulator.fleet.chip_backends),
-        provenance=provenance,
-        requests_lost=chaos_stats["requests_lost"],
-        requests_shed=chaos_stats["requests_shed"],
-        incidents=chaos_stats["incidents"],
-    )
-    # Telemetry derives post-hoc from the completed records (the same
-    # path sharded open-loop runs use); dropped requests surface in the
-    # resilience metrics rather than the per-window arrival counts.
-    return simulator._attach_telemetry(result, telemetry_window_s)
+    result.provenance["closed_loop"] = {"seed": seed, **config.to_dict()}
+    return result

@@ -60,6 +60,7 @@ from repro.serving.simulator import (
     ServingSimulator,
     StreamedServingResult,
     _plan_method,
+    _service_cost,
     request_columns,
 )
 from repro.serving.traffic import Request
@@ -328,10 +329,7 @@ def _engine_run(
         key = (workload, count)
         cached = service_memo.get(key)
         if cached is None:
-            cached = (
-                model.service_seconds(workload, count),
-                model.energy_joules(workload, count),
-            )
+            cached = _service_cost(model, workload, count)
             service_memo[key] = cached
         service_s, energy_j = cached
         finish = now + service_s
@@ -494,7 +492,7 @@ def _fallback_run(
             out_size.append(size)
             out_bseq.append(seq)
 
-    chips, energy, num_batches, horizon, _first, served = shell._simulate(
+    outcome = shell._simulate(
         chunks, workload_names, emit, router=router, chip_models=list(models)
     )
     return _CompBundle(
@@ -508,12 +506,12 @@ def _fallback_run(
         batch_seq=np.asarray(out_bseq, dtype=np.int64),
         chip_rows=tuple(
             (global_chips[index], chip.busy_s, chip.served)
-            for index, chip in enumerate(chips)
+            for index, chip in enumerate(outcome.chips)
         ),
-        energy=energy,
-        num_batches=num_batches,
-        horizon=horizon,
-        served=served,
+        energy=outcome.energy,
+        num_batches=outcome.num_batches,
+        horizon=outcome.horizon,
+        served=outcome.served,
     )
 
 

@@ -548,15 +548,48 @@ def _jsq_router(chips: list, members: list | None = None):
     return index.take, index
 
 
-def _batch_records(raw_batches) -> list[RequestRecord]:
-    """Per-request records of ``_simulate``'s ``emit`` argument tuples."""
-    return [
-        RequestRecord(
-            request_id, workload, chip_id, arrival_s, dispatch_s, finish_s, size
-        )
-        for chip_id, dispatch_s, finish_s, size, workload, members in raw_batches
-        for arrival_s, request_id in zip(*members)
-    ]
+class _Outcome(NamedTuple):
+    """What one ``_simulate`` call produced besides its emit callbacks."""
+
+    chips: list
+    energy: float
+    num_batches: int
+    horizon: float
+    first_arrival: float
+    served: int
+    lost: int
+    #: the instant each shed request was shed, one entry per request
+    shed_s: list
+    incidents: tuple
+    #: requests per routing path (vectorized span kinds vs the scalar loop)
+    event_paths: dict
+    #: whether the water-fill span could serve this run
+    water_fill: bool
+
+    @property
+    def offered(self) -> int:
+        """Requests offered: served + lost + shed."""
+        return self.served + self.lost + len(self.shed_s)
+
+
+def _service_cost(model, workload: str, batch_size: int) -> tuple:
+    """``(service_s, energy_j)`` of one batch, checked before it is memoized.
+
+    Every service-table fill goes through here.  A negative, infinite or
+    NaN service time or energy would turn every later latency, horizon or
+    energy total it touches into garbage, so it is a typed error naming
+    the table cell instead.  Zero is legal.
+    """
+    service_s = model.service_seconds(workload, batch_size)
+    energy_j = model.energy_joules(workload, batch_size)
+    for quantity, value in (("service time", service_s), ("energy", energy_j)):
+        if not 0.0 <= value < math.inf:
+            raise ServingError(
+                f"service model returned {quantity} {value!r} for workload "
+                f"'{workload}' at batch size {batch_size}; it must be finite "
+                "and >= 0"
+            )
+    return service_s, energy_j
 
 
 #: policies whose dispatch-shortcut attributes (``single_group_cap``,
@@ -742,16 +775,17 @@ class ServingSimulator:
             workloads, symbolic_fraction_of=symbolic_fraction_of
         )
 
-    def _provenance(self, num_requests: int, event_paths: dict | None = None) -> dict:
+    def _provenance(self, num_requests: int, outcome: _Outcome | None = None) -> dict:
         """The run-configuration dict every result carries.
 
-        ``event_paths`` is the routing-path attribution ``_simulate`` left
-        behind for the run the provenance describes (callers pass it
-        explicitly rather than reading simulator state so a sharded run
-        never reports a sub-simulation's counters as its own).  Coupled
-        (JSQ) fleets additionally record which engine served them —
-        ``water_fill`` for the vectorized saturated-span dispatch,
-        ``scalar`` when ``vectorize=False`` forces the reference loop.
+        ``num_requests`` is the offered count.  ``outcome`` is the
+        ``_simulate`` call the provenance describes; its routing-path
+        attribution becomes ``event_paths`` (a sharded run passes none, so
+        it never reports a sub-simulation's counters as its own).  Coupled
+        (JSQ) fleets also record their engine: ``water_fill`` when the
+        vectorized saturated-span dispatch could run, ``scalar`` when the
+        run took the reference loop (``vectorize=False``, or the deferred
+        path of chaos, controlled and session runs).
         """
         provenance = {
             "num_requests": num_requests,
@@ -763,11 +797,8 @@ class ServingSimulator:
             "cached_reports": self.service_model.cached_reports,
         }
         if self.fleet.router == "jsq":
-            # A chaos timeline disables the water-fill span (failures can
-            # interrupt a span mid-flight), so coupled runs report the
-            # scalar engine they actually used.
             provenance["coupled_engine"] = (
-                "water_fill" if self.vectorize and self.chaos is None
+                "water_fill" if outcome is not None and outcome.water_fill
                 else "scalar"
             )
         if self.chaos is not None:
@@ -775,8 +806,8 @@ class ServingSimulator:
                 "incidents": len(self.chaos.incidents),
                 "windows": list(self.chaos.windows()),
             }
-        if event_paths is not None:
-            provenance["event_paths"] = dict(event_paths)
+        if outcome is not None:
+            provenance["event_paths"] = outcome.event_paths
         return provenance
 
     def _attach_telemetry(self, result: ServingResult, telemetry_window_s):
@@ -835,8 +866,28 @@ class ServingSimulator:
                 telemetry_window_s,
             )
         columns = request_columns(requests)
-        workloads = tuple(sorted(set(columns[1])))
+        # One pre-sorted columnar chunk: run() already holds the whole stream.
+        return self._run_trace(
+            [columns], tuple(sorted(set(columns[1]))), telemetry_window_s
+        )
 
+    def _run_trace(
+        self,
+        chunks,
+        workloads: tuple[str, ...],
+        telemetry_window_s: float | None = None,
+        controller=None,
+        source=None,
+    ) -> ServingResult:
+        """Serve a whole trace on the event core and assemble its result.
+
+        The one result path of :meth:`run`,
+        :func:`~repro.serving.control.run_controlled` (``controller``) and
+        :func:`~repro.serving.sessions.run_sessions` (``source``): records,
+        provenance and the windowed series (see
+        :mod:`~repro.serving.telemetry` for its contract) are built once,
+        from ``_simulate``'s emit structures and :class:`_Outcome`.
+        """
         raw_batches: list[tuple] = []
         bulk_runs: list[tuple] = []
 
@@ -847,18 +898,16 @@ class ServingSimulator:
             bulk_runs.append((chip_ids, arrivals, finishes, names, codes, run_ids))
 
         dropped: list[float] = []
-        # One pre-sorted columnar chunk: run() already holds the whole stream.
-        chips, energy, num_batches, horizon, first_arrival, served = (
-            self._simulate(
-                [columns], workloads, emit, emit_run=emit_run,
-                drop=dropped.extend if telemetry_window_s is not None else None,
-            )
+        outcome = self._simulate(
+            chunks, workloads, emit, emit_run=emit_run,
+            drop=dropped.extend if telemetry_window_s is not None else None,
+            controller=controller, source=source,
         )
-        event_paths = self._event_paths
-        chaos_stats = self._chaos_stats
-        lost = chaos_stats["requests_lost"] if chaos_stats else 0
-        shed = chaos_stats["requests_shed"] if chaos_stats else 0
-        offered = len(columns[2])
+        chips = outcome.chips
+        chip_backends = self.fleet.chip_backends
+        if controller is not None:
+            # Interchangeable chips: the pool can outgrow the static fleet.
+            chip_backends = (chip_backends[0],) * len(chips)
         series = None
         if telemetry_window_s is not None:
             # Derive the series straight from the captured emit structures
@@ -873,6 +922,9 @@ class ServingSimulator:
                 _series_from_emits,
             )
 
+            chip_models = self._chip_models()
+            if controller is not None:
+                chip_models = [chip_models[0]] * len(chips)
             series = _series_from_emits(
                 raw_batches,
                 [
@@ -881,14 +933,23 @@ class ServingSimulator:
                     in bulk_runs
                 ],
                 workloads,
-                self.fleet.num_chips,
-                _energy_lookup(self._chip_models()),
+                len(chips),
+                _energy_lookup(chip_models),
                 telemetry_window_s,
-                horizon,
-                first_arrival,
+                outcome.horizon,
+                outcome.first_arrival,
                 dropped_arrivals=dropped,
+                shed_s=outcome.shed_s,
             )
-        records = _batch_records(raw_batches)
+        records = [
+            RequestRecord(
+                request_id, workload, chip_id, arrival_s, dispatch_s,
+                finish_s, size,
+            )
+            for chip_id, dispatch_s, finish_s, size, workload, members
+            in raw_batches
+            for arrival_s, request_id in zip(*members)
+        ]
         one = itertools.repeat(1)
         for chip_ids, arrivals, finishes, names, _codes, run_ids in bulk_runs:
             # An idle-disjoint run: every request served alone at its
@@ -916,19 +977,19 @@ class ServingSimulator:
         records.sort()
         return ServingResult(
             records=tuple(records),
-            num_chips=self.fleet.num_chips,
+            num_chips=len(chips),
             chip_busy_s=tuple(chip.busy_s for chip in chips),
             chip_requests=tuple(chip.served for chip in chips),
-            energy_joules=energy,
-            num_batches=num_batches,
-            horizon_s=horizon,
-            first_arrival_s=first_arrival,
-            chip_backends=self.fleet.chip_backends,
-            provenance=self._provenance(offered, event_paths),
+            energy_joules=outcome.energy,
+            num_batches=outcome.num_batches,
+            horizon_s=outcome.horizon,
+            first_arrival_s=outcome.first_arrival,
+            chip_backends=chip_backends,
+            provenance=self._provenance(outcome.offered, outcome),
             telemetry=series,
-            requests_lost=lost,
-            requests_shed=shed,
-            incidents=chaos_stats["incidents"] if chaos_stats else (),
+            requests_lost=outcome.lost,
+            requests_shed=len(outcome.shed_s),
+            incidents=outcome.incidents,
         )
 
     def run_stream(
@@ -1052,28 +1113,23 @@ class ServingSimulator:
             chunks = _tap_arrival_chunks(chunks, collector)
             emit_cb, emit_run_cb = _tap_emits(emit, emit_run, collector)
 
-        chips, energy, num_batches, horizon, first_arrival, served = (
-            self._simulate(
-                chunks, workload_names, emit_cb, emit_run=emit_run_cb,
-                chip_models=chip_models,
-                drop=collector.on_drop if collector is not None else None,
-            )
+        outcome = self._simulate(
+            chunks, workload_names, emit_cb, emit_run=emit_run_cb,
+            chip_models=chip_models,
+            drop=collector.on_drop if collector is not None else None,
         )
-        chaos_stats = self._chaos_stats
-        lost = chaos_stats["requests_lost"] if chaos_stats else 0
-        shed = chaos_stats["requests_shed"] if chaos_stats else 0
-        run_provenance = self._provenance(served + lost + shed, self._event_paths)
+        run_provenance = self._provenance(outcome.offered, outcome)
         if provenance:
             run_provenance.update(provenance)
         return StreamedServingResult(
-            num_requests=served,
+            num_requests=outcome.served,
             num_chips=num_chips,
-            chip_busy_s=tuple(chip.busy_s for chip in chips),
-            chip_requests=tuple(chip.served for chip in chips),
-            energy_joules=energy,
-            num_batches=num_batches,
-            horizon_s=horizon,
-            first_arrival_s=first_arrival,
+            chip_busy_s=tuple(chip.busy_s for chip in outcome.chips),
+            chip_requests=tuple(chip.served for chip in outcome.chips),
+            energy_joules=outcome.energy,
+            num_batches=outcome.num_batches,
+            horizon_s=outcome.horizon,
+            first_arrival_s=outcome.first_arrival,
             chip_backends=self.fleet.chip_backends,
             latency_s=np.frombuffer(latencies, dtype=float),
             queue_delay_s=np.frombuffer(queue_delays, dtype=float),
@@ -1086,11 +1142,12 @@ class ServingSimulator:
             ),
             provenance=run_provenance,
             telemetry=(
-                collector.finalize(horizon) if collector is not None else None
+                collector.finalize(outcome.horizon, outcome.shed_s)
+                if collector is not None else None
             ),
-            requests_lost=lost,
-            requests_shed=shed,
-            incidents=chaos_stats["incidents"] if chaos_stats else (),
+            requests_lost=outcome.lost,
+            requests_shed=len(outcome.shed_s),
+            incidents=outcome.incidents,
         )
 
     # -- event core ---------------------------------------------------------
@@ -1111,8 +1168,9 @@ class ServingSimulator:
 
         ``emit(chip_id, dispatch_s, finish_s, size, workload, members)`` is
         called once per dispatched batch with ``members`` the batch's
-        ``(arrivals, request_ids)`` column pair in queue order.  Returns
-        ``(chips, energy, batches, horizon, first_arrival, served)``.
+        ``(arrivals, request_ids)`` column pair in queue order.  Returns an
+        :class:`_Outcome`: accounting, lost/shed counts, the incident log,
+        shed instants and routing-path attribution.
 
         ``emit_run(chip_ids, arrivals, finishes, names, codes, ids)``, when
         given, receives whole idle-disjoint runs from the chunked clock
@@ -1125,8 +1183,12 @@ class ServingSimulator:
         ``emit`` one singleton at a time.
 
         ``drop(arrivals)``, when given, receives the arrival instants of
-        the requests a chaos incident loses or sheds, as it drops them (a
-        chip that never recovers drops what it queues on arrival).
+        the requests the core loses or sheds, as it drops them (a chip that
+        never recovers drops what it queues on arrival).  ``shed_s`` of the
+        outcome holds each shed request's shed instant: its arrival for
+        admission control, the failure instant for a failed chip's queue,
+        and the horizon (the drain sweep) for a queue stranded on a chip
+        that never recovers.
 
         ``router``/``chip_models`` inject a pre-built router and per-chip
         service oracles — the sharding layer uses this to simulate a
@@ -1134,7 +1196,7 @@ class ServingSimulator:
         ``len(chip_models)``).
 
         ``controller`` is :func:`~repro.serving.control.run_controlled`'s
-        hook object; the returned chips are then its pool.
+        hook object; the returned chips are then its provisioned pool.
 
         ``source`` is :func:`~repro.serving.sessions.run_sessions`'s
         closed-loop arrival source and replaces ``chunks``: ``bind(push)``
@@ -1187,9 +1249,11 @@ class ServingSimulator:
         # batch mid-flight on the one scalar path both engines share).
         # A controller takes the same deferred path: its sensors read
         # completions, and scale actions depend on observed state.
-        self._chaos_stats = None
         chaos_on = self.chaos is not None
         deferred = chaos_on or controller is not None or source is not None
+        chaos_lost = 0
+        chaos_log: list[dict] = []
+        shed_at: list[float] = []
         if deferred:
             # Down state is a counter, not a bool: a failure window that
             # starts exactly where the previous one ends must keep the
@@ -1197,9 +1261,6 @@ class ServingSimulator:
             chaos_down = [0] * num_chips
             chaos_factors: list[list[float]] = [[] for _ in range(num_chips)]
             chaos_mult = [1.0] * num_chips
-            chaos_lost = 0
-            chaos_shed = 0
-            chaos_log: list[dict] = []
             # Every lost/shed request's arrival instant goes to ``drop``
             # so telemetry can still count it as an arrival (it never
             # emits).
@@ -1207,6 +1268,11 @@ class ServingSimulator:
                 drop = _discard
             # From this instant on a chip is down for good.
             chaos_dead_from = [math.inf] * num_chips
+
+            def shed(arrivals, at_s) -> None:
+                """Shed the requests that arrived at ``arrivals`` at ``at_s``."""
+                drop(arrivals)
+                shed_at.extend(itertools.repeat(at_s, len(arrivals)))
         if chaos_on:
             # A controlled fleet's timeline targets its initial chips.
             for ev_time, op, ev_chip, ev_mult in self.chaos.compile(
@@ -1270,10 +1336,9 @@ class ServingSimulator:
 
             def admit(chosen, workload, now):
                 """Admission control: False sheds the routed arrival."""
-                nonlocal chaos_shed
-                if controller.admits(workload, chosen.pending, now):
+                if controller.admits(workload, chosen.pending):
                     return True
-                chaos_shed += 1
+                shed((now,), now)
                 if jsq_index is not None:
                     # Undo the increment ``take`` pre-filed for it.
                     jsq_index.move(
@@ -1302,7 +1367,8 @@ class ServingSimulator:
                 if now >= chaos_dead_from[chip.chip_id]:
                     # The chip never recovers, so its queue is stranded:
                     # hand the arrivals to ``drop`` now (the drain sweep
-                    # still counts them shed) so telemetry need not wait.
+                    # still sheds them, at the horizon) so telemetry need
+                    # not wait.
                     for group in chip.groups.values():
                         drop(group.arrs[group.head:])
                     chip.groups.clear()
@@ -1339,10 +1405,8 @@ class ServingSimulator:
             key = (chip_model_keys[chip.chip_id], workload, count)
             cached = service_table.get(key)
             if cached is None:
-                model = chip_models[chip.chip_id]
-                cached = (
-                    model.service_seconds(workload, count),
-                    model.energy_joules(workload, count),
+                cached = _service_cost(
+                    chip_models[chip.chip_id], workload, count
                 )
                 service_table[key] = cached
             service_s, energy_j = cached
@@ -1387,7 +1451,7 @@ class ServingSimulator:
                 ignored) and wake-ups.
                 """
                 nonlocal energy, num_batches, served, busy_count, horizon
-                nonlocal chaos_lost, chaos_shed
+                nonlocal chaos_lost
                 if kind == _CHAOS:
                     op, ev_chip, ev_mult = payload
                     chip = chips[ev_chip]
@@ -1414,7 +1478,7 @@ class ServingSimulator:
                             chip.inflight = 0
                         shed_here = chip.depth
                         for group in chip.groups.values():
-                            drop(group.arrs[group.head:])
+                            shed(group.arrs[group.head:], now)
                         if source is not None:
                             # Users move on in submission order.
                             source.advance(now, sorted(
@@ -1431,7 +1495,6 @@ class ServingSimulator:
                                 )
                             chip.pending -= shed_here
                         chaos_lost += lost_here
-                        chaos_shed += shed_here
                         chaos_log.append({
                             "at_s": now, "kind": "fail", "chip": ev_chip,
                             "requests_lost": lost_here,
@@ -1650,9 +1713,9 @@ class ServingSimulator:
 
             Resolved on the chip an all-idle fleet routes the workload to.
             Any failure — unknown workload, unroutable workload, service
-            oracle error — encodes as service ``-1.0``, which bars the
-            request from every run so the scalar path raises its exact
-            error at the exact request.
+            oracle error, degenerate cost — encodes as service ``-1.0``,
+            which bars the request from every run so the scalar path raises
+            its exact error at the exact request.
             """
             invalid = (-1.0, 0.0, -1, -1)
             code = wl_code.get(name, -1)
@@ -1666,13 +1729,7 @@ class ServingSimulator:
             else:
                 chip_id = 0
             try:
-                model = chip_models[chip_id]
-                return (
-                    model.service_seconds(name, 1),
-                    model.energy_joules(name, 1),
-                    chip_id,
-                    code,
-                )
+                return (*_service_cost(chip_models[chip_id], name, 1), chip_id, code)
             except Exception:
                 return invalid
 
@@ -2088,10 +2145,8 @@ class ServingSimulator:
                         # Immediate singleton batch: empty queue, idle chip.
                         cached = singleton_tables[chosen.chip_id].get(workload)
                         if cached is None:
-                            model = chip_models[chosen.chip_id]
-                            cached = (
-                                model.service_seconds(workload, 1),
-                                model.energy_joules(workload, 1),
+                            cached = _service_cost(
+                                chip_models[chosen.chip_id], workload, 1
                             )
                             singleton_tables[chosen.chip_id][workload] = cached
                             service_table[
@@ -2285,32 +2340,27 @@ class ServingSimulator:
                     chip.groups.clear()
                     chip.depth = 0
                     chip.pending -= stranded
-                    chaos_shed += stranded
+                    shed_at.extend(itertools.repeat(horizon, stranded))
                     chaos_log.append({
                         "at_s": horizon, "kind": "stranded",
                         "chip": chip.chip_id, "requests_shed": stranded,
                     })
-            self._chaos_stats = {
-                "requests_lost": chaos_lost,
-                "requests_shed": chaos_shed,
-                "incidents": tuple(chaos_log),
-            }
-        lost, shed = (chaos_lost, chaos_shed) if deferred else (0, 0)
-        if served + lost + shed != offered:
+        if served + chaos_lost + len(shed_at) != offered:
             raise ServingError(
-                f"simulation lost requests: {served} served + {lost} lost + "
-                f"{shed} shed of {offered}"
+                f"simulation lost requests: {served} served + {chaos_lost} "
+                f"lost + {len(shed_at)} shed of {offered}"
             )
-
-        # Routing-path attribution for the most recent simulation, read by
-        # ``run``/``run_stream`` right after ``_simulate`` returns (it is
-        # per-call state, not configuration): how many requests rode each
-        # vectorized span kind versus the one-at-a-time scalar loop.
-        self._event_paths = {
-            "bulk_runs": bulk_runs_n,
-            "bulk_run_requests": bulk_requests_n,
-            "water_fill_spans": fill_spans_n,
-            "water_fill_requests": fill_requests_n,
-            "scalar_requests": served - bulk_requests_n - fill_requests_n,
-        }
-        return chips, energy, num_batches, horizon, first_arrival, served
+        if controller is not None:
+            chips = chips[:len(controller.state)]
+        return _Outcome(
+            chips, energy, num_batches, horizon, first_arrival, served,
+            chaos_lost, shed_at, tuple(chaos_log),
+            {
+                "bulk_runs": bulk_runs_n,
+                "bulk_run_requests": bulk_requests_n,
+                "water_fill_spans": fill_spans_n,
+                "water_fill_requests": fill_requests_n,
+                "scalar_requests": served - bulk_requests_n - fill_requests_n,
+            },
+            fill_mode,
+        )

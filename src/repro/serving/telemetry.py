@@ -14,16 +14,23 @@ per-batch occupancy/energy columns and optional shed instants) into the
 rows of a ``[first, stop)`` window range.  Two feeds reach it:
 
 * **whole runs** — :func:`_series_from_emits` reads the emit structures
-  ``run()`` already captures (the event core is never touched, so
+  the simulator's whole-trace driver captures for ``run()``, controlled
+  and session runs alike (the event core is never touched, so
   telemetry-off runs pay nothing); :func:`_series_from_columns` serves
   the sharded merge and :func:`derive_series` any finished full-trace
-  :class:`~repro.serving.simulator.ServingResult` (the controller adds
-  its shed instants on this path);
+  :class:`~repro.serving.simulator.ServingResult`;
 * **streams** — :class:`TelemetryCollector` buffers the same emit
   tuples and bulk-run columns from ``run_stream()`` and sends each
   prefix of provably complete windows through the kernel, carrying the
   per-chip cumulative counts across flushes, so multi-million request
   replays keep bounded memory.
+
+Both feeds keep one contract: every offered request counts once under
+``arrivals``, in its arrival window, whether it completed, was lost or
+was shed; every shed request counts once under ``shed``, in the window
+of the instant the core shed it (its arrival for admission control, the
+failure instant for a failed chip's queue, the horizon for a queue
+stranded on a chip that never recovers), clamped into the series.
 
 All floating-point reductions happen per window over *sorted* value
 multisets inside :func:`_window_row` and window indices use the same
@@ -118,10 +125,10 @@ class TelemetrySeries:
     first arrival through the horizon) whose keys are exactly
     :data:`TELEMETRY_FIELDS`.  ``queue_depth`` and ``inflight`` are
     per-chip integer lists sampled at the window's end boundary;
-    ``shed`` counts the requests a controller run's admission control
-    or chip failures turned away in the window (0 on open-loop runs,
-    whose lost and shed requests count under ``arrivals`` instead);
-    latency percentiles are ``None`` in windows with no completions.
+    ``arrivals`` counts every request offered in the window (completed,
+    lost or shed) and ``shed`` the requests shed in it (see the module
+    docstring); latency percentiles are ``None`` in windows with no
+    completions.
     """
 
     window_s: float
@@ -356,6 +363,14 @@ def _batch_energy(b_chip, b_codes, b_size, names, energy_of) -> np.ndarray:
     return uniq_energy[inverse]
 
 
+def _shed_hist(shed_s, window_s: float, first: int, n_win: int) -> list:
+    """Shed instants per window of ``[first, first + n_win)``, clamped in."""
+    if shed_s is None or not len(shed_s):
+        return [0] * n_win
+    widx = _window_index(np.asarray(shed_s, dtype=float), window_s)
+    return _hist(np.clip(widx, first, first + n_win - 1), first, n_win).tolist()
+
+
 def _series_from_parts(
     *,
     arrival_w: np.ndarray,
@@ -400,13 +415,7 @@ def _series_from_parts(
     arrived = _hist(arrival_w, first, n_win).tolist()
     finished = _hist(fw, first, n_win).tolist()
     batches = _hist(b_dw, first, n_win).tolist()
-    if shed_s is None:
-        shed = [0] * n_win
-    else:
-        shed = _hist(
-            np.clip(_window_index(shed_s, window_s), first, stop - 1),
-            first, n_win,
-        ).tolist()
+    shed = _shed_hist(shed_s, window_s, first, n_win)
 
     # Latency multiset of each window's completions.
     lat_groups = _window_slices(fw, latency, first, n_win)
@@ -526,7 +535,6 @@ def _series_from_columns(
     window_s: float,
     horizon_s: float,
     first_arrival_s: float,
-    shed_s: np.ndarray | None = None,
 ) -> TelemetrySeries:
     """Windowed-series derivation from full per-request columns.
 
@@ -577,7 +585,7 @@ def _series_from_columns(
         ),
     }
     return _whole_series(
-        columns, aw, num_chips, window_s, horizon_s, first_arrival_s, shed_s
+        columns, aw, num_chips, window_s, horizon_s, first_arrival_s
     )
 
 
@@ -690,12 +698,14 @@ def _series_from_emits(
     window_s: float,
     horizon_s: float,
     first_arrival_s: float,
-    dropped_arrivals: np.ndarray | None = None,
+    dropped_arrivals=None,
+    shed_s=None,
 ) -> TelemetrySeries:
-    """Windowed series straight from ``run()``'s captured emit structures.
+    """Windowed series straight from a whole run's captured emit structures.
 
-    ``dropped_arrivals`` holds the arrival instants of requests a chaos
-    incident lost or shed: they join the arrival column and nothing else.
+    ``dropped_arrivals`` holds the arrival instants of the requests the
+    run lost or shed: they join the arrival column and nothing else.
+    ``shed_s`` holds the instant each shed request was shed.
     """
     window_s = _check_window(window_s)
     columns = _emit_columns(raw_batches, bulk_runs, names, energy_of, window_s)
@@ -706,14 +716,19 @@ def _series_from_emits(
             _window_index(np.asarray(dropped_arrivals, dtype=float), window_s),
         ])
     return _whole_series(
-        columns, arrival_w, num_chips, window_s, horizon_s, first_arrival_s
+        columns, arrival_w, num_chips, window_s, horizon_s, first_arrival_s,
+        shed_s,
     )
 
 
-def _series_from_records(
-    result, window_s, chip_models, shed_s=None
-) -> TelemetrySeries:
-    """:func:`derive_series`, plus the controller's shed instants."""
+def derive_series(result, window_s, chip_models) -> TelemetrySeries:
+    """Windowed series derived post-hoc from a full-trace ``ServingResult``.
+
+    ``chip_models`` are the per-chip service oracles the run used
+    (``ServingSimulator._chip_models()``); the event core itself is never
+    re-run, so deriving telemetry after the fact costs a single
+    vectorized pass over the records, which hold completed requests only.
+    """
     records = result.records
     window_s = _check_window(window_s)
     if not records:
@@ -739,19 +754,7 @@ def _series_from_records(
         window_s=window_s,
         horizon_s=result.horizon_s,
         first_arrival_s=result.first_arrival_s,
-        shed_s=shed_s,
     )
-
-
-def derive_series(result, window_s, chip_models) -> TelemetrySeries:
-    """Windowed series derived post-hoc from a full-trace ``ServingResult``.
-
-    ``chip_models`` are the per-chip service oracles the run used
-    (``ServingSimulator._chip_models()``); the event core itself is never
-    re-run, so deriving telemetry after the fact costs a single
-    vectorized pass over the records.
-    """
-    return _series_from_records(result, window_s, chip_models)
 
 
 class TelemetryCollector:
@@ -759,17 +762,17 @@ class TelemetryCollector:
 
     Buffers what ``run()`` captures — per-batch emit tuples
     (:meth:`on_batch`) and idle-disjoint bulk runs (:meth:`on_run`) — plus
-    the fed arrival chunks (:meth:`on_arrivals`) and the arrivals a chaos
-    incident drops (:meth:`on_drop`).  A window is complete once the feed
-    has passed it and every request that arrived in it or earlier has
-    emitted or been dropped: every batch dispatched by then has emitted
-    too, so all of the window's counts, multisets and boundary state are
-    known.  Each flush sends the complete prefix of windows through
+    the fed arrival chunks (:meth:`on_arrivals`) and the arrivals the
+    event core loses or sheds (:meth:`on_drop`).  A window is complete
+    once the feed has passed it and every request that arrived in it or
+    earlier has emitted or been dropped: every batch dispatched by then
+    has emitted too, so all of the window's counts, multisets and boundary
+    state are known.  Each flush sends the complete prefix of windows through
     :func:`_series_from_parts` and keeps only the columns later windows
     still need, so memory is bounded by the open windows.
 
-    The finished series is byte-identical to :func:`derive_series` over
-    the same run's records.
+    The finished series is byte-identical to the whole-trace series of
+    the same run (``ServingSimulator.run(telemetry_window_s=...)``).
     """
 
     #: buffered requests that trigger a flush attempt between chunks
@@ -820,7 +823,7 @@ class TelemetryCollector:
             self._flush()
 
     def on_drop(self, arrivals) -> None:
-        """Record the arrival instants of requests lost or shed by chaos."""
+        """Record the arrival instants of requests lost or shed."""
         self._dropped.append(
             _window_index(np.asarray(arrivals, dtype=float), self.window_s)
         )
@@ -896,10 +899,20 @@ class TelemetryCollector:
             self._FLUSH_EVERY, sum(part["aw"].size for part in self._parts)
         )
 
-    def finalize(self, horizon_s: float) -> TelemetrySeries:
-        """Flush all remaining windows and return the finished series."""
+    def finalize(self, horizon_s: float, shed_s=None) -> TelemetrySeries:
+        """Flush all remaining windows and return the finished series.
+
+        ``shed_s`` (each shed request's shed instant) joins the finished
+        rows only here: a stranded queue is shed at the horizon, which may
+        fall in a window flushed long ago.
+        """
         self._flush(horizon_s)
-        return TelemetrySeries(self.window_s, self.num_chips, tuple(self._rows))
+        rows = self._rows
+        if rows:
+            shed = _shed_hist(shed_s, self.window_s, rows[0]["window"], len(rows))
+            for row, count in zip(rows, shed):
+                row["shed"] += count
+        return TelemetrySeries(self.window_s, self.num_chips, tuple(rows))
 
 
 def request_spans(result) -> tuple[dict, ...]:

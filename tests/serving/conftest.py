@@ -33,6 +33,29 @@ class FakeServiceModel:
         return len(self.base)
 
 
+def _check_telemetry_contract(result):
+    """The one telemetry contract of every whole-run serving path.
+
+    Every offered request (completed, lost or shed) counts once under
+    ``arrivals``, every shed request once under ``shed`` and every
+    completion once under ``completions``; provenance reports the offered
+    count.
+    """
+    series = result.telemetry
+    assert sum(series.column("arrivals")) == (
+        result.num_requests + result.requests_lost + result.requests_shed
+    )
+    assert sum(series.column("shed")) == result.requests_shed
+    assert sum(series.column("completions")) == result.num_requests
+    assert result.provenance["num_requests"] == result.requests_arrived
+
+
+@pytest.fixture(scope="session")
+def telemetry_contract():
+    """Asserts :func:`_check_telemetry_contract` on a finished result."""
+    return _check_telemetry_contract
+
+
 @pytest.fixture
 def fake_model():
     """A fast fake service model with 1 s nvsa / 0.25 s mimonet batches."""

@@ -169,11 +169,14 @@ def _down_windows(timeline, num_chips):
 class TestChaosInvariants:
     @settings(max_examples=20, deadline=None)
     @given(stream=request_streams, chaos=chaos_timelines)
-    def test_conservation_causality_down_exclusion(self, stream, chaos):
+    def test_conservation_causality_down_exclusion(
+        self, stream, chaos, telemetry_contract
+    ):
         for router in ROUTERS:
             for policy in _policies():
                 sim = _simulator(policy, router=router, chaos=chaos)
-                result = sim.run(list(stream))
+                result = sim.run(list(stream), telemetry_window_s=0.05)
+                telemetry_contract(result)
                 # Conservation: every submission is completed, shed or lost.
                 assert (
                     len(result.records)

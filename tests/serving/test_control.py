@@ -189,14 +189,17 @@ class TestConservation:
     @settings(max_examples=25, deadline=None)
     @given(stream=request_streams)
     def test_arrived_equals_completed_plus_shed_plus_lost(
-        self, policy_name, stream
+        self, policy_name, stream, telemetry_contract
     ):
         sim = _simulator()
         config = ControllerConfig(
             policy=policy_name, slo_s=0.004, warmup_s=0.02,
             target_queue=2.0, max_chips=4,
         )
-        result = run_controlled(sim, config, stream)
+        result = run_controlled(sim, config, stream, telemetry_window_s=0.01)
+        telemetry_contract(result)
+        # The deferred controller path bars the water-fill span.
+        assert result.provenance["coupled_engine"] == "scalar"
         assert (
             len(result.records) + result.requests_lost + result.requests_shed
             == len(stream)
@@ -206,7 +209,9 @@ class TestConservation:
         ids = [record.request_id for record in result.records]
         assert ids == sorted(ids)
 
-    def test_conservation_holds_under_chaos(self, policy_name):
+    def test_conservation_holds_under_chaos(
+        self, policy_name, telemetry_contract
+    ):
         stream = [
             Request(i, WORKLOADS[i % 4], 0.002 * i) for i in range(120)
         ]
@@ -214,12 +219,13 @@ class TestConservation:
             chaos=ChaosTimeline((chip_failure(0, 0.05, float("inf")),)),
         )
         config = ControllerConfig(policy=policy_name, slo_s=0.02)
-        result = run_controlled(sim, config, stream)
+        result = run_controlled(sim, config, stream, telemetry_window_s=0.01)
         assert (
             len(result.records) + result.requests_lost + result.requests_shed
             == 120
         )
         assert result.incidents
+        telemetry_contract(result)
 
 
 class TestWarmup:

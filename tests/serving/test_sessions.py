@@ -231,13 +231,16 @@ class TestLatencyFeedback:
 
 
 class TestSessionsUnderChaos:
-    def test_conservation_holds_through_an_outage(self):
+    def test_conservation_holds_through_an_outage(self, telemetry_contract):
         chaos = ChaosTimeline((
             chip_failure(0, 0.05, 0.1), power_cap(0.2, 0.1, 3.0),
         ))
         config = _config(users=24, think_time_s=0.002, session_gap_s=0.002,
                          start_spread_s=0.02)
-        result = run_sessions(_simulator(chaos=chaos), config, seed=2)
+        result = run_sessions(
+            _simulator(chaos=chaos), config, seed=2, telemetry_window_s=0.01
+        )
+        telemetry_contract(result)
         assert result.requests_lost + result.requests_shed > 0
         # Conservation over *submitted* requests: every submission is
         # completed, lost or shed (dropped users resubmit after thinking).
@@ -248,12 +251,16 @@ class TestSessionsUnderChaos:
         assert any(e["kind"] == "fail" for e in result.incidents)
         assert any(e["kind"] == "recover" for e in result.incidents)
 
-    def test_unrecovered_outage_strands_users_mid_conversation(self):
+    def test_unrecovered_outage_strands_users_mid_conversation(
+        self, telemetry_contract
+    ):
         chaos = ChaosTimeline((chip_failure(0, 0.02, math.inf),))
         config = _config(users=8, start_spread_s=0.01)
         result = run_sessions(
-            _simulator(num_chips=1, chaos=chaos), config, seed=0
+            _simulator(num_chips=1, chaos=chaos), config, seed=0,
+            telemetry_window_s=0.01,
         )
+        telemetry_contract(result)
         # The chip never recovers: stranded users stop submitting, so
         # fewer requests than the population offers — but every submitted
         # one is accounted for.
@@ -318,6 +325,8 @@ class TestScenarioIntegration:
         assert closed["users"] == max(1, round(scenario.sessions.users * 0.1))
         assert result.num_requests > 0
         assert 0.0 < result.utilization <= 1.0
+        # The deferred session path bars the water-fill span.
+        assert result.provenance["coupled_engine"] == "scalar"
 
     def test_session_override_replaces_open_loop_traffic(self):
         override = _config(users=4, turns=2, sessions_per_user=1,

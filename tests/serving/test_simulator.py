@@ -1,11 +1,16 @@
 """Tests for the discrete-event serving simulator core."""
 
+import math
+import re
+
 import pytest
 
 from repro.errors import ServingError
 from repro.serving.batching import ContinuousBatching, FixedSizeBatching, NoBatching
+from repro.serving.chaos import ChaosTimeline, straggler
+from repro.serving.control import ControllerConfig, run_controlled
 from repro.serving.fleet import Fleet
-from repro.serving.simulator import ServingSimulator
+from repro.serving.simulator import ServingSimulator, columnar_chunks
 from repro.serving.traffic import PoissonArrivals, Request, WorkloadMix
 
 
@@ -29,6 +34,76 @@ class TestValidation:
         ]
         with pytest.raises(ServingError, match="duplicate request ids"):
             _simulator(fake_model).run(requests)
+
+
+class ConstantCostModel:
+    """Every batch costs the same service time and energy."""
+
+    scheduler = "fake"
+    cached_reports = 0
+
+    def __init__(self, service_s, energy_j):
+        self.service_s = service_s
+        self.energy_j = energy_j
+
+    def service_seconds(self, workload, batch_size):
+        return self.service_s
+
+    def energy_joules(self, workload, batch_size):
+        return self.energy_j
+
+
+#: every run path that fills a service table: the eager singleton and the
+#: vectorized run (``run``, ``run_stream``), the one-chip component engine
+#: (``shards``) and deferred dispatch (``chaos``, ``controlled``)
+_COST_PATHS = {
+    "run": lambda sim, requests: sim.run(requests),
+    "run_stream": lambda sim, requests: sim.run_stream(
+        columnar_chunks(requests), ["nvsa"]
+    ),
+    "shards": lambda sim, requests: sim.run(requests, shards=2),
+    "chaos": lambda sim, requests: sim.run(requests),
+    "controlled": lambda sim, requests: run_controlled(
+        sim, ControllerConfig(max_chips=2, admission=False), requests
+    ),
+}
+
+
+def _cost_run(path, service_s, energy_j):
+    sim = ServingSimulator(
+        service_model=ConstantCostModel(service_s, energy_j),
+        fleet=Fleet(num_chips=2, router="round_robin"),
+        batching_policy=NoBatching(),
+        chaos=(
+            ChaosTimeline((straggler(0, 100.0, 1.0, 2.0),))
+            if path == "chaos" else None
+        ),
+    )
+    requests = [Request(i, "nvsa", 0.01 * i) for i in range(40)]
+    return _COST_PATHS[path](sim, requests)
+
+
+class TestDegenerateServiceModels:
+    @pytest.mark.parametrize("path", sorted(_COST_PATHS))
+    @pytest.mark.parametrize("quantity", ("service time", "energy"))
+    @pytest.mark.parametrize(
+        "value", (math.nan, -0.001, math.inf), ids=("nan", "negative", "inf")
+    )
+    def test_degenerate_cost_is_rejected(self, path, quantity, value):
+        costs = {"service time": 0.001, "energy": 0.001, quantity: value}
+        message = (
+            f"{quantity} {re.escape(repr(value))} for workload 'nvsa' "
+            "at batch size 1"
+        )
+        with pytest.raises(ServingError, match=message):
+            _cost_run(path, costs["service time"], costs["energy"])
+
+    @pytest.mark.parametrize("path", sorted(_COST_PATHS))
+    def test_zero_cost_is_legal(self, path):
+        result = _cost_run(path, 0.0, 0.0)
+        assert result.num_requests == 40
+        assert result.energy_joules == 0.0
+        assert all(latency == 0.0 for latency in result.latencies_s())
 
 
 class TestSingleChipNoBatching:

@@ -96,16 +96,25 @@ def _simulator(num_chips, router="round_robin", policy=None, chaos=None):
 
 
 class TestWindowConservation:
+    @pytest.mark.parametrize(
+        "chaos", CHAOS_TIMELINES.values(), ids=CHAOS_TIMELINES.keys()
+    )
     @settings(max_examples=25, deadline=None)
     @given(stream=request_streams, num_chips=st.integers(1, 3))
-    def test_per_window_counts_conserve_totals(self, stream, num_chips):
-        sim = _simulator(num_chips)
+    def test_per_window_counts_conserve_totals(
+        self, stream, num_chips, chaos, telemetry_contract
+    ):
+        sim = _simulator(num_chips, chaos=chaos)
         result = sim.run(stream, telemetry_window_s=WINDOW_S)
         series = result.telemetry
-        assert series.requests == len(stream)
-        assert series.completed == len(stream)
+        assert series.requests == result.requests_arrived == len(stream)
         assert sum(series.column("batches")) == result.num_batches
-        assert sum(series.column("shed")) == 0
+        telemetry_contract(result)
+        telemetry_contract(sim.run_stream(
+            columnar_chunks(stream, 7),
+            sorted({request.workload for request in stream}),
+            telemetry_window_s=WINDOW_S,
+        ))
         # Windows tile [first arrival window, horizon window] contiguously.
         windows = series.column("window")
         assert windows == list(range(windows[0], windows[0] + len(windows)))
@@ -205,14 +214,15 @@ class TestTelemetrySeries:
         assert all(row["p99_ms"] is None for row in quiet)
 
     def test_shed_instants_clamp_into_the_window_range(self):
-        from repro.serving.telemetry import _series_from_columns
+        from repro.serving.telemetry import _series_from_emits
 
-        series = _series_from_columns(
-            arrival=[0.6, 1.2], dispatch=[0.6, 1.2], finish=[0.9, 1.6],
-            chip=[0, 0], size=[1, 1], codes=[0, 0], names=("nvsa",),
-            num_chips=1, energy_of=lambda chip, workload, size: 1.0,
-            window_s=WINDOW_S, horizon_s=1.6, first_arrival_s=0.6,
-            shed_s=[0.1, 0.7, 9.0],
+        series = _series_from_emits(
+            [
+                (0, 0.6, 0.9, 1, "nvsa", ((0.6,), (0,))),
+                (0, 1.2, 1.6, 1, "nvsa", ((1.2,), (1,))),
+            ],
+            [], ("nvsa",), 1, lambda chip, workload, size: 1.0,
+            WINDOW_S, 1.6, 0.6, shed_s=[0.1, 0.7, 9.0],
         )
         assert series.column("window") == [1, 2, 3]
         assert series.column("shed") == [2, 0, 1]
