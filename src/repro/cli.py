@@ -666,17 +666,7 @@ def _reject_stray_serve_options(args, backends) -> None:
             "--profile times the open-loop pipeline phases; it does not "
             "combine with --chaos/--sessions/--users"
         )
-    if (args.sessions or args.users is not None) and args.shards != 1:
-        raise ReproError(
-            "closed-loop session runs do not shard: think-time feedback "
-            "couples every chip through the users"
-        )
     if args.controller is not None:
-        if args.shards != 1:
-            raise ReproError(
-                "--controller does not combine with --shards: scale actions "
-                "couple every chip through the controller"
-            )
         if args.sessions or args.users is not None:
             raise ReproError(
                 "--controller runs are open-loop; closed-loop --sessions/"

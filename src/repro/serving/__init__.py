@@ -120,11 +120,7 @@ from repro.serving.scenarios import (
     register_scenario,
     run_scenario,
 )
-from repro.serving.sharding import (
-    plan_components,
-    run_sharded,
-    run_stream_sharded,
-)
+from repro.serving.sharding import plan_components
 from repro.serving.simulator import (
     RequestRecord,
     ServingResult,
@@ -224,8 +220,6 @@ __all__ = [
     "register_scenario",
     "run_scenario",
     "plan_components",
-    "run_sharded",
-    "run_stream_sharded",
     "SuiteCase",
     "SuiteResult",
     "run_suite",

@@ -5,13 +5,15 @@ A fleet whose router never moves load between two chip groups — round-robin
 index) or any ownership-table affinity router (a workload's pool is served
 only by its owner chips) — factors into *components* that simulate
 independently: no event on one component's chips can influence another's
-routing, batching or timing.  :func:`run_sharded` / :func:`run_stream_sharded`
-exploit that factorization three ways:
+routing, batching or timing.  ``ServingSimulator.run`` and ``run_stream``
+hand every ``shards != 1`` run to one private driver, :func:`_run_sharded`,
+which exploits that factorization three ways:
 
 * **component planning** (:func:`plan_components`) — union-find over the
   router's ownership pools (or one component per chip for round-robin)
-  decides what can split; join-shortest-queue couples every chip and falls
-  back to the single-shard core, recording why in ``provenance``.
+  decides what can split.  Join-shortest-queue couples every chip and a
+  chaos timeline's incident accounting is fleet-global; both run on the
+  single-shard core, recording why in ``provenance["shard_fallback"]``.
 * **a columnar single-chip engine** — a component that is one chip under a
   trusted builtin batching policy skips the generic event core entirely:
   arrivals stay as numpy columns, queues are cursor pairs over per-workload
@@ -20,12 +22,14 @@ exploit that factorization three ways:
   the end with ``np.repeat`` over the batch log.  This is where saturated
   regimes (standing queues, large batches) gain their multiple over the
   scalar loop.
-* **deterministic merge** — components return columnar bundles;
-  ``run`` merges by ``request_id`` (records exactly equal to the
-  single-shard run), ``run_stream`` merges into the canonical
-  ``(dispatch_s, chip, batch)`` order.  Energy is summed per component and
-  then across components, which can differ from the single-shard global
-  interleave by an ulp — every other float is bit-identical.
+* **deterministic merge** — components return columnar bundles whose
+  accounting folds once; ``run`` sorts the merged columns by
+  ``request_id`` (records exactly equal to the single-shard run),
+  ``run_stream`` puts them in the canonical ``(dispatch_s, chip, batch)``
+  order, and both derive telemetry from them.  Energy is summed per
+  component and then across components, which can differ from the
+  single-shard global interleave by an ulp — every other float is
+  bit-identical.
 
 Components optionally fan out to worker processes
 (``concurrent.futures.ProcessPoolExecutor``) when the service models are
@@ -55,17 +59,17 @@ from repro.serving.fleet import (
     WorkloadAffinityRouter,
 )
 from repro.serving.simulator import (
+    CHAOS_SHARD_FALLBACK,
     RequestRecord,
     ServingResult,
     ServingSimulator,
     StreamedServingResult,
     _plan_method,
     _service_cost,
-    request_columns,
 )
 from repro.serving.traffic import Request
 
-__all__ = ["plan_components", "run_sharded", "run_stream_sharded"]
+__all__ = ["plan_components"]
 
 
 class _ShardPlan(NamedTuple):
@@ -460,8 +464,8 @@ def _fallback_run(
     shell = ServingSimulator.__new__(ServingSimulator)
     shell.batching_policy = policy
     shell.vectorize = vectorize
-    # Shards never see a chaos timeline: run()/run_stream() fall back to a
-    # single-shard simulation before the sharding layer is ever entered.
+    # Shards never see a chaos timeline: _run_sharded falls back to the
+    # single-shard core before it partitions anything.
     shell.chaos = None
     names = [workload_names[code] for code in codes.tolist()]
     chunks = [(arr.tolist(), names, ids.tolist())]
@@ -670,195 +674,28 @@ def _component_jobs(plan, chip_models, router, per_component, workload_names):
     return jobs
 
 
-def _shard_keys(shards, plan, workers_used):
-    return {
-        "shards": shards,
-        "shards_effective": len(plan.components),
-        "shard_components": [list(chips) for chips in plan.components],
-        "shard_workers": workers_used,
-    }
 
 
-def _validate_shard_args(shards, workers):
-    if shards < 1:
-        raise ServingError(f"shards must be >= 1, got {shards}")
-    if workers is not None and workers < 1:
-        raise ServingError(f"shard workers must be >= 1, got {workers}")
+def _partition(plan, router, chunks, workload_names):
+    """Check the sorted columnar chunks and split them by component.
 
-
-def run_sharded(
-    sim, requests, shards: int = 2, workers: int | None = None
-) -> ServingResult:
-    """``ServingSimulator.run`` semantics with component-sharded execution.
-
-    Records, per-chip accounting and batch counts are exactly equal to the
-    single-shard run; ``energy_joules`` may differ by float re-association
-    across components (≤ 1 ulp).  When the fleet cannot shard, the
-    single-shard core runs and ``provenance["shard_fallback"]`` says why.
+    Returns ``(per_component, total, first_arrival)`` where
+    ``per_component[index]`` holds the ``(arrivals, ids, codes)`` column
+    parts of component ``index``.  Partitioning must see the whole stream
+    before any component runs, so the stream is materialized here.
     """
-    _validate_shard_args(shards, workers)
-    arrivals, names, all_ids = request_columns(requests)
-    workload_names = tuple(sorted(set(names)))
-    chip_models = sim._chip_models()
-    router = sim._make_router(workload_names, chip_models)
-    plan = (
-        plan_components(router, sim.fleet.num_chips)
-        if shards > 1
-        else "shards=1 requested"
-    )
-    if isinstance(plan, str):
-        result = sim.run(requests)
-        result.provenance.update(
-            {"shards": shards, "shards_effective": 1, "shard_fallback": plan}
-        )
-        return result
-
     wl_code = {name: code for code, name in enumerate(workload_names)}
     num_components = len(plan.components)
     per_component = [([], [], []) for _ in range(num_components)]
-    arr = np.array(arrivals, dtype=float)
-    ids = np.array(all_ids, dtype=np.int64)
-    codes = np.fromiter(
-        map(wl_code.__getitem__, names), dtype=np.int64, count=len(names)
-    )
-    if plan.mode == "rr":
-        comp = np.arange(len(names), dtype=np.int64) % num_components
-    else:
-        comp_of_code = np.array(
-            [
-                plan.comp_of_workload.get(name, -1)
-                for name in workload_names
-            ],
-            dtype=np.int64,
-        )
-        comp = comp_of_code[codes]
-        missing = np.flatnonzero(comp < 0)
-        if missing.size:
-            # The router raises its own (exact) unroutable-workload error.
-            position = int(missing[0])
-            router.route(
-                Request(all_ids[position], names[position], arrivals[position]),
-                (),
-            )
-            raise ServingError(  # pragma: no cover
-                f"router failed on workload '{names[position]}'"
-            )
-    for index in range(num_components):
-        mask = comp == index
-        if mask.any():
-            per_component[index][0].append(arr[mask])
-            per_component[index][1].append(ids[mask])
-            per_component[index][2].append(codes[mask])
-
-    jobs = _component_jobs(
-        plan, chip_models, router, per_component, workload_names
-    )
-    bundles, workers_used = _run_components(sim, jobs, workload_names, workers)
-
-    served = sum(bundle.served for bundle in bundles)
-    if served != len(all_ids):
-        raise ServingError(
-            f"simulation lost requests: {served} served of {len(all_ids)}"
-        )
-    ids_all = np.concatenate([bundle.ids for bundle in bundles])
-    order = np.argsort(ids_all)
-    codes_merged = np.concatenate([b.codes for b in bundles])[order].tolist()
-    records = tuple(
-        map(
-            RequestRecord,
-            ids_all[order].tolist(),
-            [workload_names[code] for code in codes_merged],
-            np.concatenate([b.chip for b in bundles])[order].tolist(),
-            np.concatenate([b.arrival for b in bundles])[order].tolist(),
-            np.concatenate([b.dispatch for b in bundles])[order].tolist(),
-            np.concatenate([b.finish for b in bundles])[order].tolist(),
-            np.concatenate([b.size for b in bundles])[order].tolist(),
-        )
-    )
-    num_chips = sim.fleet.num_chips
-    chip_busy = [0.0] * num_chips
-    chip_requests = [0] * num_chips
-    energy = 0.0
-    num_batches = 0
-    horizon = arrivals[0]
-    for bundle in bundles:
-        for chip, busy_s, chip_served in bundle.chip_rows:
-            chip_busy[chip] = busy_s
-            chip_requests[chip] = chip_served
-        energy += bundle.energy
-        num_batches += bundle.num_batches
-        if bundle.horizon > horizon:
-            horizon = bundle.horizon
-    provenance = sim._provenance(len(all_ids))
-    provenance.update(_shard_keys(shards, plan, workers_used))
-    return ServingResult(
-        records=records,
-        num_chips=num_chips,
-        chip_busy_s=tuple(chip_busy),
-        chip_requests=tuple(chip_requests),
-        energy_joules=energy,
-        num_batches=num_batches,
-        horizon_s=horizon,
-        first_arrival_s=arrivals[0],
-        chip_backends=sim.fleet.chip_backends,
-        provenance=provenance,
-    )
-
-
-def run_stream_sharded(
-    sim,
-    chunks,
-    workload_names,
-    provenance=None,
-    shards: int = 2,
-    workers: int | None = None,
-    telemetry_window_s: float | None = None,
-) -> StreamedServingResult:
-    """``ServingSimulator.run_stream`` semantics with sharded execution.
-
-    Partitioning must see the whole stream before components run, so —
-    unlike the single-shard streaming core — the stream is materialized in
-    columnar form: sharding trades the bounded-memory guarantee for speed.
-    Merged latency arrays are in the canonical ``(dispatch_s, chip,
-    batch)`` order: per-chip arrays are byte-identical to the single-shard
-    run; the global interleave at float-equal dispatch instants is
-    canonicalized by chip id (order-insensitive metrics are unaffected).
-
-    ``telemetry_window_s`` derives the windowed series from the merged
-    canonical columns through the same vectorized kernel the post-hoc
-    path uses — the resulting series is byte-identical to the
-    single-shard run's (window contents are order-insensitive multisets).
-    """
-    _validate_shard_args(shards, workers)
-    names_sorted = tuple(sorted(set(workload_names)))
-    chip_models = sim._chip_models()
-    router = sim._make_router(names_sorted, chip_models)
-    plan = (
-        plan_components(router, sim.fleet.num_chips)
-        if shards > 1
-        else "shards=1 requested"
-    )
-    if isinstance(plan, str):
-        result = sim.run_stream(
-            chunks, names_sorted, provenance=provenance,
-            telemetry_window_s=telemetry_window_s,
-        )
-        result.provenance.update(
-            {"shards": shards, "shards_effective": 1, "shard_fallback": plan}
-        )
-        return result
-
-    wl_code = {name: code for code, name in enumerate(names_sorted)}
-    num_components = len(plan.components)
-    per_component = [([], [], []) for _ in range(num_components)]
     if plan.mode == "owners":
+        # The trailing -1 is what an unknown workload's code (-1) reads.
         comp_of_code = np.array(
-            [plan.comp_of_workload.get(name, -1) for name in names_sorted],
+            [plan.comp_of_workload.get(name, -1) for name in workload_names]
+            + [-1],
             dtype=np.int64,
         )
     prev_arrival = -float("inf")
     prev_id = -1
-    offset = 0
     total = 0
     first_arrival = 0.0
     for arrivals, names, chunk_ids in chunks:
@@ -892,37 +729,27 @@ def run_stream_sharded(
             codes = np.fromiter(
                 map(wl_code.__getitem__, names), dtype=np.int64, count=n
             )
-            unknown = np.empty(0, dtype=np.int64)
         except KeyError:
             codes = np.fromiter(
                 (wl_code.get(name, -1) for name in names),
                 dtype=np.int64,
                 count=n,
             )
-            unknown = np.flatnonzero(codes < 0)
-        if unknown.size:
-            position = int(unknown[0])
-            name = names[position]
-            if plan.mode == "owners":
-                router.route(
-                    Request(int(ids[position]), name, float(arr[position])),
-                    (),
-                )
-                raise ServingError(  # pragma: no cover
-                    f"router failed on workload '{name}'"
-                )
-            raise ServingError(
-                f"stream contains workload '{name}' missing from the "
-                f"declared workload set {list(names_sorted)}"
-            )
         if plan.mode == "rr":
-            comp = (offset + np.arange(n, dtype=np.int64)) % num_components
-            offset += n
+            unknown = np.flatnonzero(codes < 0)
+            if unknown.size:
+                raise ServingError(
+                    f"stream contains workload '{names[int(unknown[0])]}' "
+                    "missing from the declared workload set "
+                    f"{list(workload_names)}"
+                )
+            comp = (total + np.arange(n, dtype=np.int64)) % num_components
         else:
             comp = comp_of_code[codes]
-            missing = np.flatnonzero(comp < 0)
-            if missing.size:
-                position = int(missing[0])
+            unroutable = np.flatnonzero(comp < 0)
+            if unroutable.size:
+                # The router raises its own (exact) unroutable-workload error.
+                position = int(unroutable[0])
                 router.route(
                     Request(
                         int(ids[position]),
@@ -945,29 +772,79 @@ def run_stream_sharded(
                 per_component[index][2].append(codes[mask])
     if not total:
         raise ServingError("cannot simulate an empty request stream")
+    return per_component, total, first_arrival
 
-    jobs = _component_jobs(
-        plan, chip_models, router, per_component, names_sorted
+
+def _run_sharded(
+    sim,
+    chunks,
+    workload_names,
+    shards,
+    workers,
+    telemetry_window_s,
+    stream=False,
+    provenance=None,
+):
+    """The sharded execution of ``ServingSimulator.run`` and ``run_stream``.
+
+    Both call this whenever ``shards != 1``.  The shard arguments are
+    checked first; then a run with a chaos timeline (its incident
+    accounting is fleet-global) or on a fleet :func:`plan_components`
+    cannot split runs on the single-shard core, and
+    ``provenance["shard_fallback"]`` says why.  Otherwise the chunks are
+    partitioned once, the components run (see :func:`_run_components`)
+    and their accounting folds once.
+
+    ``stream=False`` returns ``run``'s :class:`ServingResult`: records
+    merged by ``request_id``, exactly equal to the single-shard run's.
+    ``stream=True`` returns ``run_stream``'s
+    :class:`StreamedServingResult`, with latency arrays in the canonical
+    ``(dispatch_s, chip, batch)`` order: per-chip arrays are
+    byte-identical to the single-shard run's, and float-equal dispatch
+    instants interleave by chip id (order-insensitive metrics are
+    unaffected).  Energy is summed per component and then across
+    components, so it may differ from the single-shard total by an ulp.
+    ``telemetry_window_s`` derives the windowed series from the merged
+    columns; window contents are order-insensitive multisets, so the
+    series is byte-identical to the single-shard run's.
+    """
+    if shards < 1:
+        raise ServingError(f"shards must be >= 1, got {shards}")
+    if workers is not None and workers < 1:
+        raise ServingError(f"shard workers must be >= 1, got {workers}")
+    chip_models = sim._chip_models()
+    router = sim._make_router(workload_names, chip_models)
+    plan = (
+        CHAOS_SHARD_FALLBACK
+        if sim.chaos is not None
+        else plan_components(router, sim.fleet.num_chips)
     )
-    bundles, workers_used = _run_components(sim, jobs, names_sorted, workers)
+    if isinstance(plan, str):
+        if stream:
+            result = sim.run_stream(
+                chunks, workload_names, provenance=provenance,
+                telemetry_window_s=telemetry_window_s,
+            )
+        else:
+            result = sim._run_trace(chunks, workload_names, telemetry_window_s)
+        result.provenance.update(
+            {"shards": shards, "shards_effective": 1, "shard_fallback": plan}
+        )
+        return result
+
+    per_component, total, first_arrival = _partition(
+        plan, router, chunks, workload_names
+    )
+    jobs = _component_jobs(
+        plan, chip_models, router, per_component, workload_names
+    )
+    bundles, workers_used = _run_components(sim, jobs, workload_names, workers)
 
     served = sum(bundle.served for bundle in bundles)
     if served != total:
         raise ServingError(
             f"simulation lost requests: {served} served of {total}"
         )
-    chip_merged = np.concatenate([b.chip for b in bundles])
-    order = np.lexsort((
-        np.concatenate([b.batch_seq for b in bundles]),
-        chip_merged,
-        np.concatenate([b.dispatch for b in bundles]),
-    ))
-    chip_ordered = chip_merged[order]
-    arrival_ordered = np.concatenate([b.arrival for b in bundles])[order]
-    finish_ordered = np.concatenate([b.finish for b in bundles])[order]
-    dispatch_ordered = np.concatenate([b.dispatch for b in bundles])[order]
-    codes_ordered = np.concatenate([b.codes for b in bundles])[order]
-
     num_chips = sim.fleet.num_chips
     chip_busy = [0.0] * num_chips
     chip_requests = [0] * num_chips
@@ -982,19 +859,27 @@ def run_stream_sharded(
         num_batches += bundle.num_batches
         if bundle.horizon > horizon:
             horizon = bundle.horizon
+    ids, codes, chip, arrival, dispatch, finish, size, batch_seq = (
+        np.concatenate([getattr(bundle, name) for bundle in bundles])
+        for name in (
+            "ids", "codes", "chip", "arrival", "dispatch", "finish", "size",
+            "batch_seq",
+        )
+    )
 
-    telemetry = None
-    if telemetry_window_s is not None:
+    def derive_telemetry():
+        if telemetry_window_s is None:
+            return None
         from repro.serving.telemetry import _energy_lookup, _series_from_columns
 
-        telemetry = _series_from_columns(
-            arrival=arrival_ordered,
-            dispatch=dispatch_ordered,
-            finish=finish_ordered,
-            chip=chip_ordered,
-            size=np.concatenate([b.size for b in bundles])[order],
-            codes=codes_ordered,
-            names=names_sorted,
+        return _series_from_columns(
+            arrival=arrival,
+            dispatch=dispatch,
+            finish=finish,
+            chip=chip,
+            size=size,
+            codes=codes,
+            names=workload_names,
             num_chips=num_chips,
             energy_of=_energy_lookup(chip_models),
             window_s=telemetry_window_s,
@@ -1002,14 +887,22 @@ def run_stream_sharded(
             first_arrival_s=first_arrival,
         )
 
-    latency = finish_ordered - arrival_ordered
-    queue_delay = dispatch_ordered - arrival_ordered
-    run_provenance = sim._provenance(served)
+    # Provenance's ``cached_reports`` counts the parent process's service
+    # cache, which the telemetry's energy lookups fill: a streamed run's
+    # count includes them, a full-trace run's does not.
+    telemetry = derive_telemetry() if stream else None
+    run_provenance = sim._provenance(total)
     if provenance:
         run_provenance.update(provenance)
-    run_provenance.update(_shard_keys(shards, plan, workers_used))
-    return StreamedServingResult(
-        num_requests=served,
+    run_provenance.update({
+        "shards": shards,
+        "shards_effective": len(plan.components),
+        "shard_components": [list(chips) for chips in plan.components],
+        "shard_workers": workers_used,
+    })
+    if not stream:
+        telemetry = derive_telemetry()
+    accounting = dict(
         num_chips=num_chips,
         chip_busy_s=tuple(chip_busy),
         chip_requests=tuple(chip_requests),
@@ -1018,15 +911,41 @@ def run_stream_sharded(
         horizon_s=horizon,
         first_arrival_s=first_arrival,
         chip_backends=sim.fleet.chip_backends,
-        latency_s=latency,
-        queue_delay_s=queue_delay,
-        workload_latency_s={
-            name: latency[codes_ordered == code]
-            for code, name in enumerate(names_sorted)
-        },
-        chip_latency_s=tuple(
-            latency[chip_ordered == chip] for chip in range(num_chips)
-        ),
         provenance=run_provenance,
         telemetry=telemetry,
+    )
+
+    if not stream:
+        order = np.argsort(ids)
+        records = tuple(
+            map(
+                RequestRecord,
+                ids[order].tolist(),
+                [workload_names[code] for code in codes[order].tolist()],
+                chip[order].tolist(),
+                arrival[order].tolist(),
+                dispatch[order].tolist(),
+                finish[order].tolist(),
+                size[order].tolist(),
+            )
+        )
+        return ServingResult(records=records, **accounting)
+
+    order = np.lexsort((batch_seq, chip, dispatch))
+    chip = chip[order]
+    codes = codes[order]
+    arrival = arrival[order]
+    latency = finish[order] - arrival
+    return StreamedServingResult(
+        num_requests=total,
+        latency_s=latency,
+        queue_delay_s=dispatch[order] - arrival,
+        workload_latency_s={
+            name: latency[codes == code]
+            for code, name in enumerate(workload_names)
+        },
+        chip_latency_s=tuple(
+            latency[chip == index] for index in range(num_chips)
+        ),
+        **accounting,
     )

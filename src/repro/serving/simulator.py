@@ -66,7 +66,7 @@ import math
 from array import array
 from bisect import insort
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MethodType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -810,22 +810,6 @@ class ServingSimulator:
             provenance["event_paths"] = outcome.event_paths
         return provenance
 
-    def _attach_telemetry(self, result: ServingResult, telemetry_window_s):
-        """Derive and attach the windowed series to a sharded run's result.
-
-        Post-hoc derivation from the (already merged, already sorted)
-        records: the event core never sees the telemetry request, and the
-        sharded path inherits byte-identity for free because its records
-        are byte-identical to the single-shard run's (which derives the
-        same series directly from its captured emit structures).
-        """
-        if telemetry_window_s is None:
-            return result
-        from repro.serving.telemetry import derive_series
-
-        series = derive_series(result, telemetry_window_s, self._chip_models())
-        return replace(result, telemetry=series)
-
     def run(
         self,
         requests: Sequence[Request],
@@ -846,30 +830,17 @@ class ServingSimulator:
         """
         if not requests:
             raise ServingError("cannot simulate an empty request stream")
+        columns = request_columns(requests)
+        workloads = tuple(sorted(set(columns[1])))
+        # One pre-sorted columnar chunk: run() already holds the whole stream.
         if shards != 1:
-            if self.chaos is not None:
-                # Incident accounting is fleet-global, so a timeline forces
-                # the single-shard path — recorded, never silent.
-                result = self.run(
-                    requests, telemetry_window_s=telemetry_window_s
-                )
-                result.provenance.update({
-                    "shards": shards,
-                    "shards_effective": 1,
-                    "shard_fallback": CHAOS_SHARD_FALLBACK,
-                })
-                return result
-            from repro.serving.sharding import run_sharded
+            from repro.serving.sharding import _run_sharded
 
-            return self._attach_telemetry(
-                run_sharded(self, requests, shards=shards, workers=shard_workers),
+            return _run_sharded(
+                self, [columns], workloads, shards, shard_workers,
                 telemetry_window_s,
             )
-        columns = request_columns(requests)
-        # One pre-sorted columnar chunk: run() already holds the whole stream.
-        return self._run_trace(
-            [columns], tuple(sorted(set(columns[1]))), telemetry_window_s
-        )
+        return self._run_trace([columns], workloads, telemetry_window_s)
 
     def _run_trace(
         self,
@@ -898,10 +869,11 @@ class ServingSimulator:
             bulk_runs.append((chip_ids, arrivals, finishes, names, codes, run_ids))
 
         dropped: list[float] = []
+        scaled: dict | None = {} if telemetry_window_s is not None else None
         outcome = self._simulate(
             chunks, workloads, emit, emit_run=emit_run,
             drop=dropped.extend if telemetry_window_s is not None else None,
-            controller=controller, source=source,
+            scaled_energy=scaled, controller=controller, source=source,
         )
         chips = outcome.chips
         chip_backends = self.fleet.chip_backends
@@ -940,6 +912,7 @@ class ServingSimulator:
                 outcome.first_arrival,
                 dropped_arrivals=dropped,
                 shed_s=outcome.shed_s,
+                scaled_energy=scaled,
             )
         records = [
             RequestRecord(
@@ -1022,27 +995,11 @@ class ServingSimulator:
         if not workload_names:
             raise ServingError("run_stream needs the stream's workload set")
         if shards != 1:
-            if self.chaos is not None:
-                result = self.run_stream(
-                    chunks, workload_names, provenance=provenance,
-                    telemetry_window_s=telemetry_window_s,
-                )
-                result.provenance.update({
-                    "shards": shards,
-                    "shards_effective": 1,
-                    "shard_fallback": CHAOS_SHARD_FALLBACK,
-                })
-                return result
-            from repro.serving.sharding import run_stream_sharded
+            from repro.serving.sharding import _run_sharded
 
-            return run_stream_sharded(
-                self,
-                chunks,
-                workload_names,
-                provenance=provenance,
-                shards=shards,
-                workers=shard_workers,
-                telemetry_window_s=telemetry_window_s,
+            return _run_sharded(
+                self, chunks, workload_names, shards, shard_workers,
+                telemetry_window_s, stream=True, provenance=provenance,
             )
 
         latencies = array("d")
@@ -1117,6 +1074,9 @@ class ServingSimulator:
             chunks, workload_names, emit_cb, emit_run=emit_run_cb,
             chip_models=chip_models,
             drop=collector.on_drop if collector is not None else None,
+            scaled_energy=(
+                collector.scaled_energy if collector is not None else None
+            ),
         )
         run_provenance = self._provenance(outcome.offered, outcome)
         if provenance:
@@ -1161,6 +1121,7 @@ class ServingSimulator:
         router=None,
         chip_models=None,
         drop=None,
+        scaled_energy=None,
         controller=None,
         source=None,
     ):
@@ -1189,6 +1150,12 @@ class ServingSimulator:
         admission control, the failure instant for a failed chip's queue,
         and the horizon (the drain sweep) for a queue stranded on a chip
         that never recovers.
+
+        ``scaled_energy``, when given, is a dict that receives
+        ``(chip_id, dispatch_s) -> energy_j`` for every batch a chaos
+        service multiplier scaled (a failure that kills the batch removes
+        it again), so telemetry can price the batch as the core did (its
+        ``energy_of`` lookup only knows the base cost).
 
         ``router``/``chip_models`` inject a pre-built router and per-chip
         service oracles — the sharding layer uses this to simulate a
@@ -1415,6 +1382,8 @@ class ServingSimulator:
                 if factor != 1.0:
                     service_s *= factor
                     energy_j *= factor
+                    if scaled_energy is not None:
+                        scaled_energy[chip.chip_id, now] = energy_j
                 finish = now + service_s
                 chip.busy = True
                 busy_count += 1
@@ -1464,6 +1433,10 @@ class ServingSimulator:
                             # pops as a stale no-op.
                             lost_here = chip.inflight
                             drop(chip.pending_emit[5][0])
+                            if scaled_energy is not None:
+                                scaled_energy.pop(
+                                    (ev_chip, chip.pending_emit[1]), None
+                                )
                             if source is not None:
                                 source.advance(now, chip.pending_emit[5][1])
                             chip.pending_emit = None

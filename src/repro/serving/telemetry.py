@@ -37,7 +37,9 @@ multisets inside :func:`_window_row` and window indices use the same
 ``t // window_s`` floor division everywhere, so any split of a run into
 flushes yields the same bytes as one pass.  Per-batch energy comes from
 the same memoized ``model.energy_joules(workload, batch_size)`` call the
-event core uses.
+event core uses; a batch a chaos straggler or power cap slowed carries
+the scaled energy the core charged, which the core reports by
+``(chip, dispatch)`` only when telemetry is on.
 
 Per-request lifecycle *spans* (arrive -> dispatch -> complete with
 queue-wait and service segments) are derived from the existing records
@@ -538,7 +540,7 @@ def _series_from_columns(
 ) -> TelemetrySeries:
     """Windowed-series derivation from full per-request columns.
 
-    Used by the record path and the sharded-stream merge: batches are
+    Used by the record path and the sharded merge: batches are
     recovered as unique ``(chip, dispatch)`` pairs (a chip is serial, so
     a dispatch instant identifies one batch) and the kernel does the
     rest.
@@ -589,7 +591,9 @@ def _series_from_columns(
     )
 
 
-def _emit_columns(raw_batches, bulk_runs, names, energy_of, window_s) -> dict:
+def _emit_columns(
+    raw_batches, bulk_runs, names, energy_of, window_s, scaled_energy=None
+) -> dict:
     """Kernel columns straight from the event core's emit structures.
 
     ``raw_batches`` holds the per-batch emit tuples
@@ -606,6 +610,10 @@ def _emit_columns(raw_batches, bulk_runs, names, energy_of, window_s) -> dict:
     allocation cost: every gen-0 garbage collection that fires while
     they are alive rescans them, which roughly doubled the measured
     overhead before they were eliminated.
+
+    ``scaled_energy`` maps ``(chip, dispatch_s)`` to the energy of a batch
+    a chaos service multiplier scaled; each batch found there takes that
+    value instead of the base lookup, and its entry is consumed.
     """
     parts: dict[str, list] = {
         key: [] for key in _REQUEST_COLUMNS + _BATCH_COLUMNS
@@ -651,9 +659,13 @@ def _emit_columns(raw_batches, bulk_runs, names, energy_of, window_s) -> dict:
         parts["b_fin"].append(b_fin)
         parts["b_dw"].append(b_dw)
         parts["b_fw"].append(b_fw)
-        parts["b_energy"].append(
-            _batch_energy(b_chip, b_codes, b_size, names, energy_of)
-        )
+        b_energy = _batch_energy(b_chip, b_codes, b_size, names, energy_of)
+        if scaled_energy:
+            for index, key in enumerate(zip(b_chip.tolist(), b_disp.tolist())):
+                value = scaled_energy.pop(key, None)
+                if value is not None:
+                    b_energy[index] = value
+        parts["b_energy"].append(b_energy)
     for chip_ids, arrivals, finishes, codes in bulk_runs:
         # An idle-disjoint run: every request its own size-1 batch with
         # dispatch == arrival.
@@ -700,15 +712,20 @@ def _series_from_emits(
     first_arrival_s: float,
     dropped_arrivals=None,
     shed_s=None,
+    scaled_energy=None,
 ) -> TelemetrySeries:
     """Windowed series straight from a whole run's captured emit structures.
 
     ``dropped_arrivals`` holds the arrival instants of the requests the
     run lost or shed: they join the arrival column and nothing else.
-    ``shed_s`` holds the instant each shed request was shed.
+    ``shed_s`` holds the instant each shed request was shed, and
+    ``scaled_energy`` the chaos-scaled batch energies (see
+    :func:`_emit_columns`).
     """
     window_s = _check_window(window_s)
-    columns = _emit_columns(raw_batches, bulk_runs, names, energy_of, window_s)
+    columns = _emit_columns(
+        raw_batches, bulk_runs, names, energy_of, window_s, scaled_energy
+    )
     arrival_w = columns["aw"]
     if dropped_arrivals is not None and len(dropped_arrivals):
         arrival_w = np.concatenate([
@@ -783,6 +800,9 @@ class TelemetryCollector:
         self.num_chips = int(num_chips)
         self._names = tuple(workload_names)
         self._energy_of = _energy_lookup(list(chip_models))
+        #: ``(chip, dispatch_s) -> energy_j`` of chaos-scaled batches, filled
+        #: by the event core and consumed as their batches flush
+        self.scaled_energy: dict[tuple, float] = {}
         self._batches: list[tuple] = []  # emit tuples since the last flush
         self._runs: list[tuple] = []     # bulk runs since the last flush
         self._buffered = 0               # requests in those two lists
@@ -849,7 +869,7 @@ class TelemetryCollector:
         if self._batches or self._runs:
             self._parts.append(_emit_columns(
                 self._batches, self._runs, self._names, self._energy_of,
-                self.window_s,
+                self.window_s, self.scaled_energy,
             ))
             self._batches, self._runs, self._buffered = [], [], 0
         first = self._next

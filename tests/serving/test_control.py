@@ -494,6 +494,8 @@ class TestServeCliFlags:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+        if "--shards" in argv:
+            assert "shard" in err
 
 
 def _pinned_streams():

@@ -24,6 +24,7 @@ from repro.serving.batching import (
     FixedSizeBatching,
     NoBatching,
 )
+from repro.serving.chaos import ChaosTimeline, chip_failure
 from repro.serving.fleet import (
     Fleet,
     FixedOwnersRouter,
@@ -75,12 +76,15 @@ def _policies():
     )
 
 
-def _simulator(num_chips=8, router="round_robin", policy=None, vectorize=True):
+def _simulator(
+    num_chips=8, router="round_robin", policy=None, vectorize=True, chaos=None
+):
     return ServingSimulator(
         service_model=_Model(),
         fleet=Fleet(num_chips=num_chips, router=router),
         batching_policy=policy or ContinuousBatching(max_batch_size=4),
         vectorize=vectorize,
+        chaos=chaos,
     )
 
 
@@ -254,14 +258,39 @@ class TestProcessFanOut:
         assert sharded.provenance["shard_workers"] == 2
 
 
-class TestShardArgumentErrors:
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ServingError, match="shards must be >= 1"):
-            _simulator().run(_stream(n=8), shards=0)
+def _serve(sim, surface, stream, **shard_args):
+    """``sim.run`` or ``sim.run_stream`` over ``stream``."""
+    if surface == "run":
+        return sim.run(stream, **shard_args)
+    return sim.run_stream(columnar_chunks(stream, 4), WORKLOADS, **shard_args)
 
-    def test_zero_workers_rejected(self):
+
+#: shard arguments are checked before a chaos timeline forces the
+#: single-shard fallback
+_ARGUMENT_CHAOS = pytest.mark.parametrize(
+    "chaos",
+    (None, ChaosTimeline((chip_failure(0, 0.5, 0.5),))),
+    ids=("no-chaos", "chaos"),
+)
+_SURFACES = pytest.mark.parametrize("surface", ("run", "run_stream"))
+
+
+class TestShardArgumentErrors:
+    @_SURFACES
+    @_ARGUMENT_CHAOS
+    @pytest.mark.parametrize("shards", (0, -3))
+    def test_zero_shards_rejected(self, shards, chaos, surface):
+        with pytest.raises(ServingError, match="shards must be >= 1"):
+            _serve(_simulator(chaos=chaos), surface, _stream(n=8), shards=shards)
+
+    @_SURFACES
+    @_ARGUMENT_CHAOS
+    def test_zero_workers_rejected(self, chaos, surface):
         with pytest.raises(ServingError, match="shard workers must be >= 1"):
-            _simulator().run(_stream(n=8), shards=2, shard_workers=0)
+            _serve(
+                _simulator(chaos=chaos), surface, _stream(n=8),
+                shards=2, shard_workers=0,
+            )
 
     def test_duplicate_ids_rejected(self):
         stream = _stream(n=8)

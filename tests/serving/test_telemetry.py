@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.errors import ServingError
 from repro.serving.batching import ContinuousBatching, NoBatching
-from repro.serving.chaos import ChaosTimeline, chip_failure, straggler
+from repro.serving.chaos import (
+    ChaosTimeline,
+    chip_failure,
+    power_cap,
+    straggler,
+)
 from repro.serving.exporters import (
     TELEMETRY_FORMAT,
     render_dashboard,
@@ -77,12 +82,14 @@ request_streams = st.lists(
 
 
 #: chaos inputs for the stream/full-trace identity: requests lost in
-#: flight and shed from queues (then recovered, or never), and a slow chip
+#: flight and shed from queues (then recovered, or never), a slow chip and
+#: a fleet-wide power cap
 CHAOS_TIMELINES = {
     "no-chaos": None,
     "finite-failure": ChaosTimeline((chip_failure(0, 1.0, 1.5),)),
     "never-recovering": ChaosTimeline((chip_failure(0, 1.0, math.inf),)),
     "straggler": ChaosTimeline((straggler(0, 0.5, 2.0, 3.0),)),
+    "power-cap": ChaosTimeline((power_cap(1.0, 2.0, 2.0),)),
 }
 
 
@@ -145,14 +152,31 @@ class TestWindowConservation:
         sharded = sim.run(
             stream, shards=num_chips, telemetry_window_s=WINDOW_S
         )
+        sharded_stream = sim.run_stream(
+            columnar_chunks(stream, 7), workloads, shards=num_chips,
+            telemetry_window_s=WINDOW_S,
+        )
         assert streamed.telemetry.windows == full.telemetry.windows
         assert sharded.telemetry.windows == full.telemetry.windows
+        assert sharded_stream.telemetry.windows == full.telemetry.windows
 
+    @pytest.mark.parametrize("surface", ("run", "run_stream"))
+    @pytest.mark.parametrize(
+        "chaos", CHAOS_TIMELINES.values(), ids=CHAOS_TIMELINES.keys()
+    )
     @settings(max_examples=15, deadline=None)
     @given(stream=request_streams)
-    def test_energy_windows_sum_to_run_total(self, stream):
-        sim = _simulator(2, policy=NoBatching())
-        result = sim.run(stream, telemetry_window_s=WINDOW_S)
+    def test_energy_windows_sum_to_run_total(self, stream, chaos, surface):
+        # Straggler and power-cap batches cost their scaled energy.
+        sim = _simulator(2, policy=NoBatching(), chaos=chaos)
+        if surface == "run":
+            result = sim.run(stream, telemetry_window_s=WINDOW_S)
+        else:
+            result = sim.run_stream(
+                columnar_chunks(stream, 7),
+                sorted({request.workload for request in stream}),
+                telemetry_window_s=WINDOW_S,
+            )
         total = sum(result.telemetry.column("energy_j"))
         assert total == pytest.approx(result.energy_joules, rel=1e-9)
 

@@ -5,7 +5,7 @@ arrival process appends one frozen :class:`Request` per arrival,
 ``generate`` sorts the list by ``(arrival_s, request_id)``, and segment
 chaining extends one list.  Every stream the library generates must equal
 its reference request for request, arrival floats bit for bit, and each
-serving intake (``run``, ``run_controlled``, ``run_sharded``) must return
+serving intake (``run``, ``run_controlled``, sharded ``run``) must return
 equal results whether it is handed a generated stream or the same
 requests as a plain list.
 """
@@ -19,7 +19,6 @@ from repro.serving.batching import ContinuousBatching
 from repro.serving.control import ControllerConfig, run_controlled
 from repro.serving.fleet import Fleet
 from repro.serving.scenarios import SCENARIOS, get_scenario
-from repro.serving.sharding import run_sharded
 from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import record_process, write_trace
 from repro.serving.traffic import (
@@ -276,9 +275,7 @@ class TestIntakesAgreeOnStreamAndList:
         assert from_stream == from_list
 
     def test_run_sharded(self, stream):
-        from_stream = run_sharded(_simulator("round_robin"), stream, shards=2)
-        from_list = run_sharded(
-            _simulator("round_robin"), list(stream), shards=2
-        )
+        from_stream = _simulator("round_robin").run(stream, shards=2)
+        from_list = _simulator("round_robin").run(list(stream), shards=2)
         assert from_stream.provenance["shards_effective"] == 2
         assert from_stream == from_list
