@@ -32,7 +32,8 @@ Installed as a console script (see ``setup.py``) and runnable as
     scenario at smoke (0.2x duration) scale with resilience accounting.
     ``--controller target_util|queue_pid [--control-interval-ms W]`` runs
     the scenario under the closed-loop fleet controller (autoscaling,
-    SLO-aware admission, adaptive batching).
+    SLO-aware admission, adaptive batching).  Each mode rejects every
+    flag it does not read.
 ``repro backends [NAME] [--format md|json]``
     List every registered backend, or describe one by name.
 ``repro cache [info|stats|clear] [--stats]``
@@ -46,7 +47,9 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from repro._version import __version__
 from repro.errors import ReproError
@@ -217,6 +220,25 @@ def _emit(args, output: str) -> None:
         print(output, end="")
 
 
+def _given_flags(args) -> list[str]:
+    """Dests of the flags ``args`` sets away from their argparse default."""
+    defaults = vars(build_parser().parse_args([args.command]))
+    return [dest for dest, value in vars(args).items() if value != defaults[dest]]
+
+
+def _unread_flags(args, given, reads) -> list[str]:
+    """The ``given`` flags outside ``reads``, named as on the command line.
+
+    Every mode reads ``--format`` and ``--output``.
+    """
+    return [
+        f"positional {dest.upper()} ({getattr(args, dest)!r})"
+        if dest in ("scenario", "space") else f"--{dest.replace('_', '-')}"
+        for dest in given
+        if dest not in reads and dest not in ("format", "output")
+    ]
+
+
 def _cmd_backends(args) -> int:
     from repro.backends import describe_backend, describe_backends
 
@@ -287,9 +309,114 @@ def _render_serve_dashboard(result, title: str) -> str:
     return exporters.render_dashboard(result.telemetry, title=title)
 
 
+def _run_report(result, slo_s: float) -> dict:
+    """Provenance, summary, per-workload and per-backend rows of one run."""
+    from repro.serving import metrics
+
+    return {
+        "provenance": result.provenance,
+        "summary": metrics.summarize_result(result, slo_s),
+        "per_workload": metrics.per_workload_summary(result, slo_s),
+        "per_backend": metrics.per_backend_summary(result, slo_s),
+    }
+
+
+def _emit_runs(args, runs, *, many: bool = False) -> None:
+    """Emit served runs as ``--format`` asks.
+
+    Each run is ``(payload, heading, sections)``.  ``payload`` is the run's
+    JSON object and carries :func:`_run_report`'s rows; markdown prints
+    ``heading``, the summary table, the per-workload table and, for a
+    heterogeneous fleet, the per-backend table, then one metric table per
+    ``(title, pairs)`` entry of ``sections``.  A suite (``many``) prints a
+    JSON list, even of one run.
+    """
+    if args.format == "json":
+        payloads = [payload for payload, _, _ in runs]
+        _emit(args, json.dumps(payloads if many else payloads[0], indent=2) + "\n")
+        return
+    blocks = []
+    for payload, heading, sections in runs:
+        lines = [heading, "", _metric_table(payload["summary"].items())]
+        per_backend = payload["per_backend"]
+        for rows in (
+            payload["per_workload"], per_backend if len(per_backend) > 1 else ()
+        ):
+            if rows:
+                headers = list(rows[0])
+                lines += ["", format_markdown_table(
+                    headers, [[row[h] for h in headers] for row in rows]
+                )]
+        for title, pairs in sections:
+            lines += ["", f"### {title}", "", _metric_table(pairs)]
+        blocks.append("\n".join(lines))
+    _emit(args, "\n\n".join(blocks) + "\n")
+
+
+def _metric_table(pairs) -> str:
+    """A two-column ``metric | value`` markdown table."""
+    return format_markdown_table(["metric", "value"], list(pairs))
+
+
+def _serve_list(args, _backends) -> int:
+    """``repro serve --list`` — enumerate the scenario presets."""
+    from repro.serving import scenarios
+
+    presets = list(scenarios.SCENARIOS.values())
+    if args.format == "json":
+        payload = [
+            {
+                "scenario": s.name,
+                "num_chips": s.num_chips,
+                "router": s.router,
+                "policy": s.policy,
+                "slo_ms": s.slo_s * 1e3,
+                "description": s.description,
+            }
+            for s in presets
+        ]
+        _emit(args, json.dumps(payload, indent=2) + "\n")
+    else:
+        rows = [
+            [s.name, s.num_chips, s.router, s.policy,
+             f"{s.slo_s * 1e3:g}", s.description]
+            for s in presets
+        ]
+        table = format_markdown_table(
+            ["scenario", "chips", "router", "policy", "slo (ms)", "description"],
+            rows,
+        )
+        _emit(args, table + "\n")
+    return 0
+
+
+def _serve_smoke(args, _backends) -> int:
+    """``repro serve --smoke`` — every serving experiment at smoke scale."""
+    serving_specs = specs_by_tag("serving")
+    tables = engine.run_many(
+        [spec.id for spec in serving_specs],
+        use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        overrides_by_id={
+            spec.id: dict(spec.smoke_params) for spec in serving_specs
+        },
+    )
+    if args.format == "json":
+        documents = [json.loads(table.to_json()) for table in tables]
+        _emit(args, json.dumps(documents, indent=2) + "\n")
+    else:
+        _emit(
+            args,
+            "".join(
+                f"## {table.title}\n\n{table.to_markdown()}\n\n"
+                for table in tables
+            ),
+        )
+    return 0
+
+
 def _serve_trace_replay(args, backends) -> int:
     """``repro serve --trace FILE`` — streamed replay of a recorded trace."""
-    from repro.serving import metrics
     from repro.serving.trace import RequestTrace, replay_trace
 
     trace = RequestTrace(args.trace)
@@ -313,58 +440,25 @@ def _serve_trace_replay(args, backends) -> int:
             result, f"Trace replay telemetry — {trace.path.name}"
         ))
         return 0
-    slo_s = args.slo_ms * 1e-3
-    summary = metrics.summarize_result(result, slo_s)
-    breakdown = metrics.per_workload_summary(result, slo_s)
-    by_backend = metrics.per_backend_summary(result, slo_s)
-    if args.format == "json":
-        payload = {
-            "trace": str(args.trace),
-            "trace_info": {
-                "num_requests": trace.num_requests,
-                "duration_s": trace.info.duration_s,
-                "workloads": list(trace.workloads),
-                "source": dict(trace.info.source),
-            },
-            "provenance": result.provenance,
-            "summary": summary,
-            "per_workload": breakdown,
-            "per_backend": by_backend,
-        }
-        output = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [
-            f"## Trace replay — {args.trace} "
-            f"({trace.num_requests} requests, {len(trace.workloads)} workloads)",
-            "",
-        ]
-        lines.append(
-            format_markdown_table(
-                ["metric", "value"], [[key, value] for key, value in summary.items()]
-            )
-        )
-        if breakdown:
-            lines.append("")
-            headers = list(breakdown[0])
-            lines.append(
-                format_markdown_table(
-                    headers, [[row[h] for h in headers] for row in breakdown]
-                )
-            )
-        if len(by_backend) > 1:
-            lines.append("")
-            headers = list(by_backend[0])
-            lines.append(
-                format_markdown_table(
-                    headers, [[row[h] for h in headers] for row in by_backend]
-                )
-            )
-        output = "\n".join(lines) + "\n"
-    _emit(args, output)
+    payload = {
+        "trace": str(args.trace),
+        "trace_info": {
+            "num_requests": trace.num_requests,
+            "duration_s": trace.info.duration_s,
+            "workloads": list(trace.workloads),
+            "source": dict(trace.info.source),
+        },
+        **_run_report(result, args.slo_ms * 1e-3),
+    }
+    heading = (
+        f"## Trace replay — {args.trace} "
+        f"({trace.num_requests} requests, {len(trace.workloads)} workloads)"
+    )
+    _emit_runs(args, [(payload, heading, ())])
     return 0
 
 
-def _serve_record(args) -> int:
+def _serve_record(args, _backends) -> int:
     """``repro serve SCENARIO --record FILE`` — record traffic to a trace."""
     from repro.serving.trace import record_scenario
 
@@ -487,11 +581,12 @@ def _serve_profile(args, backends) -> int:
     return 0
 
 
-def _serve_suite(args, backends, names) -> int:
+def _serve_suite(args, backends) -> int:
     """``repro serve A[,B...] --jobs N`` — fan cases across a process pool."""
     from repro.serving.scenarios import get_scenario
     from repro.serving.suite import SuiteCase, run_suite
 
+    names = [name.strip() for name in args.scenario.split(",") if name.strip()]
     for name in names:
         get_scenario(name)  # fail fast on typos before forking workers
     cases = [
@@ -508,310 +603,33 @@ def _serve_suite(args, backends, names) -> int:
         for name in names
     ]
     results = run_suite(cases, jobs=args.jobs)
-    if args.format == "json":
-        payload = [
+    runs = [
+        (
             {
                 "scenario": res.scenario,
                 "provenance": res.provenance,
                 "summary": res.summary,
                 "per_workload": res.per_workload,
                 "per_backend": res.per_backend,
-            }
-            for res in results
-        ]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-        return 0
-    sections = []
-    for res in results:
-        lines = [f"## Scenario '{res.scenario}' — {res.description}", ""]
-        lines.append(
-            format_markdown_table(
-                ["metric", "value"],
-                [[key, value] for key, value in res.summary.items()],
-            )
+            },
+            f"## Scenario '{res.scenario}' — {res.description}",
+            (),
         )
-        if res.per_workload:
-            lines.append("")
-            headers = list(res.per_workload[0])
-            lines.append(
-                format_markdown_table(
-                    headers,
-                    [[row[h] for h in headers] for row in res.per_workload],
-                )
-            )
-        if len(res.per_backend) > 1:
-            lines.append("")
-            headers = list(res.per_backend[0])
-            lines.append(
-                format_markdown_table(
-                    headers,
-                    [[row[h] for h in headers] for row in res.per_backend],
-                )
-            )
-        sections.append("\n".join(lines))
-    _emit(args, "\n\n".join(sections) + "\n")
-    print(
-        f"ran {len(results)} scenario case(s) with --jobs {args.jobs}",
-        file=sys.stderr,
-    )
+        for res in results
+    ]
+    _emit_runs(args, runs, many=True)
+    if args.format != "json":
+        print(
+            f"ran {len(results)} scenario case(s) with --jobs {args.jobs}",
+            file=sys.stderr,
+        )
     return 0
 
 
-def _reject_stray_serve_options(args, backends) -> None:
-    """Fail fast on flag combinations that would be silently ignored."""
-    if args.trace and args.record:
-        raise ReproError("--trace and --record are mutually exclusive")
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be at least 1, got {args.jobs}")
-    suite_mode = args.jobs != 1 or "," in (args.scenario or "")
-    if suite_mode:
-        stray = [
-            flag
-            for flag, on in (
-                ("--trace", args.trace),
-                ("--record", args.record),
-                ("--list", args.list),
-                ("--smoke", args.smoke),
-                ("--profile", args.profile),
-                ("--shards", args.shards != 1),
-                ("--shard-workers", args.shard_workers is not None),
-                ("--telemetry", args.telemetry),
-                ("--dashboard", args.dashboard),
-                ("--chaos", args.chaos),
-                ("--sessions", args.sessions),
-                ("--users", args.users is not None),
-                ("--controller", args.controller is not None),
-            )
-            if on
-        ]
-        if stray:
-            raise ReproError(
-                "--jobs (or a comma-separated scenario list) runs a suite of "
-                "independent scenario cases; it does not combine with: "
-                + ", ".join(stray)
-            )
-    if args.trace:
-        stray = []
-        if args.scenario:
-            stray.append(f"positional SCENARIO ({args.scenario!r})")
-        stray.extend(
-            flag
-            for flag, raw, default in (
-                ("--seed", args.seed, 0),
-                ("--load-scale", args.load_scale, 1.0),
-                ("--duration-scale", args.duration_scale, 1.0),
-                ("--chaos", args.chaos, None),
-                ("--sessions", args.sessions, False),
-                ("--users", args.users, None),
-                ("--controller", args.controller, None),
-            )
-            if raw != default
-        )
-        if stray:
-            raise ReproError(
-                "a trace replay is deterministic — it does not accept: "
-                + ", ".join(stray)
-            )
-    if args.record:
-        if not args.scenario:
-            raise ReproError("--record needs a scenario to record (see --list)")
-        stray = [
-            flag
-            for flag, raw in (
-                ("--chips", args.chips),
-                ("--router", args.router),
-                ("--policy", args.policy),
-                ("--slo-ms", None if args.slo_ms == 5.0 else args.slo_ms),
-                ("--shards", None if args.shards == 1 else args.shards),
-                ("--shard-workers", args.shard_workers),
-                ("--chaos", args.chaos),
-                ("--sessions", True if args.sessions else None),
-                ("--users", args.users),
-                ("--controller", args.controller),
-            )
-            if raw is not None
-        ]
-        if backends:
-            stray.append("--backend")
-        if stray:
-            raise ReproError(
-                "--record only captures traffic, not a fleet; drop: "
-                + ", ".join(stray)
-            )
-    if (args.list or args.smoke) and (args.trace or args.record):
-        raise ReproError(
-            "--trace/--record do not combine with --list/--smoke"
-        )
-    if (args.list or args.smoke) and (
-        args.shards != 1 or args.shard_workers is not None or args.profile
-    ):
-        raise ReproError(
-            "--shards/--shard-workers/--profile only apply to scenario runs "
-            "and trace replays; drop them from --list/--smoke invocations"
-        )
-    if (args.list or (args.smoke and not args.scenario)) and (
-        args.chaos or args.sessions or args.users is not None
-    ):
-        raise ReproError(
-            "--chaos/--sessions/--users apply to a single scenario run "
-            "(including `repro serve SCENARIO --smoke`)"
-        )
-    if args.profile and args.trace:
-        raise ReproError(
-            "--profile breaks down one scenario run; it does not apply "
-            "to --trace replays"
-        )
-    if args.profile and (args.chaos or args.sessions or args.users is not None):
-        raise ReproError(
-            "--profile times the open-loop pipeline phases; it does not "
-            "combine with --chaos/--sessions/--users"
-        )
-    if args.controller is not None:
-        if args.sessions or args.users is not None:
-            raise ReproError(
-                "--controller runs are open-loop; closed-loop --sessions/"
-                "--users shape their own offered load and cannot be autoscaled"
-            )
-        if args.profile:
-            raise ReproError(
-                "--profile times the open-loop pipeline phases; it does not "
-                "combine with --controller"
-            )
-        if args.list:
-            raise ReproError(
-                "--controller applies to a single scenario run; it does not "
-                "combine with --list"
-            )
-        if args.smoke and not args.scenario:
-            raise ReproError(
-                "--controller applies to a single scenario run (including "
-                "`repro serve SCENARIO --smoke`), not the --smoke suite"
-            )
-    if args.control_interval_ms <= 0:
-        raise ReproError(
-            f"--control-interval-ms must be positive, "
-            f"got {args.control_interval_ms:g}"
-        )
-    if args.control_interval_ms != 50.0 and args.controller is None:
-        raise ReproError("--control-interval-ms needs --controller")
-    if args.users is not None and args.users < 1:
-        raise ReproError(f"--users must be positive, got {args.users}")
-    if args.shard_workers is not None and args.shards == 1:
-        raise ReproError("--shard-workers needs --shards greater than 1")
-    telemetry_on = bool(args.telemetry or args.dashboard)
-    if telemetry_on and (args.list or args.smoke or args.record or args.profile):
-        raise ReproError(
-            "--telemetry/--dashboard sample a served run; they do not "
-            "combine with --list/--smoke/--record/--profile"
-        )
-    if not telemetry_on:
-        if args.telemetry_format != "jsonl":
-            raise ReproError("--telemetry-format needs --telemetry")
-        if args.window_ms != 100.0:
-            raise ReproError(
-                "--window-ms needs --telemetry or --dashboard"
-            )
-    if args.window_ms <= 0:
-        raise ReproError(
-            f"--window-ms must be positive, got {args.window_ms:g}"
-        )
-    if args.dashboard and args.format == "json":
-        raise ReproError(
-            "--dashboard renders a terminal view; it does not combine "
-            "with --format json (export with --telemetry instead)"
-        )
-    if not args.trace:
-        if args.slo_ms != 5.0:
-            raise ReproError(
-                "--slo-ms only applies to --trace replays; scenario presets "
-                "pin their own SLO"
-            )
-        if args.chunk_size != 65536:
-            raise ReproError("--chunk-size only applies to --trace replays")
-
-
-def _cmd_serve(args) -> int:
+def _serve_scenario(args, backends) -> int:
+    """``repro serve SCENARIO [--smoke]`` — one scenario preset, end to end."""
     from repro.serving import metrics, scenarios
 
-    backends = tuple(
-        name.strip()
-        for chunk in args.backend
-        for name in chunk.split(",")
-        if name.strip()
-    )
-    if args.backend and not backends:
-        raise ReproError(
-            "--backend was given but named no backends; see `repro backends` "
-            "for the registry listing"
-        )
-    if backends and (args.list or args.smoke):
-        raise ReproError(
-            "--backend only applies to scenario runs; drop it from "
-            "--list/--smoke invocations"
-        )
-    _reject_stray_serve_options(args, backends)
-    if args.trace:
-        return _serve_trace_replay(args, backends)
-    if args.record:
-        return _serve_record(args)
-    if args.list:
-        presets = list(scenarios.SCENARIOS.values())
-        if args.format == "json":
-            payload = [
-                {
-                    "scenario": s.name,
-                    "num_chips": s.num_chips,
-                    "router": s.router,
-                    "policy": s.policy,
-                    "slo_ms": s.slo_s * 1e3,
-                    "description": s.description,
-                }
-                for s in presets
-            ]
-            _emit(args, json.dumps(payload, indent=2) + "\n")
-        else:
-            rows = [
-                [s.name, s.num_chips, s.router, s.policy,
-                 f"{s.slo_s * 1e3:g}", s.description]
-                for s in presets
-            ]
-            table = format_markdown_table(
-                ["scenario", "chips", "router", "policy", "slo (ms)", "description"],
-                rows,
-            )
-            _emit(args, table + "\n")
-        return 0
-    if args.smoke and not args.scenario:
-        serving_specs = specs_by_tag("serving")
-        tables = engine.run_many(
-            [spec.id for spec in serving_specs],
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            overrides_by_id={
-                spec.id: dict(spec.smoke_params) for spec in serving_specs
-            },
-        )
-        if args.format == "json":
-            documents = [json.loads(table.to_json()) for table in tables]
-            _emit(args, json.dumps(documents, indent=2) + "\n")
-        else:
-            _emit(
-                args,
-                "".join(
-                    f"## {table.title}\n\n{table.to_markdown()}\n\n"
-                    for table in tables
-                ),
-            )
-        return 0
-    if not args.scenario:
-        raise ReproError(
-            "repro serve needs a scenario name (see --list), --smoke or --list"
-        )
-    if args.profile:
-        return _serve_profile(args, backends)
-    names = [name.strip() for name in args.scenario.split(",") if name.strip()]
-    if args.jobs != 1 or len(names) > 1:
-        return _serve_suite(args, backends, names)
     chaos_timeline = None
     if args.chaos:
         from repro.serving.chaos import ChaosTimeline
@@ -873,84 +691,163 @@ def _cmd_serve(args) -> int:
             result, f"Scenario '{scenario.name}' telemetry"
         ))
         return 0
-    summary = metrics.summarize_result(result, scenario.slo_s)
-    breakdown = metrics.per_workload_summary(result, scenario.slo_s)
-    by_backend = metrics.per_backend_summary(result, scenario.slo_s)
-    resilience = (
-        metrics.resilience_metrics(result)
-        if result.incidents or result.requests_lost or result.requests_shed
-        else None
-    )
-    if args.format == "json":
-        payload = {
-            "scenario": scenario.name,
-            "provenance": result.provenance,
-            "summary": summary,
-            "per_workload": breakdown,
-            "per_backend": by_backend,
-        }
-        if resilience is not None:
-            payload["resilience"] = resilience
-        output = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [f"## Scenario '{scenario.name}' — {scenario.description}", ""]
-        lines.append(
-            format_markdown_table(
-                ["metric", "value"], [[key, value] for key, value in summary.items()]
-            )
-        )
-        lines.append("")
-        headers = list(breakdown[0])
-        lines.append(
-            format_markdown_table(
-                headers, [[row[h] for h in headers] for row in breakdown]
-            )
-        )
-        if len(by_backend) > 1:
-            lines.append("")
-            headers = list(by_backend[0])
-            lines.append(
-                format_markdown_table(
-                    headers, [[row[h] for h in headers] for row in by_backend]
-                )
-            )
-        controller_info = result.provenance.get("controller")
-        if controller_info is not None:
-            lines.extend(["", "### Controller", ""])
-            lines.append(
-                format_markdown_table(
-                    ["metric", "value"],
-                    [
-                        ["policy", controller_info["policy"]],
-                        ["interval (ms)",
-                         f"{controller_info['interval_s'] * 1e3:g}"],
-                        ["initial chips", controller_info["initial_chips"]],
-                        ["peak chips", controller_info["peak_chips"]],
-                        ["final active", controller_info["final_active"]],
-                        ["scale-ups", controller_info["scale_ups"]],
-                        ["scale-downs", controller_info["scale_downs"]],
-                        ["shed (admission)",
-                         controller_info["shed_admission"]],
-                        ["final router", controller_info["final_router"]],
-                        ["final max batch",
-                         controller_info["final_max_batch_size"]],
-                    ],
-                )
-            )
-        if resilience is not None:
-            lines.extend(["", "### Resilience", ""])
-            lines.append(
-                format_markdown_table(
-                    ["metric", "value"],
-                    [
-                        [key, _render_resilience_value(value)]
-                        for key, value in resilience.items()
-                    ],
-                )
-            )
-        output = "\n".join(lines) + "\n"
-    _emit(args, output)
+    payload = {
+        "scenario": scenario.name,
+        **_run_report(result, scenario.slo_s),
+    }
+    sections = []
+    controller_info = result.provenance.get("controller")
+    if controller_info is not None:
+        sections.append(("Controller", [
+            ["policy", controller_info["policy"]],
+            ["interval (ms)", f"{controller_info['interval_s'] * 1e3:g}"],
+            ["initial chips", controller_info["initial_chips"]],
+            ["peak chips", controller_info["peak_chips"]],
+            ["final active", controller_info["final_active"]],
+            ["scale-ups", controller_info["scale_ups"]],
+            ["scale-downs", controller_info["scale_downs"]],
+            ["shed (admission)", controller_info["shed_admission"]],
+            ["final router", controller_info["final_router"]],
+            ["final max batch", controller_info["final_max_batch_size"]],
+        ]))
+    if result.incidents or result.requests_lost or result.requests_shed:
+        resilience = metrics.resilience_metrics(result)
+        payload["resilience"] = resilience
+        sections.append(("Resilience", [
+            [key, _render_resilience_value(value)]
+            for key, value in resilience.items()
+        ]))
+    heading = f"## Scenario '{scenario.name}' — {scenario.description}"
+    _emit_runs(args, [(payload, heading, sections)])
     return 0
+
+
+class _ServeMode(NamedTuple):
+    """One ``repro serve`` mode: what it is, the flags it reads, its runner."""
+
+    #: completes "FLAG only applies to other `repro serve` modes; ..."
+    what: str
+    #: argparse dests the mode reads besides --format and --output
+    reads: tuple[str, ...]
+    run: Callable
+
+
+_TRAFFIC = ("scenario", "seed", "load_scale", "duration_scale")
+_FLEET = ("chips", "router", "policy", "backend")
+_SHARDING = ("shards", "shard_workers")
+_TELEMETRY = ("telemetry", "telemetry_format", "window_ms", "dashboard")
+_CLOSED_LOOP = ("chaos", "sessions", "users", "controller",
+                "control_interval_ms")
+
+#: ``repro serve`` modes in the order :func:`_serve_mode` tries them.  A
+#: flag set away from its default that the mode does not read is an
+#: error, never silently dropped.
+_SERVE_MODES = {
+    "list": _ServeMode(
+        "`repro serve --list` only enumerates the scenario presets",
+        ("list",), _serve_list,
+    ),
+    "smoke": _ServeMode(
+        "`repro serve --smoke` runs every serving experiment at smoke scale",
+        ("smoke", "no_cache", "cache_dir"), _serve_smoke,
+    ),
+    "suite": _ServeMode(
+        "--jobs (or a comma-separated SCENARIO list) runs a suite of "
+        "independent scenario cases",
+        ("jobs", *_TRAFFIC, *_FLEET), _serve_suite,
+    ),
+    "record": _ServeMode(
+        "--record only captures a scenario's traffic, not a fleet",
+        ("record", *_TRAFFIC), _serve_record,
+    ),
+    "trace": _ServeMode(
+        "a --trace replay is deterministic",
+        ("trace", "slo_ms", "chunk_size", *_FLEET, *_SHARDING, *_TELEMETRY),
+        _serve_trace_replay,
+    ),
+    "profile": _ServeMode(
+        "--profile times the open-loop pipeline phases of one scenario run",
+        ("profile", *_TRAFFIC, *_FLEET, *_SHARDING), _serve_profile,
+    ),
+    "scenario_smoke": _ServeMode(
+        "`repro serve SCENARIO --smoke` runs one scenario at smoke scale",
+        ("smoke", *_TRAFFIC, "chips", "router", "policy", *_CLOSED_LOOP),
+        _serve_scenario,
+    ),
+    "scenario": _ServeMode(
+        "a scenario run pins its own SLO and reads no result cache",
+        (*_TRAFFIC, *_FLEET, *_SHARDING, *_TELEMETRY, *_CLOSED_LOOP),
+        _serve_scenario,
+    ),
+}
+
+
+def _serve_mode(args) -> str:
+    """The ``_SERVE_MODES`` key of a ``repro serve`` invocation."""
+    if args.list:
+        return "list"
+    if args.smoke and not args.scenario:
+        return "smoke"
+    if args.jobs != 1 or "," in (args.scenario or ""):
+        return "suite"
+    for mode in ("record", "trace", "profile"):
+        if getattr(args, mode):
+            return mode
+    return "scenario_smoke" if args.smoke else "scenario"
+
+
+#: ``repro serve`` flags that only mean something next to another one:
+#: (flag, flags any of which it needs, error)
+_SERVE_NEEDS = (
+    ("telemetry_format", ("telemetry",), "--telemetry-format needs --telemetry"),
+    ("window_ms", ("telemetry", "dashboard"),
+     "--window-ms needs --telemetry or --dashboard"),
+    ("control_interval_ms", ("controller",),
+     "--control-interval-ms needs --controller"),
+    ("shard_workers", ("shards",),
+     "--shard-workers needs --shards greater than 1"),
+)
+
+
+def _cmd_serve(args) -> int:
+    backends = tuple(
+        name.strip()
+        for chunk in args.backend
+        for name in chunk.split(",")
+        if name.strip()
+    )
+    if args.backend and not backends:
+        raise ReproError(
+            "--backend was given but named no backends; see `repro backends` "
+            "for the registry listing"
+        )
+    mode = _SERVE_MODES[_serve_mode(args)]
+    given = _given_flags(args)
+    stray = _unread_flags(args, given, mode.reads)
+    if stray:
+        raise ReproError(
+            f"{', '.join(stray)} only appl{'ies' if len(stray) == 1 else 'y'} "
+            f"to other `repro serve` modes; {mode.what}"
+        )
+    if "scenario" in mode.reads and not args.scenario:
+        raise ReproError(
+            "--record needs a scenario to record (see --list)" if args.record
+            else "repro serve needs a scenario name (see --list), --smoke or "
+                 "--list"
+        )
+    for dest, needs, message in _SERVE_NEEDS:
+        if dest in given and not any(need in given for need in needs):
+            raise ReproError(message)
+    if args.window_ms <= 0:
+        raise ReproError(
+            f"--window-ms must be positive, got {args.window_ms:g}"
+        )
+    if args.dashboard and args.format == "json":
+        raise ReproError(
+            "--dashboard renders a terminal view; it does not combine "
+            "with --format json (export with --telemetry instead)"
+        )
+    return mode.run(args, backends)
 
 
 def _render_resilience_value(value):
@@ -996,48 +893,27 @@ def _dse_table(args, table, extra_sections=()) -> None:
     _emit(args, "\n".join(lines) + "\n")
 
 
-#: repro dse options only meaningful for sweep actions (run/frontier) and
-#: only for the capacity planner, used to reject silently-ignored flags.
-_DSE_SWEEP_ONLY = ("workloads", "batch_sizes", "objectives")
-_DSE_PLAN_ONLY = (
-    "offered_rps", "target_p99", "chips", "routers", "policies", "requests"
-)
-
-
-def _reject_stray_dse_options(args) -> None:
-    """Fail fast when an option cannot apply to the requested dse action.
-
-    Silently dropping a flag (e.g. ``repro dse plan pe_array`` or
-    ``repro dse run --requests 100``) would hand the user default results
-    for a configuration that was never applied.
-    """
-    stray = []
-    if args.action in ("list", "plan") and args.space:
-        stray.append(f"positional SPACE ({args.space!r})")
-    if args.action in ("list", "plan"):
-        stray.extend(
-            f"--{name.replace('_', '-')}"
-            for name in _DSE_SWEEP_ONLY
-            if getattr(args, name) is not None
-        )
-    if args.action in ("list", "run", "frontier"):
-        stray.extend(
-            f"--{name.replace('_', '-')}"
-            for name in _DSE_PLAN_ONLY
-            if getattr(args, name) is not None
-        )
-    if args.action == "list" and args.smoke:
-        stray.append("--smoke")
-    if stray:
-        raise ReproError(
-            f"`repro dse {args.action}` does not accept: {', '.join(stray)}"
-        )
+_DSE_SWEEP = ("action", "space", "smoke", "workloads", "batch_sizes",
+              "objectives", "no_cache", "cache_dir")
+#: The flags each ``repro dse`` action reads; any other flag set away from
+#: its default is an error, never silently dropped.
+_DSE_READS = {
+    "list": ("action",),
+    "run": _DSE_SWEEP,
+    "frontier": _DSE_SWEEP,
+    "plan": ("action", "smoke", "offered_rps", "target_p99", "chips",
+             "routers", "policies", "requests", "no_cache", "cache_dir"),
+}
 
 
 def _cmd_dse(args) -> int:
     from repro.dse import describe_design_spaces
 
-    _reject_stray_dse_options(args)
+    stray = _unread_flags(args, _given_flags(args), _DSE_READS[args.action])
+    if stray:
+        raise ReproError(
+            f"`repro dse {args.action}` does not accept: {', '.join(stray)}"
+        )
     if args.action == "list":
         rows = describe_design_spaces()
         if args.format == "json":
@@ -1256,7 +1132,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--output", metavar="FILE",
                               help="write the summary to FILE")
     serve_parser.add_argument("--no-cache", action="store_true",
-                              help="bypass the result cache (--smoke only)")
+                              help="bypass the result cache (--smoke without "
+                                   "a SCENARIO only)")
     serve_parser.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
     serve_parser.set_defaults(func=_cmd_serve)
 

@@ -36,6 +36,16 @@ Components optionally fan out to worker processes
 plain registry-backed ``ExecutionCache`` instances; anything unshippable
 (custom oracles, custom policies that fail to pickle) degrades to
 sequential in-process execution, never to wrong answers.
+
+One provenance field is not shard-invariant either.
+``provenance["cached_reports"]`` counts the parent process's service
+cache, so it describes where the components ran, not what the fleet
+cached: with the default process pool the workers fill their own caches
+and a sharded run reads 0 where the unsharded run reads 4 (``repro serve
+steady --chips 4 --router round_robin --shards 2``).  ``shard_workers=1``,
+and a streamed run whose telemetry energy lookups fill the parent cache,
+read the warm count again.  :mod:`repro.serving.suite` documents the same
+kind of exception for ``--jobs``.
 """
 
 from __future__ import annotations

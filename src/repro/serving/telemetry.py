@@ -18,7 +18,8 @@ rows of a ``[first, stop)`` window range.  Two feeds reach it:
   and session runs alike (the event core is never touched, so
   telemetry-off runs pay nothing); :func:`_series_from_columns` serves
   the sharded merge and :func:`derive_series` any finished full-trace
-  :class:`~repro.serving.simulator.ServingResult`;
+  :class:`~repro.serving.simulator.ServingResult` of a run without chaos
+  or a controller;
 * **streams** — :class:`TelemetryCollector` buffers the same emit
   tuples and bulk-run columns from ``run_stream()`` and sends each
   prefix of provably complete windows through the kernel, carrying the
@@ -745,7 +746,18 @@ def derive_series(result, window_s, chip_models) -> TelemetrySeries:
     (``ServingSimulator._chip_models()``); the event core itself is never
     re-run, so deriving telemetry after the fact costs a single
     vectorized pass over the records, which hold completed requests only.
+
+    Chaos and controlled runs are rejected: their records hold neither
+    the requests they lost or shed nor the scaled energy of slowed
+    batches, so only the series the run itself collected
+    (``telemetry_window_s``) is right for them.
     """
+    for key in ("chaos", "controller"):
+        if key in result.provenance:
+            raise ServingError(
+                f"derive_series cannot rebuild a {key} run's telemetry from "
+                "its records; run it with telemetry_window_s instead"
+            )
     records = result.records
     window_s = _check_window(window_s)
     if not records:

@@ -92,6 +92,8 @@ class TestStrayOptionRejection:
     def test_list_rejects_everything_but_format(self, capsys):
         assert main(["dse", "list", "--smoke"]) == 2
         assert "--smoke" in capsys.readouterr().err
+        assert main(["dse", "list", "--no-cache"]) == 2
+        assert "--no-cache" in capsys.readouterr().err
 
     def test_run_workload_and_objective_overrides(self, capsys, tmp_path):
         assert main([

@@ -307,6 +307,37 @@ class TestServe:
         assert main(["serve", "--list", "--backend", "a100"]) == 2
         assert "--backend only applies" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("argv", "named"),
+        [
+            (["--list", "--seed", "5"], ["--seed"]),
+            (["steady", "--list"], ["SCENARIO", "steady"]),
+            (["--smoke", "--chips", "2", "--router", "jsq", "--load-scale", "2"],
+             ["--chips", "--router", "--load-scale"]),
+            (["steady", "--record", "{tmp}/t.jsonl", "--profile"], ["--profile"]),
+            (["steady", "--no-cache"], ["--no-cache"]),
+            (["--list", "--smoke"], ["--smoke"]),
+            (["--list", "--no-cache"], ["--no-cache"]),
+            (["--list", "--duration-scale", "3"], ["--duration-scale"]),
+            (["--smoke", "--seed", "3", "--load-scale", "2"],
+             ["--seed", "--load-scale"]),
+            (["--trace", "{tmp}/t.jsonl", "--no-cache"], ["--no-cache"]),
+            (["steady", "--record", "{tmp}/t.jsonl", "--no-cache"],
+             ["--no-cache"]),
+        ],
+    )
+    def test_flags_the_mode_does_not_read_are_rejected(
+        self, capsys, tmp_path, argv, named
+    ):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        assert main(["serve", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        for flag in named:
+            assert flag in err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_smoke_json_parses_as_one_document(self, capsys, tmp_path):
         assert main([
             "serve", "--smoke", "--cache-dir", str(tmp_path), "--format", "json",

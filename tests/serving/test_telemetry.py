@@ -30,12 +30,15 @@ from repro.serving.exporters import (
     write_jsonl,
     write_spans_jsonl,
 )
+from repro.serving.control import ControllerConfig
 from repro.serving.fleet import Fleet
+from repro.serving.scenarios import run_scenario
 from repro.serving.simulator import ServingSimulator, columnar_chunks
 from repro.serving.telemetry import (
     SPAN_FIELDS,
     TELEMETRY_FIELDS,
     TelemetryCollector,
+    derive_series,
     request_spans,
 )
 from repro.serving.traffic import Request
@@ -285,6 +288,59 @@ class TestTelemetrySeries:
             [Request(request_id=0, workload="nvsa", arrival_s=0.0)]
         )
         assert result.telemetry is None
+
+
+class TestDeriveSeries:
+    """The post-hoc series equals the collected one wherever it is allowed."""
+
+    WINDOW_S = 0.02
+
+    @pytest.fixture(scope="class")
+    def cache(self):
+        from repro.backends import ExecutionCache
+
+        return ExecutionCache()
+
+    def _run(self, cache, name, **overrides):
+        _, result = run_scenario(
+            name, duration_scale=0.2, service_model=cache,
+            telemetry_window_s=self.WINDOW_S, **overrides,
+        )
+        return result
+
+    @pytest.mark.parametrize(
+        ("name", "overrides"),
+        (
+            ("steady", {}),
+            ("mixed_workload", {"router": "affinity"}),
+            ("steady", {"num_chips": 4, "router": "round_robin",
+                        "shards": 2, "shard_workers": 1}),
+            ("session_surge", {"load_scale": 0.1}),
+        ),
+        ids=("plain", "affinity", "sharded", "sessions"),
+    )
+    def test_matches_the_run_series(self, cache, name, overrides):
+        result = self._run(cache, name, **overrides)
+        assert "shard_fallback" not in result.provenance
+        derived = derive_series(
+            result, self.WINDOW_S, [cache] * result.num_chips
+        )
+        assert derived.windows == result.telemetry.windows
+
+    @pytest.mark.parametrize(
+        ("name", "overrides"),
+        (
+            ("chip_outage", {}),
+            ("straggler_storm", {}),
+            ("flash_crowd",
+             {"controller": ControllerConfig(policy="target_util")}),
+        ),
+        ids=("chip-outage", "straggler-storm", "controlled"),
+    )
+    def test_chaos_and_controlled_runs_rejected(self, cache, name, overrides):
+        result = self._run(cache, name, **overrides)
+        with pytest.raises(ServingError, match="telemetry_window_s"):
+            derive_series(result, self.WINDOW_S, [cache] * result.num_chips)
 
 
 class TestRequestSpans:
