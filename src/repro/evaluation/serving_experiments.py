@@ -511,7 +511,7 @@ def control_frontier(
         )
         summary = summarize_result(result, scenario.slo_s)
         arrived = result.requests_arrived
-        served_frac = len(result.records) / arrived if arrived else 0.0
+        served_frac = result.num_requests / arrived if arrived else 0.0
         meets = (
             summary["p99_ms"] <= scenario.slo_s * 1e3
             and served_frac >= min_served_frac

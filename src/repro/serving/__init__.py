@@ -122,6 +122,7 @@ from repro.serving.scenarios import (
 )
 from repro.serving.sharding import plan_components
 from repro.serving.simulator import (
+    RecordTable,
     RequestRecord,
     ServingResult,
     ServingSimulator,
@@ -179,6 +180,7 @@ __all__ = [
     "ROUTERS",
     "build_router",
     "Fleet",
+    "RecordTable",
     "RequestRecord",
     "ServingResult",
     "StreamedServingResult",

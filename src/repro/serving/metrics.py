@@ -6,8 +6,9 @@ array-native :class:`~repro.serving.simulator.StreamedServingResult` a
 streamed trace replay produces — and return JSON-clean dictionaries, so
 experiment drivers can hand them straight to the result engine and the
 ``repro serve`` CLI can print them unmodified.  The distribution math runs
-on NumPy arrays either way (a full-trace result exports its records as
-arrays), which keeps summarizing a million-request replay vectorized.
+on NumPy arrays either way (a full-trace result holds its records as
+columns, and the result readers never build a record object), which
+keeps summarizing a million-request replay vectorized.
 Latencies are reported in milliseconds (the natural scale of the modelled
 chip), rates in requests per second.
 """
@@ -164,7 +165,7 @@ def resilience_metrics(
     """Resilience accounting of a chaos run: losses, tail, recovery time.
 
     Consumes the result's realized incident log plus (when available) its
-    per-request records, and reports:
+    per-request record columns, and reports:
 
     * the conservation counters — ``requests_arrived`` splits exactly into
       completed, lost (in-flight batch killed) and shed (queue dropped),
@@ -203,8 +204,8 @@ def resilience_metrics(
         return out
     first_s = min(event["at_s"] for event in result.incidents)
     last_s = max(event["at_s"] for event in result.incidents)
-    arrivals = np.array([record.arrival_s for record in records], dtype=float)
-    finishes = np.array([record.finish_s for record in records], dtype=float)
+    arrivals = records.arrival
+    finishes = records.finish
     latencies = finishes - arrivals
     pre = latencies[finishes <= first_s]
     if pre.size:
@@ -275,12 +276,10 @@ def per_backend_summary(
     if isinstance(result, StreamedServingResult):
         latencies_of_chip = list(result.chip_latency_s)
     else:
-        grouped: dict[int, list[float]] = {}
-        for record in result.records:
-            grouped.setdefault(record.chip, []).append(record.latency_s)
+        records = result.records
+        latency = records.latency()
         latencies_of_chip = [
-            np.array(grouped.get(chip, ()), dtype=float)
-            for chip in range(result.num_chips)
+            latency[records.chip == chip] for chip in range(result.num_chips)
         ]
     rows = []
     for backend in sorted(chips_by_backend):

@@ -24,7 +24,8 @@ which exploits that factorization three ways:
   scalar loop.
 * **deterministic merge** — components return columnar bundles whose
   accounting folds once; ``run`` sorts the merged columns by
-  ``request_id`` (records exactly equal to the single-shard run),
+  ``request_id`` into its record table (records exactly equal to the
+  single-shard run),
   ``run_stream`` puts them in the canonical ``(dispatch_s, chip, batch)``
   order, and both derive telemetry from them.  Energy is summed per
   component and then across components, which can differ from the
@@ -70,7 +71,7 @@ from repro.serving.fleet import (
 )
 from repro.serving.simulator import (
     CHAOS_SHARD_FALLBACK,
-    RequestRecord,
+    RecordTable,
     ServingResult,
     ServingSimulator,
     StreamedServingResult,
@@ -927,17 +928,9 @@ def _run_sharded(
 
     if not stream:
         order = np.argsort(ids)
-        records = tuple(
-            map(
-                RequestRecord,
-                ids[order].tolist(),
-                [workload_names[code] for code in codes[order].tolist()],
-                chip[order].tolist(),
-                arrival[order].tolist(),
-                dispatch[order].tolist(),
-                finish[order].tolist(),
-                size[order].tolist(),
-            )
+        records = RecordTable(
+            ids[order], codes[order], workload_names, chip[order],
+            arrival[order], dispatch[order], finish[order], size[order],
         )
         return ServingResult(records=records, **accounting)
 

@@ -63,9 +63,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from array import array
 from bisect import insort
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MethodType
 from typing import TYPE_CHECKING, NamedTuple
@@ -100,6 +101,7 @@ if TYPE_CHECKING:
     from repro.serving.telemetry import TelemetrySeries
 
 __all__ = [
+    "RecordTable",
     "RequestRecord",
     "ServingResult",
     "StreamedServingResult",
@@ -152,9 +154,8 @@ EMIT_COLUMNAR_MIN = 16
 class RequestRecord(NamedTuple):
     """Lifecycle of one request through the serving system.
 
-    A named tuple rather than a dataclass: full-trace runs create one per
-    request, so cheap construction is part of the event core's throughput
-    budget.
+    A named tuple rather than a dataclass, so a :class:`RecordTable` that
+    is asked for its records builds them cheaply.
     """
 
     request_id: int
@@ -179,6 +180,193 @@ class RequestRecord(NamedTuple):
     def service_s(self) -> float:
         """Chip-occupancy time of the batch the request rode in."""
         return self.finish_s - self.dispatch_s
+
+
+#: the columns of a :class:`RecordTable`, in :class:`RequestRecord` field order
+#: (``codes`` index the table's ``names``)
+_RECORD_COLUMNS = (
+    "ids", "codes", "chip", "arrival", "dispatch", "finish", "size",
+)
+
+
+class RecordTable(Sequence[RequestRecord]):
+    """A whole-trace run's per-request records, held as numpy columns.
+
+    ``ids``, ``codes``, ``chip``, ``arrival``, ``dispatch``, ``finish`` and
+    ``size`` are read-only arrays with one row per completed request, in
+    the :class:`RequestRecord` field order; ``codes`` index ``names``.  A
+    run's table is sorted by request id.  Summary readers read the
+    columns.  Indexing or iterating builds every :class:`RequestRecord`
+    once and keeps them.  A table compares equal to another table, or to
+    a tuple or list, holding the same records.
+    """
+
+    __slots__ = (*_RECORD_COLUMNS, "names", "_records")
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        codes: np.ndarray,
+        names: Sequence[str],
+        chip: np.ndarray,
+        arrival: np.ndarray,
+        dispatch: np.ndarray,
+        finish: np.ndarray,
+        size: np.ndarray,
+    ) -> None:
+        columns = (ids, codes, chip, arrival, dispatch, finish, size)
+        dtypes = (np.int64, np.int64, np.int64, float, float, float, np.int64)
+        for name, column, dtype in zip(_RECORD_COLUMNS, columns, dtypes):
+            # A view, so freezing it leaves the caller's array writeable.
+            column = np.asarray(column, dtype=dtype).view()
+            if column.shape != (len(ids),):
+                raise ServingError("record table columns differ in length")
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self.names = tuple(names)
+        self._records: tuple[RequestRecord, ...] | None = None
+
+    @classmethod
+    def from_records(cls, records: Iterable[RequestRecord]) -> "RecordTable":
+        """The table of ``records``, which it keeps and returns as given."""
+        records = tuple(records)
+        ids, workloads, chip, arrival, dispatch, finish, size = (
+            zip(*records) if records else ((),) * 7
+        )
+        names = tuple(dict.fromkeys(workloads))
+        code_of = {name: code for code, name in enumerate(names)}
+        table = cls(
+            ids, [code_of[name] for name in workloads], names, chip,
+            arrival, dispatch, finish, size,
+        )
+        table._records = records
+        return table
+
+    def _built(self) -> tuple[RequestRecord, ...]:
+        """The records, built from the columns on first use."""
+        if self._records is None:
+            self._records = tuple(
+                map(
+                    RequestRecord,
+                    self.ids.tolist(),
+                    map(self.names.__getitem__, self.codes.tolist()),
+                    self.chip.tolist(),
+                    self.arrival.tolist(),
+                    self.dispatch.tolist(),
+                    self.finish.tolist(),
+                    self.size.tolist(),
+                )
+            )
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[RequestRecord]:
+        return iter(self._built())
+
+    def _fields(self) -> tuple[np.ndarray, ...]:
+        """The columns in record field order, workloads as names."""
+        return (
+            self.ids, np.array(self.names, dtype=object)[self.codes],
+            self.chip, self.arrival, self.dispatch, self.finish, self.size,
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RecordTable):
+            return len(self) == len(other) and all(
+                map(np.array_equal, self._fields(), other._fields())
+            )
+        if isinstance(other, (tuple, list)):
+            return self._built() == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RecordTable({len(self)} records)"
+
+    def latency(self) -> np.ndarray:
+        """End-to-end latencies (``finish - arrival``), one per row."""
+        return self.finish - self.arrival
+
+
+def _trace_records(raw_batches, bulk_runs, workloads) -> RecordTable:
+    """The id-sorted record table of a whole-trace run's emit structures.
+
+    ``raw_batches`` holds the per-batch ``emit`` tuples and ``bulk_runs``
+    the ``emit_run`` argument tuples of one ``_simulate`` call whose
+    ``workloads`` index the runs' codes.  A batch's size is its member
+    count, so it doubles as the repeat count that spreads the batch
+    columns over its requests.
+    """
+    parts = []
+    if raw_batches:
+        num_batches = len(raw_batches)
+        code_of = {name: code for code, name in enumerate(workloads)}
+
+        def column(index: int, dtype) -> np.ndarray:
+            return np.fromiter(
+                map(operator.itemgetter(index), raw_batches), dtype, num_batches
+            )
+
+        size = column(3, np.int64)
+        total = int(size.sum())
+        members = list(map(operator.itemgetter(5), raw_batches))
+        codes = np.fromiter(
+            map(code_of.__getitem__, map(operator.itemgetter(4), raw_batches)),
+            np.int64,
+            num_batches,
+        )
+        parts.append((
+            np.fromiter(
+                itertools.chain.from_iterable(
+                    map(operator.itemgetter(1), members)
+                ),
+                np.int64,
+                total,
+            ),
+            np.repeat(codes, size),
+            np.repeat(column(0, np.int64), size),
+            np.fromiter(
+                itertools.chain.from_iterable(
+                    map(operator.itemgetter(0), members)
+                ),
+                float,
+                total,
+            ),
+            np.repeat(column(1, float), size),
+            np.repeat(column(2, float), size),
+            np.repeat(size, size),
+        ))
+    for chip_ids, arrivals, finishes, _names, codes, run_ids in bulk_runs:
+        # An idle-disjoint run: every request served alone at its
+        # arrival instant (dispatch == arrival, batch size 1).
+        count = len(arrivals)
+        parts.append((
+            np.fromiter(run_ids, np.int64, count),
+            codes,
+            np.full(count, chip_ids, np.int64)
+            if isinstance(chip_ids, int)
+            else chip_ids,
+            arrivals,
+            arrivals,
+            finishes,
+            np.ones(count, np.int64),
+        ))
+    if not parts:
+        parts.append(((),) * 7)
+    ids, codes, chip, arrival, dispatch, finish, size = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    order = np.argsort(ids, kind="stable")
+    return RecordTable(
+        ids[order], codes[order], workloads, chip[order], arrival[order],
+        dispatch[order], finish[order], size[order],
+    )
 
 
 class _FleetRunStats:
@@ -209,9 +397,13 @@ class _FleetRunStats:
 
 @dataclass(frozen=True)
 class ServingResult(_FleetRunStats):
-    """Everything a serving run produced, ready for the metrics layer."""
+    """Everything a serving run produced, ready for the metrics layer.
 
-    records: tuple[RequestRecord, ...]
+    ``records`` is a :class:`RecordTable`; a tuple or list of records
+    passed in is wrapped in one.
+    """
+
+    records: RecordTable
     num_chips: int
     chip_busy_s: tuple[float, ...]
     chip_requests: tuple[int, ...]
@@ -232,6 +424,12 @@ class ServingResult(_FleetRunStats):
     #: realized incident log of the run's chaos timeline, in event order
     incidents: tuple[dict, ...] = ()
 
+    def __post_init__(self):
+        if not isinstance(self.records, RecordTable):
+            object.__setattr__(
+                self, "records", RecordTable.from_records(self.records)
+            )
+
     @property
     def num_requests(self) -> int:
         """Requests served."""
@@ -244,26 +442,26 @@ class ServingResult(_FleetRunStats):
 
     def latencies_s(self) -> list[float]:
         """Per-request end-to-end latencies, in request-id order."""
-        return [record.latency_s for record in self.records]
+        return self.records.latency().tolist()
 
     def latency_values(self) -> np.ndarray:
         """End-to-end latencies as a float array, in request-id order."""
-        return np.array([record.latency_s for record in self.records], dtype=float)
+        return self.records.latency()
 
     def queue_delay_values(self) -> np.ndarray:
         """Queueing delays as a float array, in request-id order."""
-        return np.array(
-            [record.queue_delay_s for record in self.records], dtype=float
-        )
+        return self.records.dispatch - self.records.arrival
 
     def workload_latency_values(self) -> dict[str, np.ndarray]:
-        """Latency arrays per workload, requests in request-id order."""
-        grouped: dict[str, list[float]] = {}
-        for record in self.records:
-            grouped.setdefault(record.workload, []).append(record.latency_s)
+        """Latency arrays per workload in first-occurrence order, requests
+        in request-id order."""
+        records = self.records
+        latencies = records.latency()
+        codes = records.codes
+        present, first = np.unique(codes, return_index=True)
         return {
-            workload: np.array(values, dtype=float)
-            for workload, values in grouped.items()
+            records.names[code]: latencies[codes == code]
+            for code in present[np.argsort(first)].tolist()
         }
 
 
@@ -854,8 +1052,8 @@ class ServingSimulator:
 
         The one result path of :meth:`run`,
         :func:`~repro.serving.control.run_controlled` (``controller``) and
-        :func:`~repro.serving.sessions.run_sessions` (``source``): records,
-        provenance and the windowed series (see
+        :func:`~repro.serving.sessions.run_sessions` (``source``): the
+        record table, provenance and the windowed series (see
         :mod:`~repro.serving.telemetry` for its contract) are built once,
         from ``_simulate``'s emit structures and :class:`_Outcome`.
         """
@@ -884,11 +1082,8 @@ class ServingSimulator:
         if telemetry_window_s is not None:
             # Derive the series straight from the captured emit structures
             # (bulk-run columns are already numpy arrays) — byte-identical
-            # to record-based derivation but without the per-record round
-            # trip.  Deriving *before* the records fill the young GC
-            # generation keeps the collections its temporaries trigger
-            # from rescanning thousands of fresh record tuples; together
-            # these keep telemetry-on overhead in single-digit percent.
+            # to derivation from the record columns, without recovering
+            # batches from them.
             from repro.serving.telemetry import (
                 _energy_lookup,
                 _series_from_emits,
@@ -914,42 +1109,8 @@ class ServingSimulator:
                 shed_s=outcome.shed_s,
                 scaled_energy=scaled,
             )
-        records = [
-            RequestRecord(
-                request_id, workload, chip_id, arrival_s, dispatch_s,
-                finish_s, size,
-            )
-            for chip_id, dispatch_s, finish_s, size, workload, members
-            in raw_batches
-            for arrival_s, request_id in zip(*members)
-        ]
-        one = itertools.repeat(1)
-        for chip_ids, arrivals, finishes, names, _codes, run_ids in bulk_runs:
-            # An idle-disjoint run: every request served alone at its
-            # arrival instant (dispatch == arrival, batch size 1).
-            arrival_list = arrivals.tolist()
-            finish_list = finishes.tolist()
-            chip_iter = (
-                itertools.repeat(chip_ids)
-                if isinstance(chip_ids, int)
-                else chip_ids.tolist()
-            )
-            records.extend(
-                map(
-                    RequestRecord,
-                    run_ids,
-                    names,
-                    chip_iter,
-                    arrival_list,
-                    arrival_list,
-                    finish_list,
-                    one,
-                )
-            )
-        # Plain tuple sort: request_id is the lead field and is unique.
-        records.sort()
         return ServingResult(
-            records=tuple(records),
+            records=_trace_records(raw_batches, bulk_runs, workloads),
             num_chips=len(chips),
             chip_busy_s=tuple(chip.busy_s for chip in chips),
             chip_requests=tuple(chip.served for chip in chips),

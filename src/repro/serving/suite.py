@@ -124,7 +124,7 @@ def _run_case(case: SuiteCase) -> SuiteResult:
         scenario=scenario.name,
         description=scenario.description,
         slo_s=scenario.slo_s,
-        num_requests=len(result.records),
+        num_requests=result.num_requests,
         provenance=dict(result.provenance),
         summary=metrics.summarize_result(result, scenario.slo_s),
         per_workload=metrics.per_workload_summary(result, scenario.slo_s),

@@ -43,8 +43,8 @@ the scaled energy the core charged, which the core reports by
 ``(chip, dispatch)`` only when telemetry is on.
 
 Per-request lifecycle *spans* (arrive -> dispatch -> complete with
-queue-wait and service segments) are derived from the existing records
-by :func:`request_spans`; nothing is added to the hot path.
+queue-wait and service segments) are derived from the existing record
+columns by :func:`request_spans`; nothing is added to the hot path.
 """
 
 from __future__ import annotations
@@ -745,7 +745,8 @@ def derive_series(result, window_s, chip_models) -> TelemetrySeries:
     ``chip_models`` are the per-chip service oracles the run used
     (``ServingSimulator._chip_models()``); the event core itself is never
     re-run, so deriving telemetry after the fact costs a single
-    vectorized pass over the records, which hold completed requests only.
+    vectorized pass over the record columns, which hold completed
+    requests only.
 
     Chaos and controlled runs are rejected: their records hold neither
     the requests they lost or shed nor the scaled energy of slowed
@@ -762,22 +763,14 @@ def derive_series(result, window_s, chip_models) -> TelemetrySeries:
     window_s = _check_window(window_s)
     if not records:
         return TelemetrySeries(window_s, result.num_chips, ())
-    _ids, name_col, chip_col, arr_col, disp_col, fin_col, size_col = zip(
-        *records
-    )
-    names = tuple(sorted(set(name_col)))
-    code_of = {name: code for code, name in enumerate(names)}
-    codes = np.fromiter(
-        map(code_of.__getitem__, name_col), np.int64, len(records)
-    )
     return _series_from_columns(
-        arrival=np.asarray(arr_col, dtype=float),
-        dispatch=np.asarray(disp_col, dtype=float),
-        finish=np.asarray(fin_col, dtype=float),
-        chip=np.asarray(chip_col, dtype=np.int64),
-        size=np.asarray(size_col, dtype=np.int64),
-        codes=codes,
-        names=names,
+        arrival=records.arrival,
+        dispatch=records.dispatch,
+        finish=records.finish,
+        chip=records.chip,
+        size=records.size,
+        codes=records.codes,
+        names=records.names,
         num_chips=result.num_chips,
         energy_of=_energy_lookup(chip_models),
         window_s=window_s,
@@ -962,18 +955,25 @@ def request_spans(result) -> tuple[dict, ...]:
             "request spans need per-request records; use "
             "ServingSimulator.run() (run_stream keeps only aggregates)"
         )
+    names = records.names
     return tuple(
         {
-            "request_id": record.request_id,
-            "workload": record.workload,
-            "chip": record.chip,
-            "arrival_s": record.arrival_s,
-            "dispatch_s": record.dispatch_s,
-            "finish_s": record.finish_s,
-            "queue_wait_s": record.dispatch_s - record.arrival_s,
-            "service_s": record.finish_s - record.dispatch_s,
-            "latency_s": record.finish_s - record.arrival_s,
-            "batch_size": record.batch_size,
+            "request_id": request_id,
+            "workload": names[code],
+            "chip": chip,
+            "arrival_s": arrival_s,
+            "dispatch_s": dispatch_s,
+            "finish_s": finish_s,
+            "queue_wait_s": dispatch_s - arrival_s,
+            "service_s": finish_s - dispatch_s,
+            "latency_s": finish_s - arrival_s,
+            "batch_size": size,
         }
-        for record in records
+        for request_id, code, chip, arrival_s, dispatch_s, finish_s, size
+        in zip(
+            records.ids.tolist(), records.codes.tolist(),
+            records.chip.tolist(), records.arrival.tolist(),
+            records.dispatch.tolist(), records.finish.tolist(),
+            records.size.tolist(),
+        )
     )

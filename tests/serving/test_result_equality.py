@@ -31,6 +31,7 @@ from repro.serving.fleet import DEFAULT_BACKEND, Fleet
 from repro.serving.scenarios import get_scenario
 from repro.serving.sessions import SessionConfig, run_sessions
 from repro.serving.simulator import (
+    RecordTable,
     RequestRecord,
     ServingResult,
     ServingSimulator,
@@ -313,6 +314,8 @@ def _assert_same_records(result, expected):
             assert type(got_field) is type(want_field)
             assert got_field == want_field
     assert result.records == expected
+    assert result.records == list(expected)
+    assert result.records == RecordTable.from_records(expected)
 
 
 def _assert_same_readers(result, records):
@@ -507,3 +510,81 @@ def test_result_built_from_a_tuple_keeps_its_records():
     _assert_same_readers(result, records)
     assert result.records[1] is records[1]
     assert result.records[-2:] == records[-2:]
+
+
+class TestRecordTable:
+    def test_summaries_build_no_record(self, monkeypatch):
+        built = []
+        new = RequestRecord.__new__
+
+        def counting_new(cls, *fields):
+            built.append(fields)
+            return new(cls, *fields)
+
+        monkeypatch.setattr(RequestRecord, "__new__", counting_new)
+        chaos = ChaosTimeline((chip_failure(1, 0.03, 0.02),))
+        for simulator in (
+            _simulator(HEAVY, router="affinity"),
+            _simulator(LIGHT, router="round_robin"),
+            _simulator(HEAVY, chaos=chaos),
+        ):
+            result = simulator.run(_traffic())
+            metrics.summarize_result(result, SLO_S)
+            metrics.per_workload_summary(result, SLO_S)
+            metrics.per_backend_summary(result, SLO_S)
+            metrics.resilience_metrics(result)
+            assert result.requests_arrived == len(_traffic())
+            if "chaos" not in result.provenance:
+                telemetry.derive_series(result, 0.01, simulator._chip_models())
+        sharded = _simulator(HEAVY, router="round_robin").run(
+            _traffic(), shards=2, shard_workers=1
+        )
+        metrics.summarize_result(sharded, SLO_S)
+        assert built == []
+        assert len(tuple(sharded.records)) == len(built) > 0
+
+    def test_records_are_built_once(self):
+        result = _simulator(HEAVY).run(_traffic())
+        first = result.records[0]
+        assert result.records[0] is first
+        assert next(iter(result.records)) is first
+        assert result.records[-1].request_id == max(result.records.ids)
+
+    def test_columns_are_read_only_and_id_sorted(self):
+        records = _simulator(HEAVY, router="round_robin").run(_traffic()).records
+        for name in ("ids", "codes", "chip", "arrival", "dispatch", "finish",
+                     "size"):
+            column = getattr(records, name)
+            assert column.shape == (len(records),)
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert (np.diff(records.ids) > 0).all()
+        assert records.names == WORKLOADS
+
+    def test_equality_across_tables_tuples_and_lists(self):
+        requests = _traffic()
+        table = _simulator(HEAVY, router="round_robin").run(requests).records
+        other = _simulator(HEAVY, router="round_robin").run(requests).records
+        sharded = _simulator(HEAVY, router="round_robin").run(
+            requests, shards=4, shard_workers=1
+        ).records
+        assert table == other == sharded
+        assert table == RecordTable.from_records(tuple(other))
+        assert table == list(other) and table == tuple(other)
+        assert not table != tuple(other)
+        changed = list(other)
+        changed[5] = changed[5]._replace(chip=changed[5].chip + 1)
+        assert table != changed
+        assert table != RecordTable.from_records(changed)
+        renamed = list(other)
+        renamed[0] = renamed[0]._replace(workload="other")
+        assert table != RecordTable.from_records(renamed)
+        assert table != other[:-1]
+        assert table != "records"
+        with pytest.raises(TypeError):
+            hash(table)
+
+    def test_mismatched_columns_are_rejected(self):
+        with pytest.raises(ServingError, match="differ in length"):
+            RecordTable([1, 2], [0], ("nvsa",), [0, 0], [0.0, 0.0],
+                        [0.0, 0.0], [1.0, 1.0], [1, 1])
