@@ -236,12 +236,24 @@ class RequestTrace:
                 if not line.strip():
                     continue
                 try:
-                    request_id, workload, arrival_s = loads(line)
+                    row = loads(line)
                 except (json.JSONDecodeError, ValueError):
+                    row = None
+                # Exact type() checks: bool is an int subclass, and a float
+                # id or a bool arrival must not replay as a number.
+                if (
+                    type(row) is not list
+                    or len(row) != 3
+                    or type(row[0]) is not int
+                    or type(row[1]) is not str
+                    or (type(row[2]) is not float and type(row[2]) is not int)
+                ):
                     raise ServingError(
                         f"trace '{self.path}' has a malformed line near "
-                        f"request {count}"
-                    ) from None
+                        f"request {count}: expected [int id, str workload, "
+                        "number arrival_s]"
+                    )
+                request_id, workload, arrival_s = row
                 if workload not in known:
                     raise ServingError(
                         f"trace '{self.path}' line names workload "

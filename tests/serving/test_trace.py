@@ -100,6 +100,36 @@ class TestFormat:
         with pytest.raises(ServingError, match="non-finite arrival"):
             list(RequestTrace(tmp_path / "bad.jsonl").iter_chunks())
 
+    @pytest.mark.parametrize("line", (
+        # Each used to escape as a bare TypeError.
+        "5",
+        '{"a": 0, "nvsa": 1, "c": 2}',
+        '[0, "nvsa", "0.1"]',
+        '[null, "nvsa", 0.1]',
+        '[0, ["nvsa"], 0.1]',
+        # Each used to replay silently as a number.
+        '[0, "nvsa", true]',
+        '[0.5, "nvsa", 0.1]',
+        '[true, "nvsa", 0.1]',
+    ))
+    def test_mistyped_line_is_rejected(self, tmp_path, line):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [Request(i, "nvsa", 0.25 * i) for i in range(3)])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = line + "\n"
+        (tmp_path / "bad.jsonl").write_text("".join(lines))
+        with pytest.raises(ServingError, match="malformed line near request 0"):
+            list(RequestTrace(tmp_path / "bad.jsonl").iter_chunks())
+
+    def test_integer_arrival_is_accepted(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [Request(0, "nvsa", 0.0), Request(1, "nvsa", 2.0)])
+        text = path.read_text().replace('[1, "nvsa", 2.0]', '[1, "nvsa", 2]')
+        (tmp_path / "int.jsonl").write_text(text)
+        assert list(RequestTrace(tmp_path / "int.jsonl").iter_chunks()) == [
+            ([0.0, 2], ["nvsa", "nvsa"], [0, 1])
+        ]
+
 
 class TestChunking:
     def test_chunks_partition_the_trace(self, tmp_path):
