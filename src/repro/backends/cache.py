@@ -77,3 +77,8 @@ class ExecutionCache:
     def cached_reports(self) -> int:
         """Number of distinct ``(workload, batch)`` executions performed."""
         return len(self._reports)
+
+    @property
+    def report_keys(self) -> frozenset[tuple[str, int]]:
+        """The ``(workload, batch)`` keys of the executions performed."""
+        return frozenset(self._reports)

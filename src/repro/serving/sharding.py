@@ -38,15 +38,11 @@ plain registry-backed ``ExecutionCache`` instances; anything unshippable
 (custom oracles, custom policies that fail to pickle) degrades to
 sequential in-process execution, never to wrong answers.
 
-One provenance field is not shard-invariant either.
-``provenance["cached_reports"]`` counts the parent process's service
-cache, so it describes where the components ran, not what the fleet
-cached: with the default process pool the workers fill their own caches
-and a sharded run reads 0 where the unsharded run reads 4 (``repro serve
-steady --chips 4 --router round_robin --shards 2``).  ``shard_workers=1``,
-and a streamed run whose telemetry energy lookups fill the parent cache,
-read the warm count again.  :mod:`repro.serving.suite` documents the same
-kind of exception for ``--jobs``.
+``provenance["cached_reports"]`` counts what the fleet cached wherever
+the components ran: pooled workers return the ``(workload, batch)`` keys
+their caches hold, and the run reports the size of their union with the
+parent cache's keys, so ``repro serve steady --chips 4 --router
+round_robin --shards 2`` reads 4 like the unsharded run.
 """
 
 from __future__ import annotations
@@ -578,7 +574,12 @@ _WORKER_MODELS: dict = {}
 
 
 def _run_component_worker(payload):
-    """Worker-process entry: rebuild the models, run the component."""
+    """Worker-process entry: rebuild the models, run the component.
+
+    Returns ``(bundle, keys)``: ``keys`` maps each model spec to the
+    ``(workload, batch)`` keys its worker cache holds, so the parent can
+    report what the fleet cached.
+    """
     (policy, specs, router, global_chips, arr, ids, codes, workload_names,
      vectorize) = payload
     models = []
@@ -595,16 +596,19 @@ def _run_component_worker(payload):
             )
             _WORKER_MODELS[spec] = model
         models.append(model)
-    return _simulate_component(
+    bundle = _simulate_component(
         policy, models, router, global_chips, arr, ids, codes,
         workload_names, vectorize,
     )
+    return bundle, {spec: _WORKER_MODELS[spec].report_keys for spec in specs}
 
 
 def _run_components(sim, jobs, workload_names, workers):
     """Run every job, fanning out to worker processes when possible.
 
-    Returns ``(bundles, workers_used)``.  Fan-out needs at least two jobs,
+    Returns ``(bundles, workers_used, filled)``; ``filled`` maps each model
+    spec to the ``(workload, batch)`` keys the worker caches hold, and is
+    ``None`` when the jobs ran in-process.  Fan-out needs at least two jobs,
     a worker budget above one, every service model shippable, and a process
     pool that actually comes up — anything else runs the jobs sequentially
     in-process, which is always correct (and on a single-core host, just as
@@ -639,7 +643,12 @@ def _run_components(sim, jobs, workload_names, workers):
                 with ProcessPoolExecutor(
                     max_workers=use, mp_context=context
                 ) as pool:
-                    return list(pool.map(_run_component_worker, payloads)), use
+                    returned = list(pool.map(_run_component_worker, payloads))
+                filled: dict = {}
+                for _bundle, keys in returned:
+                    for spec, spec_keys in keys.items():
+                        filled.setdefault(spec, set()).update(spec_keys)
+                return [bundle for bundle, _keys in returned], use, filled
             except ServingError:
                 raise
             except Exception:
@@ -652,7 +661,7 @@ def _run_components(sim, jobs, workload_names, workers):
             job.ids, job.codes, workload_names, vectorize,
         )
         for job in jobs
-    ], 1
+    ], 1, None
 
 
 def _component_jobs(plan, chip_models, router, per_component, workload_names):
@@ -849,7 +858,9 @@ def _run_sharded(
     jobs = _component_jobs(
         plan, chip_models, router, per_component, workload_names
     )
-    bundles, workers_used = _run_components(sim, jobs, workload_names, workers)
+    bundles, workers_used, filled = _run_components(
+        sim, jobs, workload_names, workers
+    )
 
     served = sum(bundle.served for bundle in bundles)
     if served != total:
@@ -900,9 +911,16 @@ def _run_sharded(
 
     # Provenance's ``cached_reports`` counts the parent process's service
     # cache, which the telemetry's energy lookups fill: a streamed run's
-    # count includes them, a full-trace run's does not.
+    # count includes them, a full-trace run's does not.  Pooled components
+    # filled their workers' caches, whose keys join the parent's.
     telemetry = derive_telemetry() if stream else None
     run_provenance = sim._provenance(total)
+    if filled is not None:
+        caches = {id(model): model for model in chip_models}.values()
+        run_provenance["cached_reports"] = sum(
+            len(cache.report_keys | filled.get(_model_spec(cache), set()))
+            for cache in caches
+        )
     if provenance:
         run_provenance.update(provenance)
     run_provenance.update({

@@ -258,6 +258,46 @@ class TestProcessFanOut:
         assert sharded.provenance["shard_workers"] == 2
 
 
+class TestCachedReports:
+    """``cached_reports`` counts what the fleet cached, wherever it ran."""
+
+    STEADY = ["serve", "steady", "--chips", "4", "--router", "round_robin",
+              "--duration-scale", "0.1", "--format", "json"]
+
+    @staticmethod
+    def _cached_reports(capsys, argv):
+        from repro.cli import main
+
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        return report["provenance"]["cached_reports"], report
+
+    def test_pooled_shards_report_the_workers_caches(self, capsys, tmp_path):
+        plain, plain_report = self._cached_reports(capsys, self.STEADY)
+        pooled, pooled_report = self._cached_reports(
+            capsys, [*self.STEADY, "--shards", "2"]
+        )
+        in_process, _ = self._cached_reports(
+            capsys, [*self.STEADY, "--shards", "2", "--shard-workers", "1"]
+        )
+        from repro.cli import main
+
+        trace = tmp_path / "steady.jsonl"
+        assert main([
+            "serve", "steady", "--duration-scale", "0.1", "--record",
+            str(trace),
+        ]) == 0
+        capsys.readouterr()
+        replay, _ = self._cached_reports(capsys, [
+            "serve", "--trace", str(trace), "--chips", "4", "--router",
+            "round_robin", "--shards", "2", "--telemetry",
+            str(tmp_path / "series.jsonl"), "--format", "json",
+        ])
+        assert pooled_report["provenance"]["shard_workers"] == 2
+        assert (plain, pooled, in_process, replay) == (4, 4, 4, 4)
+        assert pooled_report["summary"] == plain_report["summary"]
+
+
 def _serve(sim, surface, stream, **shard_args):
     """``sim.run`` or ``sim.run_stream`` over ``stream``."""
     if surface == "run":
