@@ -453,8 +453,10 @@ class ServingResult(_FleetRunStats):
         return self.records.dispatch - self.records.arrival
 
     def workload_latency_values(self) -> dict[str, np.ndarray]:
-        """Latency arrays per workload in first-occurrence order, requests
-        in request-id order."""
+        """Latency arrays per workload, requests in request-id order.
+
+        Workloads appear in the order of their first request.
+        """
         records = self.records
         latencies = records.latency()
         codes = records.codes

@@ -36,6 +36,7 @@ from repro.serving.simulator import (
     ServingResult,
     ServingSimulator,
     StreamedServingResult,
+    request_columns,
 )
 
 WORKLOADS = ("lvrf", "mimonet", "nvsa", "prae")
@@ -480,8 +481,6 @@ class TestFeedbackRuns:
 
 class TestStreamedResultsUnchanged:
     def test_streamed_result_has_no_records(self):
-        from repro.serving.simulator import request_columns
-
         simulator = _simulator(HEAVY)
         columns = request_columns(_traffic())
         result = simulator.run_stream([columns], WORKLOADS)
