@@ -867,16 +867,28 @@ def _coerce_option(flag: str, raw: object, type_label: str):
         raise ReproError(f"cannot parse {flag} {raw!r} as {type_label}") from None
 
 
+#: ``(engine parameter, flag, argparse dest)`` of every typed ``repro dse``
+#: option; an action's spec takes the ones in its parameter schema
+_DSE_OPTIONS = (
+    ("workloads", "--workloads", "workloads"),
+    ("batch_sizes", "--batch-sizes", "batch_sizes"),
+    ("objectives", "--objectives", "objectives"),
+    ("offered_rps", "--offered-rps", "offered_rps"),
+    ("target_p99_ms", "--target-p99", "target_p99"),
+    ("chip_counts", "--chips", "chips"),
+    ("routers", "--routers", "routers"),
+    ("policies", "--policies", "policies"),
+    ("requests", "--requests", "requests"),
+)
+
+
 def _dse_overrides(args, spec) -> dict:
     """Typed engine overrides from the ``repro dse`` option set."""
     overrides = dict(spec.smoke_params) if args.smoke else {}
     if getattr(args, "space", None):
         overrides["space"] = args.space
-    for key, flag, raw in (
-        ("workloads", "--workloads", getattr(args, "workloads", None)),
-        ("batch_sizes", "--batch-sizes", getattr(args, "batch_sizes", None)),
-        ("objectives", "--objectives", getattr(args, "objectives", None)),
-    ):
+    for key, flag, dest in _DSE_OPTIONS:
+        raw = getattr(args, dest)
         if raw is not None and key in spec.param_schema:
             overrides[key] = _coerce_option(flag, raw, spec.param_schema[key])
     return overrides
@@ -926,23 +938,11 @@ def _cmd_dse(args) -> int:
             _emit(args, table + f"\n\n{len(rows)} design spaces registered.\n")
         return 0
     if args.action == "plan":
-        spec = get_spec("dse_capacity")
-        overrides = dict(spec.smoke_params) if args.smoke else {}
-        for key, flag, raw in (
-            ("offered_rps", "--offered-rps", args.offered_rps),
-            ("target_p99_ms", "--target-p99", args.target_p99),
-            ("chip_counts", "--chips", args.chips),
-            ("routers", "--routers", args.routers),
-            ("policies", "--policies", args.policies),
-            ("requests", "--requests", args.requests),
-        ):
-            if raw is not None:
-                overrides[key] = _coerce_option(flag, raw, spec.param_schema[key])
         table = engine.run(
             "dse_capacity",
             use_cache=not args.no_cache,
             cache_dir=args.cache_dir,
-            **overrides,
+            **_dse_overrides(args, get_spec("dse_capacity")),
         )
         recommended = [row for row in table.rows if row.get("recommended")]
         note = (

@@ -1,14 +1,13 @@
 """Evaluation harness: solvers, experiment registry, engine and reporting.
 
 The cognitive solvers live in :mod:`repro.evaluation.solver`; the per-figure
-experiment drivers are spread over five focused modules (``characterization``,
+experiment drivers are spread over six focused modules (``characterization``,
 ``accuracy_experiments``, ``hardware_experiments``, ``end_to_end``,
-``serving_experiments``) and bound together by the declarative
+``serving_experiments``, ``dse_experiments``) and bound together by the declarative
 :mod:`repro.evaluation.registry`.  Use
 :mod:`repro.evaluation.engine` (or the ``repro`` CLI) to execute registered
 experiments with on-disk result caching and optional process-level
-parallelism; :mod:`repro.evaluation.experiments` remains as a
-backwards-compatible facade over the drivers.
+parallelism.
 """
 
 from repro.evaluation.solver import (
@@ -18,7 +17,6 @@ from repro.evaluation.solver import (
     SVRTSolver,
 )
 from repro.evaluation.reporting import format_csv, format_markdown_table
-from repro.evaluation import experiments
 from repro.evaluation import registry
 from repro.evaluation import engine
 from repro.evaluation.registry import ExperimentSpec, all_specs, get_spec
@@ -31,7 +29,6 @@ __all__ = [
     "SVRTSolver",
     "format_markdown_table",
     "format_csv",
-    "experiments",
     "registry",
     "engine",
     "ExperimentSpec",

@@ -17,20 +17,21 @@ which exploits that factorization three ways:
 * **a columnar single-chip engine** — a component that is one chip under a
   trusted builtin batching policy skips the generic event core entirely:
   arrivals stay as numpy columns, queues are cursor pairs over per-workload
-  slices, the policy's ``plan`` runs once per *batch* instead of touching
-  per-request state, and per-request dispatch/finish columns materialize at
-  the end with ``np.repeat`` over the batch log.  This is where saturated
-  regimes (standing queues, large batches) gain their multiple over the
-  scalar loop.
-* **deterministic merge** — components return columnar bundles whose
-  accounting folds once; ``run`` sorts the merged columns by
-  ``request_id`` into its record table (records exactly equal to the
-  single-shard run),
-  ``run_stream`` puts them in the canonical ``(dispatch_s, chip, batch)``
-  order, and both derive telemetry from them.  Energy is summed per
-  component and then across components, which can differ from the
-  single-shard global interleave by an ulp — every other float is
-  bit-identical.
+  slices, and the policy's ``plan`` runs once per *batch* instead of
+  touching per-request state.  The batch log it keeps is its result.
+  This is where saturated regimes (standing queues, large batches) gain
+  their multiple over the scalar loop.  Other components run the generic
+  core, whose emits decode into the same kind of log.
+* **deterministic merge** — every component returns its batch log
+  (:class:`~repro.serving.simulator._BatchLog`) plus accounting; the logs
+  concatenate and the accounting folds once.  ``run`` builds its record
+  table from the merged log (records exactly equal to the single-shard
+  run), ``run_stream`` reads its latencies in the canonical
+  ``(dispatch_s, chip, batch)`` order, and both derive telemetry from the
+  log, so batches a chip dispatches at one instant stay apart.  Energy
+  is summed per component and then across components, which can differ
+  from the single-shard global interleave by an ulp — every other float
+  is bit-identical.
 
 Components optionally fan out to worker processes
 (``concurrent.futures.ProcessPoolExecutor``) when the service models are
@@ -67,10 +68,11 @@ from repro.serving.fleet import (
 )
 from repro.serving.simulator import (
     CHAOS_SHARD_FALLBACK,
-    RecordTable,
     ServingResult,
     ServingSimulator,
     StreamedServingResult,
+    _BatchLog,
+    _EmitLog,
     _plan_method,
     _service_cost,
 )
@@ -151,21 +153,10 @@ def plan_components(router, num_chips: int):
 
 
 class _CompBundle(NamedTuple):
-    """One component's finished simulation, in columnar form.
+    """One component's finished simulation: its batch log and accounting."""
 
-    Per-request columns are in arbitrary order (the merge sorts globally);
-    ``batch_seq`` is the per-chip batch index a request's batch held, which
-    together with ``(dispatch, chip)`` reconstructs exact emit order.
-    """
-
-    ids: np.ndarray
-    codes: np.ndarray
-    chip: np.ndarray
-    arrival: np.ndarray
-    dispatch: np.ndarray
-    finish: np.ndarray
-    size: np.ndarray
-    batch_seq: np.ndarray
+    #: the component's batches, on global chip ids
+    log: _BatchLog
     #: ``(global_chip_id, busy_s, served)`` for every chip of the component
     chip_rows: tuple
     energy: float
@@ -394,49 +385,27 @@ def _engine_run(
         else:
             break
 
-    # -- vectorized finalize: batch log -> per-request columns -------------
-    codes_np = np.asarray(batch_code, dtype=np.int64)
-    disp_np = np.asarray(batch_disp, dtype=float)
-    fin_np = np.asarray(batch_fin, dtype=float)
-    count_np = np.asarray(batch_count, dtype=np.int64)
-    out_ids = []
-    out_codes = []
-    out_arr = []
-    out_disp = []
-    out_fin = []
-    out_size = []
-    out_bseq = []
-    for code in range(num_workloads):
-        mask = codes_np == code
-        if not mask.any():
-            continue
-        counts = count_np[mask]
-        total = int(counts.sum())
-        # Batches consume a workload's queue strictly front-to-back, so
-        # the requests of this workload's batches are exactly the first
-        # ``total`` entries of its arrival-order slice.
-        positions = positions_by_code[code][:total]
-        out_ids.append(ids[positions])
-        out_arr.append(arr[positions])
-        out_codes.append(np.full(total, code, dtype=np.int64))
-        out_disp.append(np.repeat(disp_np[mask], counts))
-        out_fin.append(np.repeat(fin_np[mask], counts))
-        out_size.append(np.repeat(counts, counts))
-        out_bseq.append(np.repeat(np.flatnonzero(mask), counts))
-    ids_all = np.concatenate(out_ids) if out_ids else np.empty(0, np.int64)
+    # Batches consume each workload's queue strictly front to back, so with
+    # the batches grouped by workload their members are the leading
+    # entries of each workload's arrival-order positions.
+    code = np.asarray(batch_code, dtype=np.int64)
+    size = np.asarray(batch_count, dtype=np.int64)
+    by_code = np.argsort(code, kind="stable")
+    members = np.concatenate([
+        positions_by_code[workload][:int(size[code == workload].sum())]
+        for workload in range(num_workloads)
+    ])
+    grouped = _BatchLog(
+        np.full(len(code), global_chip, dtype=np.int64),
+        np.asarray(batch_disp, dtype=float)[by_code],
+        np.asarray(batch_fin, dtype=float)[by_code],
+        size[by_code],
+        code[by_code],
+        arr[members],
+        ids[members],
+    )
     return _CompBundle(
-        ids=ids_all,
-        codes=(
-            np.concatenate(out_codes) if out_codes else np.empty(0, np.int64)
-        ),
-        chip=np.full(len(ids_all), global_chip, dtype=np.int64),
-        arrival=np.concatenate(out_arr) if out_arr else np.empty(0, float),
-        dispatch=np.concatenate(out_disp) if out_disp else np.empty(0, float),
-        finish=np.concatenate(out_fin) if out_fin else np.empty(0, float),
-        size=np.concatenate(out_size) if out_size else np.empty(0, np.int64),
-        batch_seq=(
-            np.concatenate(out_bseq) if out_bseq else np.empty(0, np.int64)
-        ),
+        log=grouped.reordered(np.argsort(by_code)),
         chip_rows=((global_chip, busy_s, served),),
         energy=energy,
         num_batches=len(batch_code),
@@ -465,8 +434,7 @@ def _fallback_run(
     Used for multi-chip components and for policies without a trusted
     builtin ``plan``: a throwaway simulator shell drives
     ``ServingSimulator._simulate`` with the component's local router and
-    per-chip oracles injected, and an ``emit`` hook that logs straight
-    into columnar bundle rows.
+    per-chip oracles injected; its batch log moves to global chip ids.
     """
     shell = ServingSimulator.__new__(ServingSimulator)
     shell.batching_policy = policy
@@ -476,45 +444,14 @@ def _fallback_run(
     shell.chaos = None
     names = [workload_names[code] for code in codes.tolist()]
     chunks = [(arr.tolist(), names, ids.tolist())]
-    wl_code = {name: code for code, name in enumerate(workload_names)}
-
-    out_ids: list[int] = []
-    out_codes: list[int] = []
-    out_chip: list[int] = []
-    out_arr: list[float] = []
-    out_disp: list[float] = []
-    out_fin: list[float] = []
-    out_size: list[int] = []
-    out_bseq: list[int] = []
-    chip_batch_seq = [0] * len(models)
-
-    def emit(chip_id, dispatch_s, finish_s, size, workload, members):
-        seq = chip_batch_seq[chip_id]
-        chip_batch_seq[chip_id] = seq + 1
-        code = wl_code[workload]
-        chip = global_chips[chip_id]
-        for arrival_s, request_id in zip(*members):
-            out_ids.append(request_id)
-            out_codes.append(code)
-            out_chip.append(chip)
-            out_arr.append(arrival_s)
-            out_disp.append(dispatch_s)
-            out_fin.append(finish_s)
-            out_size.append(size)
-            out_bseq.append(seq)
-
+    emits = _EmitLog()
     outcome = shell._simulate(
-        chunks, workload_names, emit, router=router, chip_models=list(models)
+        chunks, workload_names, emits.emit, emit_run=emits.emit_run,
+        router=router, chip_models=list(models),
     )
+    log = emits.take(workload_names)
     return _CompBundle(
-        ids=np.asarray(out_ids, dtype=np.int64),
-        codes=np.asarray(out_codes, dtype=np.int64),
-        chip=np.asarray(out_chip, dtype=np.int64),
-        arrival=np.asarray(out_arr, dtype=float),
-        dispatch=np.asarray(out_disp, dtype=float),
-        finish=np.asarray(out_fin, dtype=float),
-        size=np.asarray(out_size, dtype=np.int64),
-        batch_seq=np.asarray(out_bseq, dtype=np.int64),
+        log=log._replace(chip=np.asarray(global_chips, dtype=np.int64)[log.chip]),
         chip_rows=tuple(
             (global_chips[index], chip.busy_s, chip.served)
             for index, chip in enumerate(outcome.chips)
@@ -825,7 +762,7 @@ def _run_sharded(
     unaffected).  Energy is summed per component and then across
     components, so it may differ from the single-shard total by an ulp.
     ``telemetry_window_s`` derives the windowed series from the merged
-    columns; window contents are order-insensitive multisets, so the
+    batch log; window contents are order-insensitive multisets, so the
     series is byte-identical to the single-shard run's.
     """
     if shards < 1:
@@ -881,32 +818,16 @@ def _run_sharded(
         num_batches += bundle.num_batches
         if bundle.horizon > horizon:
             horizon = bundle.horizon
-    ids, codes, chip, arrival, dispatch, finish, size, batch_seq = (
-        np.concatenate([getattr(bundle, name) for bundle in bundles])
-        for name in (
-            "ids", "codes", "chip", "arrival", "dispatch", "finish", "size",
-            "batch_seq",
-        )
-    )
+    log = _BatchLog.concat([bundle.log for bundle in bundles])
 
     def derive_telemetry():
         if telemetry_window_s is None:
             return None
-        from repro.serving.telemetry import _energy_lookup, _series_from_columns
+        from repro.serving.telemetry import _energy_lookup, _series_from_emits
 
-        return _series_from_columns(
-            arrival=arrival,
-            dispatch=dispatch,
-            finish=finish,
-            chip=chip,
-            size=size,
-            codes=codes,
-            names=workload_names,
-            num_chips=num_chips,
-            energy_of=_energy_lookup(chip_models),
-            window_s=telemetry_window_s,
-            horizon_s=horizon,
-            first_arrival_s=first_arrival,
+        return _series_from_emits(
+            log, workload_names, num_chips, _energy_lookup(chip_models),
+            telemetry_window_s, horizon, first_arrival,
         )
 
     # Provenance's ``cached_reports`` counts the parent process's service
@@ -945,22 +866,19 @@ def _run_sharded(
     )
 
     if not stream:
-        order = np.argsort(ids)
-        records = RecordTable(
-            ids[order], codes[order], workload_names, chip[order],
-            arrival[order], dispatch[order], finish[order], size[order],
-        )
-        return ServingResult(records=records, **accounting)
+        return ServingResult(records=log.records(workload_names), **accounting)
 
-    order = np.lexsort((batch_seq, chip, dispatch))
-    chip = chip[order]
-    codes = codes[order]
-    arrival = arrival[order]
-    latency = finish[order] - arrival
+    # lexsort is stable: each chip's batches at one instant keep their
+    # dispatch order.
+    log = log.reordered(np.lexsort((log.chip, log.dispatch)))
+    size = log.size
+    codes = np.repeat(log.code, size)
+    chip = np.repeat(log.chip, size)
+    latency = np.repeat(log.finish, size) - log.arrival
     return StreamedServingResult(
         num_requests=total,
         latency_s=latency,
-        queue_delay_s=dispatch[order] - arrival,
+        queue_delay_s=np.repeat(log.dispatch, size) - log.arrival,
         workload_latency_s={
             name: latency[codes == code]
             for code, name in enumerate(workload_names)

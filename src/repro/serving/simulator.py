@@ -294,79 +294,163 @@ class RecordTable(Sequence[RequestRecord]):
         return self.finish - self.arrival
 
 
-def _trace_records(raw_batches, bulk_runs, workloads) -> RecordTable:
-    """The id-sorted record table of a whole-trace run's emit structures.
+class _BatchLog(NamedTuple):
+    """A finished run's batches as columns: what every result reader takes.
 
-    ``raw_batches`` holds the per-batch ``emit`` tuples and ``bulk_runs``
-    the ``emit_run`` argument tuples of one ``_simulate`` call whose
-    ``workloads`` index the runs' codes.  A batch's size is its member
-    count, so it doubles as the repeat count that spreads the batch
-    columns over its requests.
+    ``chip``, ``dispatch``, ``finish``, ``size`` and ``code`` (an index
+    into the run's sorted workload names) hold one entry per batch, each
+    chip's batches in the order it dispatched them.  ``arrival`` and
+    ``ids`` hold the members of every batch in queue order, batch after
+    batch, so ``size`` is the repeat count that spreads a batch column
+    over its requests.  ``ids`` is ``None`` in a log decoded for telemetry,
+    which never reads request ids.
     """
-    parts = []
-    if raw_batches:
-        num_batches = len(raw_batches)
+
+    chip: np.ndarray
+    dispatch: np.ndarray
+    finish: np.ndarray
+    size: np.ndarray
+    code: np.ndarray
+    arrival: np.ndarray
+    ids: np.ndarray | None
+
+    @classmethod
+    def concat(cls, logs: Sequence["_BatchLog"]) -> "_BatchLog":
+        """One log holding the batches of ``logs``, in order."""
+        if len(logs) == 1:
+            return logs[0]
+        return cls(*(
+            None if column[0] is None else np.concatenate(column)
+            for column in zip(*logs)
+        ))
+
+    def reordered(self, order: np.ndarray) -> "_BatchLog":
+        """The log with its batches in ``order``; members move with them."""
+        size = self.size[order]
+        starts = np.cumsum(self.size) - self.size
+        members = np.repeat(
+            starts[order] - (np.cumsum(size) - size), size
+        ) + np.arange(int(size.sum()))
+        return _BatchLog(
+            self.chip[order], self.dispatch[order], self.finish[order], size,
+            self.code[order], self.arrival[members],
+            None if self.ids is None else self.ids[members],
+        )
+
+    def records(self, names: Sequence[str]) -> RecordTable:
+        """The run's id-sorted :class:`RecordTable`; ``code`` indexes ``names``."""
+        size = self.size
+        order = np.argsort(self.ids, kind="stable")
+        return RecordTable(
+            self.ids[order], np.repeat(self.code, size)[order], names,
+            np.repeat(self.chip, size)[order], self.arrival[order],
+            np.repeat(self.dispatch, size)[order],
+            np.repeat(self.finish, size)[order],
+            np.repeat(size, size)[order],
+        )
+
+
+class _EmitLog:
+    """The batches a ``_simulate`` call emits, captured in emission order.
+
+    :meth:`emit` and :meth:`emit_run` are the core's callbacks (see
+    :meth:`ServingSimulator._simulate` for their arguments); :meth:`take`
+    decodes what was captured since the last take into one
+    :class:`_BatchLog`.  This is the one reader of the emit layout: a
+    batch is ``(chip, dispatch, finish, size, workload, members)`` with
+    ``members`` its ``(arrivals, ids)`` pair, and an idle-disjoint run is
+    a span of size-1 batches dispatched at their arrival instants.
+    """
+
+    __slots__ = ("batches", "runs")
+
+    def __init__(self) -> None:
+        self.batches: list[tuple] = []
+        #: ``(batches emitted before it, chip_ids, arrivals, finishes,
+        #: codes, ids)`` per run
+        self.runs: list[tuple] = []
+
+    def __bool__(self) -> bool:
+        return bool(self.batches or self.runs)
+
+    def emit(self, *batch) -> None:
+        """The core's per-batch callback."""
+        self.batches.append(batch)
+
+    def emit_run(self, chip_ids, arrivals, finishes, _names, codes, ids) -> None:
+        """The core's idle-disjoint-run callback."""
+        self.runs.append(
+            (len(self.batches), chip_ids, arrivals, finishes, codes, ids)
+        )
+
+    def take(self, workloads: Sequence[str], with_ids: bool = True) -> _BatchLog:
+        """Decode and forget the capture; codes index ``workloads``."""
+        batches, runs = self.batches, self.runs
+        self.batches, self.runs = [], []
+        num_batches = len(batches)
         code_of = {name: code for code, name in enumerate(workloads)}
 
         def column(index: int, dtype) -> np.ndarray:
             return np.fromiter(
-                map(operator.itemgetter(index), raw_batches), dtype, num_batches
+                map(operator.itemgetter(index), batches), dtype, num_batches
             )
 
         size = column(3, np.int64)
         total = int(size.sum())
-        members = list(map(operator.itemgetter(5), raw_batches))
-        codes = np.fromiter(
-            map(code_of.__getitem__, map(operator.itemgetter(4), raw_batches)),
-            np.int64,
-            num_batches,
-        )
-        parts.append((
-            np.fromiter(
+        members = list(map(operator.itemgetter(5), batches))
+
+        def member(index: int, dtype) -> np.ndarray:
+            return np.fromiter(
                 itertools.chain.from_iterable(
-                    map(operator.itemgetter(1), members)
+                    map(operator.itemgetter(index), members)
                 ),
+                dtype,
+                total,
+            )
+
+        log = _BatchLog(
+            column(0, np.int64), column(1, float), column(2, float), size,
+            np.fromiter(
+                map(code_of.__getitem__, map(operator.itemgetter(4), batches)),
                 np.int64,
-                total,
+                num_batches,
             ),
-            np.repeat(codes, size),
-            np.repeat(column(0, np.int64), size),
-            np.fromiter(
-                itertools.chain.from_iterable(
-                    map(operator.itemgetter(0), members)
-                ),
-                float,
-                total,
-            ),
-            np.repeat(column(1, float), size),
-            np.repeat(column(2, float), size),
-            np.repeat(size, size),
-        ))
-    for chip_ids, arrivals, finishes, _names, codes, run_ids in bulk_runs:
-        # An idle-disjoint run: every request served alone at its
-        # arrival instant (dispatch == arrival, batch size 1).
-        count = len(arrivals)
-        parts.append((
-            np.fromiter(run_ids, np.int64, count),
-            codes,
-            np.full(count, chip_ids, np.int64)
-            if isinstance(chip_ids, int)
-            else chip_ids,
-            arrivals,
-            arrivals,
-            finishes,
-            np.ones(count, np.int64),
-        ))
-    if not parts:
-        parts.append(((),) * 7)
-    ids, codes, chip, arrival, dispatch, finish, size = (
-        np.concatenate(column) for column in zip(*parts)
-    )
-    order = np.argsort(ids, kind="stable")
-    return RecordTable(
-        ids[order], codes[order], workloads, chip[order], arrival[order],
-        dispatch[order], finish[order], size[order],
-    )
+            member(0, float),
+            member(1, np.int64) if with_ids else None,
+        )
+        if not runs:
+            return log
+        # Splice each run in where the core emitted it.
+        starts = np.concatenate(([0], np.cumsum(size)))
+
+        def emitted(lo: int, hi: int) -> _BatchLog:
+            """Batches ``lo:hi`` of the per-batch emits."""
+            first, stop = starts[lo], starts[hi]
+            return _BatchLog(
+                *(column[lo:hi] for column in log[:5]),
+                log.arrival[first:stop],
+                None if log.ids is None else log.ids[first:stop],
+            )
+
+        parts = []
+        done = 0
+        for position, chip_ids, arrivals, finishes, codes, ids in runs:
+            count = len(arrivals)
+            arrivals = np.asarray(arrivals, dtype=float)
+            parts.append(emitted(done, position))
+            parts.append(_BatchLog(
+                # ``chip_ids`` is one chip or a per-request array.
+                np.zeros(count, np.int64) + chip_ids,
+                arrivals,
+                np.asarray(finishes, dtype=float),
+                np.ones(count, np.int64),
+                np.asarray(codes, dtype=np.int64),
+                arrivals,
+                np.fromiter(ids, np.int64, count) if with_ids else None,
+            ))
+            done = position
+        parts.append(emitted(done, num_batches))
+        return _BatchLog.concat(parts)
 
 
 class _FleetRunStats:
@@ -1057,24 +1141,17 @@ class ServingSimulator:
         :func:`~repro.serving.sessions.run_sessions` (``source``): the
         record table, provenance and the windowed series (see
         :mod:`~repro.serving.telemetry` for its contract) are built once,
-        from ``_simulate``'s emit structures and :class:`_Outcome`.
+        from the run's :class:`_BatchLog` and :class:`_Outcome`.
         """
-        raw_batches: list[tuple] = []
-        bulk_runs: list[tuple] = []
-
-        def emit(*batch):
-            raw_batches.append(batch)
-
-        def emit_run(chip_ids, arrivals, finishes, names, codes, run_ids):
-            bulk_runs.append((chip_ids, arrivals, finishes, names, codes, run_ids))
-
+        emits = _EmitLog()
         dropped: list[float] = []
         scaled: dict | None = {} if telemetry_window_s is not None else None
         outcome = self._simulate(
-            chunks, workloads, emit, emit_run=emit_run,
+            chunks, workloads, emits.emit, emit_run=emits.emit_run,
             drop=dropped.extend if telemetry_window_s is not None else None,
             scaled_energy=scaled, controller=controller, source=source,
         )
+        log = emits.take(workloads)
         chips = outcome.chips
         chip_backends = self.fleet.chip_backends
         if controller is not None:
@@ -1082,10 +1159,6 @@ class ServingSimulator:
             chip_backends = (chip_backends[0],) * len(chips)
         series = None
         if telemetry_window_s is not None:
-            # Derive the series straight from the captured emit structures
-            # (bulk-run columns are already numpy arrays) — byte-identical
-            # to derivation from the record columns, without recovering
-            # batches from them.
             from repro.serving.telemetry import (
                 _energy_lookup,
                 _series_from_emits,
@@ -1095,12 +1168,7 @@ class ServingSimulator:
             if controller is not None:
                 chip_models = [chip_models[0]] * len(chips)
             series = _series_from_emits(
-                raw_batches,
-                [
-                    (chip_ids, arrivals, finishes, codes)
-                    for chip_ids, arrivals, finishes, _names, codes, _ids
-                    in bulk_runs
-                ],
+                log,
                 workloads,
                 len(chips),
                 _energy_lookup(chip_models),
@@ -1112,7 +1180,7 @@ class ServingSimulator:
                 scaled_energy=scaled,
             )
         return ServingResult(
-            records=_trace_records(raw_batches, bulk_runs, workloads),
+            records=log.records(workloads),
             num_chips=len(chips),
             chip_busy_s=tuple(chip.busy_s for chip in chips),
             chip_requests=tuple(chip.served for chip in chips),
@@ -1280,7 +1348,7 @@ class ServingSimulator:
         chunks,
         workloads: tuple[str, ...],
         emit,
-        emit_run=None,
+        emit_run,
         router=None,
         chip_models=None,
         drop=None,
@@ -1296,15 +1364,14 @@ class ServingSimulator:
         :class:`_Outcome`: accounting, lost/shed counts, the incident log,
         shed instants and routing-path attribution.
 
-        ``emit_run(chip_ids, arrivals, finishes, names, codes, ids)``, when
-        given, receives whole idle-disjoint runs from the chunked clock
-        advance instead of one ``emit`` per singleton batch: ``chip_ids``
-        is an int (every request on that chip) or a per-request int array,
+        ``emit_run(chip_ids, arrivals, finishes, names, codes, ids)``
+        receives whole idle-disjoint runs from the chunked clock advance
+        instead of one ``emit`` per singleton batch: ``chip_ids`` is an
+        int (every request on that chip) or a per-request int array,
         ``arrivals``/``finishes`` are float arrays (dispatch == arrival for
         every request of a run), ``names`` the workload column slice,
         ``codes`` int array indices into sorted ``workloads``, and ``ids``
-        the request-id column slice.  Without it, runs are replayed through
-        ``emit`` one singleton at a time.
+        the request-id column slice.
 
         ``drop(arrivals)``, when given, receives the arrival instants of
         the requests the core loses or sheds, as it drops them (a chip that
@@ -2051,33 +2118,14 @@ class ServingSimulator:
                             (float(run_fin[-1]), _FREE, next_seq(),
                              last_chip.chip_id),
                         )
-                        if emit_run is not None:
-                            emit_run(
-                                chip_spec,
-                                arr_np[start:end + 1],
-                                run_fin,
-                                names[start:end + 1],
-                                codes_np[start:end + 1],
-                                ids[start:end + 1],
-                            )
-                        else:
-                            fin_list = run_fin.tolist()
-                            chip_list = (
-                                None
-                                if isinstance(chip_spec, int)
-                                else chip_spec.tolist()
-                            )
-                            for offset in range(length):
-                                i = start + offset
-                                arrival_i = arrivals[i]
-                                emit(
-                                    0 if chip_list is None else chip_list[offset],
-                                    arrival_i,
-                                    fin_list[offset],
-                                    1,
-                                    names[i],
-                                    ((arrival_i,), (ids[i],)),
-                                )
+                        emit_run(
+                            chip_spec,
+                            arr_np[start:end + 1],
+                            run_fin,
+                            names[start:end + 1],
+                            codes_np[start:end + 1],
+                            ids[start:end + 1],
+                        )
                         prev_arrival = arrivals[end]
                         prev_id = ids[end]
                         index = end + 1

@@ -11,19 +11,22 @@ controller (or a dashboard) consumes.
 One kernel builds every row: :func:`_series_from_parts` turns event
 columns (the window of every arrival, per-request latency/chip columns,
 per-batch occupancy/energy columns and optional shed instants) into the
-rows of a ``[first, stop)`` window range.  Two feeds reach it:
+rows of a ``[first, stop)`` window range.  Its columns come from a run's
+batch log (:class:`~repro.serving.simulator._BatchLog`: per batch chip,
+dispatch, finish, size and workload code; per request each batch's
+members), through :func:`_log_columns`.  Two feeds reach it:
 
-* **whole runs** — :func:`_series_from_emits` reads the emit structures
-  the simulator's whole-trace driver captures for ``run()``, controlled
-  and session runs alike (the event core is never touched, so
-  telemetry-off runs pay nothing); :func:`_series_from_columns` serves
-  the sharded merge and :func:`derive_series` any finished full-trace
-  :class:`~repro.serving.simulator.ServingResult` of a run without chaos
-  or a controller;
-* **streams** — :class:`TelemetryCollector` buffers the same emit
-  tuples and bulk-run columns from ``run_stream()`` and sends each
-  prefix of provably complete windows through the kernel, carrying the
-  per-chip cumulative counts across flushes, so multi-million request
+* **whole runs** — :func:`_series_from_emits` reads the batch log of a
+  finished run: the one the simulator's whole-trace driver decodes for
+  ``run()``, controlled and session runs alike (the event core is never
+  touched, so telemetry-off runs pay nothing), and the one the sharded
+  merge concatenates from its components.  :func:`derive_series` (through
+  :func:`_series_from_columns`) recovers a log from the record columns
+  of a finished run without chaos or a controller;
+* **streams** — :class:`TelemetryCollector` captures the same emits from
+  ``run_stream()``, decodes each flush's share into a batch log and sends
+  each prefix of provably complete windows through the kernel, carrying
+  the per-chip cumulative counts across flushes, so multi-million request
   replays keep bounded memory.
 
 Both feeds keep one contract: every offered request counts once under
@@ -49,14 +52,13 @@ columns by :func:`request_spans`; nothing is added to the hot path.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving.simulator import _BatchLog, _EmitLog
 
 __all__ = [
     "DEFAULT_WINDOW_S",
@@ -337,6 +339,8 @@ def _batch_energy(b_chip, b_codes, b_size, names, energy_of) -> np.ndarray:
     composite keys so the python-level ``energy_of`` call count is the
     number of distinct service-table cells, not the number of batches.
     """
+    if not b_size.size:
+        return np.empty(0, dtype=float)
     n_names = len(names)
     size_span = int(b_size.max()) + 1
     b_key = (b_chip * n_names + b_codes) * size_span + b_size
@@ -524,6 +528,77 @@ def _whole_series(
     return TelemetrySeries(window_s, int(num_chips), tuple(rows))
 
 
+def _log_columns(log, names, energy_of, window_s, scaled_energy=None) -> dict:
+    """The kernel columns of a :class:`~repro.serving.simulator._BatchLog`.
+
+    Batch columns come straight from the log; request columns spread them
+    over the members with ``np.repeat`` (a batch's size is its member
+    count).  ``scaled_energy`` maps ``(chip, dispatch_s)`` to the energy
+    of a batch a chaos service multiplier scaled; each batch found there
+    takes that value instead of the base lookup, and its entry is
+    consumed.
+    """
+    size = log.size
+    b_dw = _window_index(log.dispatch, window_s)
+    b_fw = _window_index(log.finish, window_s)
+    b_energy = _batch_energy(log.chip, log.code, size, names, energy_of)
+    if scaled_energy:
+        for index, key in enumerate(
+            zip(log.chip.tolist(), log.dispatch.tolist())
+        ):
+            value = scaled_energy.pop(key, None)
+            if value is not None:
+                b_energy[index] = value
+    return {
+        "latency": np.repeat(log.finish, size) - log.arrival,
+        "aw": _window_index(log.arrival, window_s),
+        "dw": np.repeat(b_dw, size),
+        "fw": np.repeat(b_fw, size),
+        "req_chip": np.repeat(log.chip, size),
+        "b_chip": log.chip,
+        "b_disp": log.dispatch,
+        "b_fin": log.finish,
+        "b_dw": b_dw,
+        "b_fw": b_fw,
+        "b_energy": b_energy,
+    }
+
+
+def _series_from_emits(
+    log,
+    names: tuple[str, ...],
+    num_chips: int,
+    energy_of,
+    window_s: float,
+    horizon_s: float,
+    first_arrival_s: float,
+    dropped_arrivals=None,
+    shed_s=None,
+    scaled_energy=None,
+) -> TelemetrySeries:
+    """Windowed series of a finished run's batch log.
+
+    ``log`` is the run's :class:`~repro.serving.simulator._BatchLog`,
+    whose codes index ``names``.  ``dropped_arrivals`` holds the arrival
+    instants of the requests the run lost or shed: they join the arrival
+    column and nothing else.  ``shed_s`` holds the instant each shed
+    request was shed, and ``scaled_energy`` the chaos-scaled batch
+    energies (see :func:`_log_columns`).
+    """
+    window_s = _check_window(window_s)
+    columns = _log_columns(log, names, energy_of, window_s, scaled_energy)
+    arrival_w = columns["aw"]
+    if dropped_arrivals is not None and len(dropped_arrivals):
+        arrival_w = np.concatenate([
+            arrival_w,
+            _window_index(np.asarray(dropped_arrivals, dtype=float), window_s),
+        ])
+    return _whole_series(
+        columns, arrival_w, num_chips, window_s, horizon_s, first_arrival_s,
+        shed_s,
+    )
+
+
 def _series_from_columns(
     *,
     arrival: np.ndarray,
@@ -539,203 +614,37 @@ def _series_from_columns(
     horizon_s: float,
     first_arrival_s: float,
 ) -> TelemetrySeries:
-    """Windowed-series derivation from full per-request columns.
+    """Windowed series of full per-request columns (:func:`derive_series`).
 
-    Used by the record path and the sharded merge: batches are
-    recovered as unique ``(chip, dispatch)`` pairs (a chip is serial, so
-    a dispatch instant identifies one batch) and the kernel does the
-    rest.
+    Batches are recovered from the rows: a chip may dispatch several
+    batches at one instant (zero service time is legal), so rows group by
+    ``(chip, dispatch, code, size)`` and a group of ``rows`` rows holds
+    ``rows // size`` batches.  The recovered batch log goes through
+    :func:`_series_from_emits`.
     """
-    window_s = _check_window(window_s)
     arrival = np.ascontiguousarray(arrival, dtype=float)
-    n = arrival.size
-    if n == 0:
-        return TelemetrySeries(window_s, int(num_chips), ())
     dispatch = np.ascontiguousarray(dispatch, dtype=float)
     finish = np.ascontiguousarray(finish, dtype=float)
     chip = np.ascontiguousarray(chip, dtype=np.int64)
     size = np.ascontiguousarray(size, dtype=np.int64)
     codes = np.ascontiguousarray(codes, dtype=np.int64)
-
-    # Batch recovery: rows sorted by (chip, dispatch); a new batch starts
-    # wherever either changes.
-    order = np.lexsort((dispatch, chip))
-    chip_sorted = chip[order]
-    disp_sorted = dispatch[order]
-    first_of_batch = np.empty(n, dtype=bool)
-    first_of_batch[0] = True
-    first_of_batch[1:] = (chip_sorted[1:] != chip_sorted[:-1]) | (
-        disp_sorted[1:] != disp_sorted[:-1]
+    keys = (size, codes, dispatch, chip)
+    order = np.lexsort(keys)
+    new_group = np.ones(order.size, dtype=bool)
+    new_group[1:] = np.any(
+        [key[order[1:]] != key[order[:-1]] for key in keys], axis=0
     )
-    batch_rows = order[first_of_batch]
-    aw = _window_index(arrival, window_s)
-    dw = _window_index(dispatch, window_s)
-    fw = _window_index(finish, window_s)
-    columns = {
-        "latency": finish - arrival,
-        "aw": aw,
-        "dw": dw,
-        "fw": fw,
-        "req_chip": chip,
-        "b_chip": chip[batch_rows],
-        "b_disp": dispatch[batch_rows],
-        "b_fin": finish[batch_rows],
-        "b_dw": dw[batch_rows],
-        "b_fw": fw[batch_rows],
-        "b_energy": _batch_energy(
-            chip[batch_rows], codes[batch_rows], size[batch_rows],
-            names, energy_of,
-        ),
-    }
-    return _whole_series(
-        columns, aw, num_chips, window_s, horizon_s, first_arrival_s
+    starts = np.flatnonzero(new_group)
+    first = order[starts]
+    rows = np.diff(np.append(starts, order.size))
+    batch = np.repeat(first, rows // size[first])
+    log = _BatchLog(
+        chip[batch], dispatch[batch], finish[batch], size[batch],
+        codes[batch], arrival[order], None,
     )
-
-
-def _emit_columns(
-    raw_batches, bulk_runs, names, energy_of, window_s, scaled_energy=None
-) -> dict:
-    """Kernel columns straight from the event core's emit structures.
-
-    ``raw_batches`` holds the per-batch emit tuples
-    ``(chip, dispatch, finish, size, workload, members)``; ``bulk_runs``
-    holds ``(chip_ids, arrivals, finishes, codes)`` idle-disjoint runs
-    whose columns are already numpy arrays.  Skipping the per-record
-    round trip (build records, then unzip them back into columns) is
-    what keeps telemetry-on ``run()`` overhead in the sub-microsecond
-    per-request range.
-
-    Every per-batch column goes straight from the emit tuples into a
-    numpy array via ``fromiter`` — no ``zip(*...)`` transposition, no
-    flattened member list.  Those big young containers are not just
-    allocation cost: every gen-0 garbage collection that fires while
-    they are alive rescans them, which roughly doubled the measured
-    overhead before they were eliminated.
-
-    ``scaled_energy`` maps ``(chip, dispatch_s)`` to the energy of a batch
-    a chaos service multiplier scaled; each batch found there takes that
-    value instead of the base lookup, and its entry is consumed.
-    """
-    parts: dict[str, list] = {
-        key: [] for key in _REQUEST_COLUMNS + _BATCH_COLUMNS
-    }
-    if raw_batches:
-        code_of = {name: code for code, name in enumerate(names)}
-        n_batches = len(raw_batches)
-
-        def column(index: int, dtype) -> np.ndarray:
-            return np.fromiter(
-                map(operator.itemgetter(index), raw_batches), dtype, n_batches
-            )
-
-        b_chip = column(0, np.int64)
-        b_disp = column(1, float)
-        b_fin = column(2, float)
-        b_size = column(3, np.int64)
-        b_codes = np.fromiter(
-            map(code_of.__getitem__, map(operator.itemgetter(4), raw_batches)),
-            np.int64,
-            n_batches,
-        )
-        # A batch's size is its member count, so the size column doubles
-        # as the repeat vector for batch -> request expansion.
-        counts = b_size
-        total = int(counts.sum())
-        arrivals = np.fromiter(
-            itertools.chain.from_iterable(
-                map(operator.itemgetter(0), map(operator.itemgetter(5), raw_batches))
-            ),
-            float,
-            total,
-        )
-        b_dw = _window_index(b_disp, window_s)
-        b_fw = _window_index(b_fin, window_s)
-        parts["latency"].append(np.repeat(b_fin, counts) - arrivals)
-        parts["aw"].append(_window_index(arrivals, window_s))
-        parts["dw"].append(np.repeat(b_dw, counts))
-        parts["fw"].append(np.repeat(b_fw, counts))
-        parts["req_chip"].append(np.repeat(b_chip, counts))
-        parts["b_chip"].append(b_chip)
-        parts["b_disp"].append(b_disp)
-        parts["b_fin"].append(b_fin)
-        parts["b_dw"].append(b_dw)
-        parts["b_fw"].append(b_fw)
-        b_energy = _batch_energy(b_chip, b_codes, b_size, names, energy_of)
-        if scaled_energy:
-            for index, key in enumerate(zip(b_chip.tolist(), b_disp.tolist())):
-                value = scaled_energy.pop(key, None)
-                if value is not None:
-                    b_energy[index] = value
-        parts["b_energy"].append(b_energy)
-    for chip_ids, arrivals, finishes, codes in bulk_runs:
-        # An idle-disjoint run: every request its own size-1 batch with
-        # dispatch == arrival.
-        arrivals = np.ascontiguousarray(arrivals, dtype=float)
-        finishes = np.ascontiguousarray(finishes, dtype=float)
-        chips = (
-            np.full(arrivals.size, chip_ids, dtype=np.int64)
-            if isinstance(chip_ids, (int, np.integer))
-            else np.ascontiguousarray(chip_ids, dtype=np.int64)
-        )
-        codes = np.ascontiguousarray(codes, dtype=np.int64)
-        aw = _window_index(arrivals, window_s)
-        fw = _window_index(finishes, window_s)
-        parts["latency"].append(finishes - arrivals)
-        parts["aw"].append(aw)
-        parts["dw"].append(aw)
-        parts["fw"].append(fw)
-        parts["req_chip"].append(chips)
-        parts["b_chip"].append(chips)
-        parts["b_disp"].append(arrivals)
-        parts["b_fin"].append(finishes)
-        parts["b_dw"].append(aw)
-        parts["b_fw"].append(fw)
-        parts["b_energy"].append(
-            _batch_energy(
-                chips, codes, np.ones(arrivals.size, dtype=np.int64),
-                names, energy_of,
-            )
-        )
-    return {
-        key: _cat(values, float if key in _FLOAT_COLUMNS else np.int64)
-        for key, values in parts.items()
-    }
-
-
-def _series_from_emits(
-    raw_batches,
-    bulk_runs,
-    names: tuple[str, ...],
-    num_chips: int,
-    energy_of,
-    window_s: float,
-    horizon_s: float,
-    first_arrival_s: float,
-    dropped_arrivals=None,
-    shed_s=None,
-    scaled_energy=None,
-) -> TelemetrySeries:
-    """Windowed series straight from a whole run's captured emit structures.
-
-    ``dropped_arrivals`` holds the arrival instants of the requests the
-    run lost or shed: they join the arrival column and nothing else.
-    ``shed_s`` holds the instant each shed request was shed, and
-    ``scaled_energy`` the chaos-scaled batch energies (see
-    :func:`_emit_columns`).
-    """
-    window_s = _check_window(window_s)
-    columns = _emit_columns(
-        raw_batches, bulk_runs, names, energy_of, window_s, scaled_energy
-    )
-    arrival_w = columns["aw"]
-    if dropped_arrivals is not None and len(dropped_arrivals):
-        arrival_w = np.concatenate([
-            arrival_w,
-            _window_index(np.asarray(dropped_arrivals, dtype=float), window_s),
-        ])
-    return _whole_series(
-        columns, arrival_w, num_chips, window_s, horizon_s, first_arrival_s,
-        shed_s,
+    return _series_from_emits(
+        log, names, num_chips, energy_of, window_s, horizon_s,
+        first_arrival_s,
     )
 
 
@@ -782,7 +691,7 @@ def derive_series(result, window_s, chip_models) -> TelemetrySeries:
 class TelemetryCollector:
     """The streaming feed of the windowing kernel, for ``run_stream``.
 
-    Buffers what ``run()`` captures — per-batch emit tuples
+    Captures what ``run()`` captures — dispatched batches
     (:meth:`on_batch`) and idle-disjoint bulk runs (:meth:`on_run`) — plus
     the fed arrival chunks (:meth:`on_arrivals`) and the arrivals the
     event core loses or sheds (:meth:`on_drop`).  A window is complete
@@ -808,9 +717,8 @@ class TelemetryCollector:
         #: ``(chip, dispatch_s) -> energy_j`` of chaos-scaled batches, filled
         #: by the event core and consumed as their batches flush
         self.scaled_energy: dict[tuple, float] = {}
-        self._batches: list[tuple] = []  # emit tuples since the last flush
-        self._runs: list[tuple] = []     # bulk runs since the last flush
-        self._buffered = 0               # requests in those two lists
+        self._emits = _EmitLog()  # batches and runs since the last flush
+        self._buffered = 0        # requests in them
         self._flush_at = self._FLUSH_EVERY
         self._parts: list[dict] = []     # kernel columns still needed
         self._fed: list[np.ndarray] = []      # arrival windows >= _next
@@ -833,16 +741,14 @@ class TelemetryCollector:
     def on_batch(self, chip_id, dispatch_s, finish_s, size, workload,
                  members) -> None:
         """Record one dispatched batch (the ``emit`` tap)."""
-        self._batches.append(
-            (chip_id, dispatch_s, finish_s, size, workload, members)
-        )
+        self._emits.emit(chip_id, dispatch_s, finish_s, size, workload, members)
         self._buffered += size
         if self._buffered >= self._flush_at:
             self._flush()
 
     def on_run(self, chip_ids, arrivals, finishes, codes) -> None:
         """Record one idle-disjoint bulk run (the ``emit_run`` tap)."""
-        self._runs.append((chip_ids, arrivals, finishes, codes))
+        self._emits.emit_run(chip_ids, arrivals, finishes, None, codes, None)
         self._buffered += len(arrivals)
         if self._buffered >= self._flush_at:
             self._flush()
@@ -871,12 +777,12 @@ class TelemetryCollector:
         """Send every complete window (all of them given the horizon)."""
         if self._next is None:
             return
-        if self._batches or self._runs:
-            self._parts.append(_emit_columns(
-                self._batches, self._runs, self._names, self._energy_of,
-                self.window_s, self.scaled_energy,
+        if self._emits:
+            self._parts.append(_log_columns(
+                self._emits.take(self._names, with_ids=False), self._names,
+                self._energy_of, self.window_s, self.scaled_energy,
             ))
-            self._batches, self._runs, self._buffered = [], [], 0
+            self._buffered = 0
         first = self._next
         fed = _cat(self._fed, np.int64)
         if horizon_s is None:

@@ -241,14 +241,15 @@ class TestTelemetrySeries:
         assert all(row["p99_ms"] is None for row in quiet)
 
     def test_shed_instants_clamp_into_the_window_range(self):
+        from repro.serving.simulator import _EmitLog
         from repro.serving.telemetry import _series_from_emits
 
+        emits = _EmitLog()
+        emits.emit(0, 0.6, 0.9, 1, "nvsa", ((0.6,), (0,)))
+        emits.emit(0, 1.2, 1.6, 1, "nvsa", ((1.2,), (1,)))
         series = _series_from_emits(
-            [
-                (0, 0.6, 0.9, 1, "nvsa", ((0.6,), (0,))),
-                (0, 1.2, 1.6, 1, "nvsa", ((1.2,), (1,))),
-            ],
-            [], ("nvsa",), 1, lambda chip, workload, size: 1.0,
+            emits.take(("nvsa",)), ("nvsa",), 1,
+            lambda chip, workload, size: 1.0,
             WINDOW_S, 1.6, 0.6, shed_s=[0.1, 0.7, 9.0],
         )
         assert series.column("window") == [1, 2, 3]
@@ -341,6 +342,68 @@ class TestDeriveSeries:
         result = self._run(cache, name, **overrides)
         with pytest.raises(ServingError, match="telemetry_window_s"):
             derive_series(result, self.WINDOW_S, [cache] * result.num_chips)
+
+
+class ZeroServiceModel:
+    """Batches take no time and cost 1 J each."""
+
+    scheduler = "fake"
+    cached_reports = 0
+
+    def service_seconds(self, workload, batch_size):
+        return 0.0
+
+    def energy_joules(self, workload, batch_size):
+        return 1.0
+
+
+class TestZeroServiceBatches:
+    """A chip may dispatch several batches at one instant.
+
+    16 ``nvsa`` requests arrive in groups of 4 simultaneous requests and
+    are served one per batch at their arrival instant, so every batch
+    counts: 16 batches, 16 J.
+    """
+
+    STREAM = [
+        Request(request_id=index, workload="nvsa", arrival_s=(index // 4) * 0.3)
+        for index in range(16)
+    ]
+
+    def _simulator(self, num_chips):
+        return ServingSimulator(
+            service_model=ZeroServiceModel(),
+            fleet=Fleet(num_chips=num_chips, router="round_robin"),
+            batching_policy=NoBatching(),
+        )
+
+    @staticmethod
+    def _totals(series):
+        return sum(series.column("batches")), sum(series.column("energy_j"))
+
+    def test_sharded_series_counts_every_batch(self):
+        sim = self._simulator(2)
+        full = sim.run(self.STREAM, telemetry_window_s=WINDOW_S)
+        assert self._totals(full.telemetry) == (16, 16.0)
+        sharded = sim.run(
+            self.STREAM, shards=2, shard_workers=1, telemetry_window_s=WINDOW_S
+        )
+        streamed = sim.run_stream(
+            columnar_chunks(self.STREAM, 5), ["nvsa"], shards=2,
+            shard_workers=1, telemetry_window_s=WINDOW_S,
+        )
+        assert sharded.provenance["shards_effective"] == 2
+        assert sharded.records == full.records
+        assert sharded.telemetry == full.telemetry
+        assert streamed.telemetry == full.telemetry
+
+    @pytest.mark.parametrize("num_chips", (1, 2))
+    def test_derived_series_counts_every_batch(self, num_chips):
+        sim = self._simulator(num_chips)
+        result = sim.run(self.STREAM, telemetry_window_s=WINDOW_S)
+        derived = derive_series(result, WINDOW_S, sim._chip_models())
+        assert self._totals(derived) == (16, 16.0)
+        assert derived == result.telemetry
 
 
 class TestRequestSpans:
