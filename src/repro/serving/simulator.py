@@ -145,10 +145,9 @@ BULK_MIN_RUN = 16
 #: arrivals — stay scalar and only deep standing queues vectorize
 FILL_MIN_RUN = 48
 
-#: smallest batch the streaming accumulators turn columnar; batches this
-#: large amortize the fixed cost of the array round-trip, smaller ones
-#: stay on the per-member append loop
-EMIT_COLUMNAR_MIN = 16
+#: batches an :class:`_EmitLog` with a ``flush`` callback holds before it
+#: calls it, so a streamed run keeps few undecoded batches between chunks
+EMIT_LOG_BATCHES = 512
 
 
 class RequestRecord(NamedTuple):
@@ -360,22 +359,29 @@ class _EmitLog:
     batch is ``(chip, dispatch, finish, size, workload, members)`` with
     ``members`` its ``(arrivals, ids)`` pair, and an idle-disjoint run is
     a span of size-1 batches dispatched at their arrival instants.
+
+    ``flush``, when given, is called whenever :data:`EMIT_LOG_BATCHES`
+    batches are waiting, to take them.
     """
 
-    __slots__ = ("batches", "runs")
+    __slots__ = ("batches", "runs", "flush")
 
-    def __init__(self) -> None:
+    def __init__(self, flush=None) -> None:
         self.batches: list[tuple] = []
         #: ``(batches emitted before it, chip_ids, arrivals, finishes,
         #: codes, ids)`` per run
         self.runs: list[tuple] = []
+        self.flush = flush
 
     def __bool__(self) -> bool:
         return bool(self.batches or self.runs)
 
     def emit(self, *batch) -> None:
         """The core's per-batch callback."""
-        self.batches.append(batch)
+        batches = self.batches
+        batches.append(batch)
+        if self.flush is not None and len(batches) >= EMIT_LOG_BATCHES:
+            self.flush()
 
     def emit_run(self, chip_ids, arrivals, finishes, _names, codes, ids) -> None:
         """The core's idle-disjoint-run callback."""
@@ -384,7 +390,11 @@ class _EmitLog:
         )
 
     def take(self, workloads: Sequence[str], with_ids: bool = True) -> _BatchLog:
-        """Decode and forget the capture; codes index ``workloads``."""
+        """Decode and forget the capture; codes index ``workloads``.
+
+        A batch of a workload missing from ``workloads`` raises
+        :class:`~repro.errors.ServingError`.
+        """
         batches, runs = self.batches, self.runs
         self.batches, self.runs = [], []
         num_batches = len(batches)
@@ -408,15 +418,20 @@ class _EmitLog:
                 total,
             )
 
-        log = _BatchLog(
-            column(0, np.int64), column(1, float), column(2, float), size,
-            np.fromiter(
+        try:
+            codes = np.fromiter(
                 map(code_of.__getitem__, map(operator.itemgetter(4), batches)),
                 np.int64,
                 num_batches,
-            ),
-            member(0, float),
-            member(1, np.int64) if with_ids else None,
+            )
+        except KeyError as error:
+            raise ServingError(
+                f"stream contains workload '{error.args[0]}' missing from the "
+                f"declared workload set {list(workloads)}"
+            ) from None
+        log = _BatchLog(
+            column(0, np.int64), column(1, float), column(2, float), size,
+            codes, member(0, float), member(1, np.int64) if with_ids else None,
         )
         if not runs:
             return log
@@ -958,30 +973,6 @@ def _discard(_arrivals) -> None:
     """The ``drop`` callback of runs without telemetry."""
 
 
-def _tap_arrival_chunks(chunks, collector):
-    """Yield columnar chunks unchanged while feeding arrivals to telemetry."""
-    for chunk in chunks:
-        collector.on_arrivals(chunk[0])
-        yield chunk
-
-
-def _tap_emits(emit, emit_run, collector):
-    """Wrap the stream emit callbacks so the collector sees every batch."""
-
-    on_batch = collector.on_batch
-    on_run = collector.on_run
-
-    def tapped_emit(chip_id, dispatch_s, finish_s, size, workload, members):
-        emit(chip_id, dispatch_s, finish_s, size, workload, members)
-        on_batch(chip_id, dispatch_s, finish_s, size, workload, members)
-
-    def tapped_emit_run(chip_ids, arrivals, finishes, names, codes, run_ids):
-        emit_run(chip_ids, arrivals, finishes, names, codes, run_ids)
-        on_run(chip_ids, arrivals, finishes, codes)
-
-    return tapped_emit, tapped_emit_run
-
-
 class ServingSimulator:
     """Run request streams against a fleet of backend chips."""
 
@@ -1216,11 +1207,14 @@ class ServingSimulator:
         materializing as one list; the result carries typed latency arrays
         instead of record objects.
 
-        ``telemetry_window_s`` taps the emit callbacks with an incremental
+        The core's emits go to one :class:`_EmitLog`, decoded each time the
+        core pulls the next chunk, every :data:`EMIT_LOG_BATCHES` batches
+        and once at the end: each decoded :class:`_BatchLog` feeds the
+        latency arrays and, with
+        ``telemetry_window_s``, an incremental
         :class:`~repro.serving.telemetry.TelemetryCollector` that flushes
         windows as the stream advances (bounded memory) and attaches the
-        finished series as ``result.telemetry``; ``None`` leaves the
-        callbacks unwrapped.
+        finished series as ``result.telemetry``.
         """
         workload_names = tuple(sorted(set(workloads)))
         if not workload_names:
@@ -1236,61 +1230,10 @@ class ServingSimulator:
         latencies = array("d")
         queue_delays = array("d")
         workload_latencies = {name: array("d") for name in workload_names}
+        workload_buckets = list(workload_latencies.values())
         num_chips = self.fleet.num_chips
         chip_latencies = [array("d") for _ in range(num_chips)]
-
-        latencies_append = latencies.append
-        delays_append = queue_delays.append
-
-        def emit(chip_id, dispatch_s, finish_s, size, workload, members):
-            bucket = workload_latencies.get(workload)
-            if bucket is None:
-                raise ServingError(
-                    f"stream contains workload '{workload}' missing from the "
-                    f"declared workload set {list(workload_names)}"
-                )
-            if size >= EMIT_COLUMNAR_MIN:
-                # One batch, four accumulators: a single float64 round trip
-                # replaces 4*size appends.  IEEE-754 subtraction is the
-                # same operation in numpy and python, so the bytes appended
-                # are exactly the scalar loop's.
-                arr = np.array(members[0])
-                raw = (finish_s - arr).tobytes()
-                latencies.frombytes(raw)
-                queue_delays.frombytes((dispatch_s - arr).tobytes())
-                bucket.frombytes(raw)
-                chip_latencies[chip_id].frombytes(raw)
-                return
-            per_workload = bucket.append
-            per_chip = chip_latencies[chip_id].append
-            for arrival_s in members[0]:
-                latency = finish_s - arrival_s
-                latencies_append(latency)
-                delays_append(dispatch_s - arrival_s)
-                per_workload(latency)
-                per_chip(latency)
-
-        workload_buckets = [workload_latencies[name] for name in workload_names]
-
-        def emit_run(chip_ids, run_arrivals, finishes, names, codes, run_ids):
-            # An idle-disjoint run of singleton batches: latency is pure
-            # service time (dispatch == arrival), appended in dispatch
-            # order — exactly the order the scalar path would emit.
-            lat = finishes - run_arrivals
-            raw = lat.tobytes()
-            latencies.frombytes(raw)
-            queue_delays.frombytes(bytes(len(raw)))
-            for code in np.unique(codes):
-                workload_buckets[code].frombytes(lat[codes == code].tobytes())
-            if isinstance(chip_ids, int):
-                chip_latencies[chip_ids].frombytes(raw)
-            else:
-                for chip_id in np.unique(chip_ids):
-                    chip_latencies[chip_id].frombytes(
-                        lat[chip_ids == chip_id].tobytes()
-                    )
-
-        emit_cb, emit_run_cb, collector, chip_models = emit, emit_run, None, None
+        collector = chip_models = None
         if telemetry_window_s is not None:
             from repro.serving.telemetry import TelemetryCollector
 
@@ -1298,17 +1241,52 @@ class ServingSimulator:
             collector = TelemetryCollector(
                 telemetry_window_s, num_chips, chip_models, workload_names
             )
-            chunks = _tap_arrival_chunks(chunks, collector)
-            emit_cb, emit_run_cb = _tap_emits(emit, emit_run, collector)
+
+        def flush() -> None:
+            """Feed the batches emitted since the last flush to every sink.
+
+            Latencies append in emission order; IEEE-754 subtraction is the
+            same operation in numpy and python, so the bytes are those of a
+            per-request loop.
+            """
+            if not emits:
+                return
+            log = emits.take(workload_names, with_ids=False)
+            latency = np.repeat(log.finish, log.size) - log.arrival
+            latencies.frombytes(latency.tobytes())
+            queue_delays.frombytes(
+                (np.repeat(log.dispatch, log.size) - log.arrival).tobytes()
+            )
+            for keys, buckets in (
+                (log.code, workload_buckets), (log.chip, chip_latencies)
+            ):
+                per_request = np.repeat(keys, log.size)
+                for key in np.unique(keys).tolist():
+                    buckets[key].frombytes(
+                        latency[per_request == key].tobytes()
+                    )
+            if collector is not None:
+                collector.on_log(log)
+
+        emits = _EmitLog(flush)
+
+        def feed():
+            """The chunks, flushing the batch log whenever the core pulls one."""
+            for chunk in chunks:
+                flush()
+                if collector is not None:
+                    collector.on_arrivals(chunk[0])
+                yield chunk
 
         outcome = self._simulate(
-            chunks, workload_names, emit_cb, emit_run=emit_run_cb,
+            feed(), workload_names, emits.emit, emit_run=emits.emit_run,
             chip_models=chip_models,
             drop=collector.on_drop if collector is not None else None,
             scaled_energy=(
                 collector.scaled_energy if collector is not None else None
             ),
         )
+        flush()
         run_provenance = self._provenance(outcome.offered, outcome)
         if provenance:
             run_provenance.update(provenance)
@@ -1382,10 +1360,11 @@ class ServingSimulator:
         that never recovers.
 
         ``scaled_energy``, when given, is a dict that receives
-        ``(chip_id, dispatch_s) -> energy_j`` for every batch a chaos
-        service multiplier scaled (a failure that kills the batch removes
-        it again), so telemetry can price the batch as the core did (its
-        ``energy_of`` lookup only knows the base cost).
+        ``batch index -> energy_j`` for every emitted batch a chaos service
+        multiplier scaled, the index counting the run's emitted batches in
+        emission order (a batch a failure kills is never emitted), so
+        telemetry can price the batch as the core did (its ``energy_of``
+        lookup only knows the base cost).
 
         ``router``/``chip_models`` inject a pre-built router and per-chip
         service oracles — the sharding layer uses this to simulate a
@@ -1612,8 +1591,6 @@ class ServingSimulator:
                 if factor != 1.0:
                     service_s *= factor
                     energy_j *= factor
-                    if scaled_energy is not None:
-                        scaled_energy[chip.chip_id, now] = energy_j
                 finish = now + service_s
                 chip.busy = True
                 busy_count += 1
@@ -1623,7 +1600,7 @@ class ServingSimulator:
                 # account for it only when its FREE event survives.
                 chip.pending_emit = (
                     seq, now, finish, count, workload, members,
-                    service_s, energy_j,
+                    service_s, energy_j, factor != 1.0,
                 )
                 heappush(heap, (finish, _FREE, seq, chip.chip_id))
                 return
@@ -1663,10 +1640,6 @@ class ServingSimulator:
                             # pops as a stale no-op.
                             lost_here = chip.inflight
                             drop(chip.pending_emit[5][0])
-                            if scaled_energy is not None:
-                                scaled_energy.pop(
-                                    (ev_chip, chip.pending_emit[1]), None
-                                )
                             if source is not None:
                                 source.advance(now, chip.pending_emit[5][1])
                             chip.pending_emit = None
@@ -1737,10 +1710,13 @@ class ServingSimulator:
                     if entry is None or entry[0] != seq:
                         return  # stale completion of a killed batch
                     (_, dispatch_s, finish_s, count, workload, members,
-                     service_s, energy_j) = entry
+                     service_s, energy_j, scaled) = entry
                     chip.pending_emit = None
                     if now > horizon:
                         horizon = now
+                    if scaled and scaled_energy is not None:
+                        # ``num_batches`` counts the batches emitted so far.
+                        scaled_energy[num_batches] = energy_j
                     energy += energy_j
                     num_batches += 1
                     served += count

@@ -23,11 +23,11 @@ members), through :func:`_log_columns`.  Two feeds reach it:
   merge concatenates from its components.  :func:`derive_series` (through
   :func:`_series_from_columns`) recovers a log from the record columns
   of a finished run without chaos or a controller;
-* **streams** — :class:`TelemetryCollector` captures the same emits from
-  ``run_stream()``, decodes each flush's share into a batch log and sends
-  each prefix of provably complete windows through the kernel, carrying
-  the per-chip cumulative counts across flushes, so multi-million request
-  replays keep bounded memory.
+* **streams** — :class:`TelemetryCollector` takes each batch log
+  ``run_stream()`` decodes as the run goes (the same logs feed the run's
+  latency arrays) and sends each prefix of provably complete windows
+  through the kernel, carrying the per-chip cumulative counts across
+  flushes, so multi-million request replays keep bounded memory.
 
 Both feeds keep one contract: every offered request counts once under
 ``arrivals``, in its arrival window, whether it completed, was lost or
@@ -42,8 +42,8 @@ multisets inside :func:`_window_row` and window indices use the same
 flushes yields the same bytes as one pass.  Per-batch energy comes from
 the same memoized ``model.energy_joules(workload, batch_size)`` call the
 event core uses; a batch a chaos straggler or power cap slowed carries
-the scaled energy the core charged, which the core reports by
-``(chip, dispatch)`` only when telemetry is on.
+the scaled energy the core charged, which the core reports by emission
+index only when telemetry is on.
 
 Per-request lifecycle *spans* (arrive -> dispatch -> complete with
 queue-wait and service segments) are derived from the existing record
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.simulator import _BatchLog, _EmitLog
+from repro.serving.simulator import _BatchLog
 
 __all__ = [
     "DEFAULT_WINDOW_S",
@@ -528,27 +528,27 @@ def _whole_series(
     return TelemetrySeries(window_s, int(num_chips), tuple(rows))
 
 
-def _log_columns(log, names, energy_of, window_s, scaled_energy=None) -> dict:
+def _log_columns(
+    log, names, energy_of, window_s, scaled_energy=None, first_batch=0
+) -> dict:
     """The kernel columns of a :class:`~repro.serving.simulator._BatchLog`.
 
     Batch columns come straight from the log; request columns spread them
     over the members with ``np.repeat`` (a batch's size is its member
-    count).  ``scaled_energy`` maps ``(chip, dispatch_s)`` to the energy
-    of a batch a chaos service multiplier scaled; each batch found there
-    takes that value instead of the base lookup, and its entry is
-    consumed.
+    count).  ``scaled_energy`` maps a batch's emission index to the
+    energy of a batch a chaos service multiplier scaled; ``log`` holds
+    the batches emitted from index ``first_batch`` on, including every
+    one still in the dict.  Those batches take the scaled value instead
+    of the base lookup, and the dict is emptied.
     """
     size = log.size
     b_dw = _window_index(log.dispatch, window_s)
     b_fw = _window_index(log.finish, window_s)
     b_energy = _batch_energy(log.chip, log.code, size, names, energy_of)
     if scaled_energy:
-        for index, key in enumerate(
-            zip(log.chip.tolist(), log.dispatch.tolist())
-        ):
-            value = scaled_energy.pop(key, None)
-            if value is not None:
-                b_energy[index] = value
+        for index, energy_j in scaled_energy.items():
+            b_energy[index - first_batch] = energy_j
+        scaled_energy.clear()
     return {
         "latency": np.repeat(log.finish, size) - log.arrival,
         "aw": _window_index(log.arrival, window_s),
@@ -691,8 +691,8 @@ def derive_series(result, window_s, chip_models) -> TelemetrySeries:
 class TelemetryCollector:
     """The streaming feed of the windowing kernel, for ``run_stream``.
 
-    Captures what ``run()`` captures — dispatched batches
-    (:meth:`on_batch`) and idle-disjoint bulk runs (:meth:`on_run`) — plus
+    Takes what ``run()`` takes — the run's batches, as the batch logs
+    ``run_stream`` decodes as the run goes (:meth:`on_log`) — plus
     the fed arrival chunks (:meth:`on_arrivals`) and the arrivals the
     event core loses or sheds (:meth:`on_drop`).  A window is complete
     once the feed has passed it and every request that arrived in it or
@@ -706,20 +706,16 @@ class TelemetryCollector:
     the same run (``ServingSimulator.run(telemetry_window_s=...)``).
     """
 
-    #: buffered requests that trigger a flush attempt between chunks
-    _FLUSH_EVERY = 4096
-
     def __init__(self, window_s, num_chips, chip_models, workload_names):
         self.window_s = _check_window(window_s)
         self.num_chips = int(num_chips)
         self._names = tuple(workload_names)
         self._energy_of = _energy_lookup(list(chip_models))
-        #: ``(chip, dispatch_s) -> energy_j`` of chaos-scaled batches, filled
-        #: by the event core and consumed as their batches flush
-        self.scaled_energy: dict[tuple, float] = {}
-        self._emits = _EmitLog()  # batches and runs since the last flush
-        self._buffered = 0        # requests in them
-        self._flush_at = self._FLUSH_EVERY
+        #: ``batch index -> energy_j`` of chaos-scaled batches, the index
+        #: counting the run's emitted batches; filled by the event core as
+        #: it emits them and consumed by the next :meth:`on_log`
+        self.scaled_energy: dict[int, float] = {}
+        self._batches = 0        # batches taken so far
         self._parts: list[dict] = []     # kernel columns still needed
         self._fed: list[np.ndarray] = []      # arrival windows >= _next
         self._dropped: list[np.ndarray] = []  # dropped ones, likewise
@@ -738,20 +734,13 @@ class TelemetryCollector:
         self._fed_idx = int(widx[-1])
         self._flush()
 
-    def on_batch(self, chip_id, dispatch_s, finish_s, size, workload,
-                 members) -> None:
-        """Record one dispatched batch (the ``emit`` tap)."""
-        self._emits.emit(chip_id, dispatch_s, finish_s, size, workload, members)
-        self._buffered += size
-        if self._buffered >= self._flush_at:
-            self._flush()
-
-    def on_run(self, chip_ids, arrivals, finishes, codes) -> None:
-        """Record one idle-disjoint bulk run (the ``emit_run`` tap)."""
-        self._emits.emit_run(chip_ids, arrivals, finishes, None, codes, None)
-        self._buffered += len(arrivals)
-        if self._buffered >= self._flush_at:
-            self._flush()
+    def on_log(self, log) -> None:
+        """Record the batches emitted since the last log, in emission order."""
+        self._parts.append(_log_columns(
+            log, self._names, self._energy_of, self.window_s,
+            self.scaled_energy, self._batches,
+        ))
+        self._batches += log.size.size
 
     def on_drop(self, arrivals) -> None:
         """Record the arrival instants of requests lost or shed."""
@@ -777,12 +766,6 @@ class TelemetryCollector:
         """Send every complete window (all of them given the horizon)."""
         if self._next is None:
             return
-        if self._emits:
-            self._parts.append(_log_columns(
-                self._emits.take(self._names, with_ids=False), self._names,
-                self._energy_of, self.window_s, self.scaled_energy,
-            ))
-            self._buffered = 0
         first = self._next
         fed = _cat(self._fed, np.int64)
         if horizon_s is None:
@@ -824,11 +807,6 @@ class TelemetryCollector:
             self._fed = [fed[fed >= stop]]
             dropped = _cat(self._dropped, np.int64)
             self._dropped = [dropped[dropped >= stop]]
-        # An attempt costs O(retained columns), so the trigger grows with
-        # them: work stays linear while a long queue holds windows open.
-        self._flush_at = max(
-            self._FLUSH_EVERY, sum(part["aw"].size for part in self._parts)
-        )
 
     def finalize(self, horizon_s: float, shed_s=None) -> TelemetrySeries:
         """Flush all remaining windows and return the finished series.

@@ -8,12 +8,23 @@ ids.  The format is deliberately boring — greppable, diffable, appendable
 
 * **Recording** streams requests to disk as they are produced (a recorder
   over a long arrival process never holds the full stream), rewriting the
-  space-padded header in place once the totals are known.
+  space-padded header in place once the totals are known.  The writer
+  works on columns: a :class:`~repro.serving.traffic.RequestStream` (what
+  every generator returns, and what :func:`record_process` and
+  :func:`record_scenario` hand it) is cut into blocks of its columns, any
+  other request iterable is columnarized block by block, and each block is
+  order-checked, formatted with one ``json.dumps`` per column and written
+  in one call.  The bytes are those of one ``json.dumps`` per request.
 * **Replaying** streams the file back as columnar chunks
   (:meth:`RequestTrace.iter_chunks`), which
   :meth:`~repro.serving.simulator.ServingSimulator.run_stream` consumes in
   bounded memory — a multi-million-request trace never materializes as one
-  Python list.
+  Python list.  Each block of lines is decoded by one ``json.loads`` and
+  validated as a whole; when a block fails any check (or holds blank
+  lines) the rest of its chunk is re-read line by line by the reference
+  parser, so a bad trace raises the same error, naming the same request,
+  as a per-line reader.  A block (:data:`_BLOCK_LINES`) bounds the text
+  and values either side holds beyond the columns.
 
 Determinism: a trace pins the exact arrival stream, so replaying it
 through the deterministic event core reproduces the identical result on
@@ -26,17 +37,27 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
+
+import numpy as np
 
 from repro.errors import ServingError
 from repro.serving.simulator import (
     DEFAULT_CHUNK_SIZE,
     ServingSimulator,
     StreamedServingResult,
+    columnar_chunks,
 )
-from repro.serving.traffic import SEED_STRIDE, ArrivalProcess, Request
+from repro.serving.traffic import (
+    SEED_STRIDE,
+    ArrivalProcess,
+    Request,
+    RequestStream,
+)
 from repro.workloads.registry import WORKLOAD_BUILDERS
 
 __all__ = [
@@ -59,6 +80,10 @@ TRACE_VERSION = 1
 #: on-disk width of the (space-padded) header line, newline included —
 #: fixed so a streaming writer can rewrite the totals in place afterwards
 _HEADER_WIDTH = 512
+
+#: lines the reader decodes, and requests the writer formats, at once: a
+#: block's text and values are the only transient copy of the trace
+_BLOCK_LINES = 4096
 
 
 
@@ -85,6 +110,57 @@ def _pad_header(payload: dict) -> bytes:
     return (line + " " * (_HEADER_WIDTH - 1 - len(line)) + "\n").encode("ascii")
 
 
+def _json_items(values: Sequence) -> list[str]:
+    """``json.dumps`` of each value of a number column, in one C call.
+
+    No number's JSON contains ``", "``, so splitting the encoded list
+    recovers exactly what ``json.dumps`` writes for each item alone.
+    """
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _chunk_lines(arrivals, names, ids) -> bytes:
+    """One chunk's trace lines: each is ``json.dumps([id, workload, arrival_s])``."""
+    quoted = {name: json.dumps(name) for name in set(names)}
+    return "".join(map(
+        "[{}, {}, {}]\n".format,
+        _json_items(ids),
+        map(quoted.__getitem__, names),
+        _json_items(arrivals),
+    )).encode("ascii")
+
+
+def _first_unordered(arrivals, ids, prev_arrival, prev_id) -> int:
+    """Index of a chunk's first row out of trace order, or ``-1``.
+
+    A row is in order when its arrival is not below the previous row's
+    and its id is above the previous id; ``prev_arrival``/``prev_id`` are
+    those of the row before the chunk.  The comparisons are Python's,
+    mapped in C: as fast as numpy here, and exact for ids beyond int64
+    and int arrivals beyond float64's integer range.
+    """
+    ordered = list(map(
+        operator.and_,
+        map(operator.ge, arrivals, chain((prev_arrival,), arrivals)),
+        map(operator.gt, ids, chain((prev_id,), ids)),
+    ))
+    return ordered.index(False) if False in ordered else -1
+
+
+def _stream_chunks(
+    streams: Iterable[RequestStream],
+) -> Iterator[tuple[Sequence[float], Sequence[str], Sequence[int]]]:
+    """``(arrivals, workloads, ids)`` blocks of each stream's columns."""
+    for stream in streams:
+        for start in range(0, len(stream), _BLOCK_LINES):
+            stop = start + _BLOCK_LINES
+            yield (
+                stream.arrivals[start:stop],
+                stream.workloads[start:stop],
+                stream.ids[start:stop],
+            )
+
+
 def write_trace(
     path: str | Path,
     requests: Iterable[Request],
@@ -94,10 +170,25 @@ def write_trace(
 
     ``requests`` must arrive sorted by ``(arrival_s, request_id)`` with
     strictly increasing ids (every generator in
-    :mod:`repro.serving.traffic` satisfies this); the input is only
-    iterated once and never buffered, so recording scales to arbitrarily
-    long streams.  ``source`` is free-form provenance stored in the header
-    (e.g. the scenario name and seed that produced the stream).
+    :mod:`repro.serving.traffic` satisfies this).  A
+    :class:`~repro.serving.traffic.RequestStream` is written from its
+    columns; any other iterable is iterated once and columnarized a chunk
+    at a time, so recording scales to arbitrarily long streams.
+    ``source`` is free-form provenance stored in the header (e.g. the
+    scenario name and seed that produced the stream).
+    """
+    if isinstance(requests, RequestStream):
+        chunks = _stream_chunks((requests,))
+    else:
+        chunks = columnar_chunks(requests, _BLOCK_LINES)
+    return _write_chunks(path, chunks, source)
+
+
+def _write_chunks(path, chunks, source) -> TraceInfo:
+    """Write sorted ``(arrivals, workloads, ids)`` chunks as a trace file.
+
+    Each chunk is order-checked (against the previous one too), formatted
+    and written in one call.
     """
     path = Path(path)
     header = {
@@ -109,34 +200,29 @@ def write_trace(
         "source": dict(source or {}),
     }
     count = 0
-    last_arrival = 0.0
-    prev_key = (-float("inf"), -1)
+    prev_arrival = -float("inf")
+    prev_id = -1
     workloads: set[str] = set()
     with path.open("wb") as handle:
         handle.write(_pad_header(header))
-        for request in requests:
-            key = (request.arrival_s, request.request_id)
-            if key <= prev_key or request.request_id <= prev_key[1]:
+        for arrivals, names, ids in chunks:
+            bad = _first_unordered(arrivals, ids, prev_arrival, prev_id)
+            if bad >= 0:
                 raise ServingError(
                     "trace recording requires requests sorted by "
                     "(arrival_s, request_id) with strictly increasing ids; "
-                    f"violated near request {request.request_id}"
+                    f"violated near request {ids[bad]}"
                 )
-            prev_key = key
-            workloads.add(request.workload)
-            handle.write(
-                json.dumps(
-                    [request.request_id, request.workload, request.arrival_s]
-                ).encode("ascii")
-            )
-            handle.write(b"\n")
-            count += 1
-            last_arrival = request.arrival_s
+            workloads.update(names)
+            handle.write(_chunk_lines(arrivals, names, ids))
+            count += len(ids)
+            prev_arrival = arrivals[-1]
+            prev_id = ids[-1]
         if not count:
             raise ServingError("refusing to record an empty request trace")
         header.update(
             num_requests=count,
-            duration_s=last_arrival,
+            duration_s=prev_arrival,
             workloads=sorted(workloads),
         )
         handle.seek(0)
@@ -190,6 +276,57 @@ def read_header(path: str | Path) -> TraceInfo:
     )
 
 
+def _decode_block(lines, known, prev_arrival, prev_id):
+    r"""Decode and validate a block of trace lines, or ``None`` to decline.
+
+    Each line must read ``[`` + two commas + ``]``: the block's text
+    starts with ``[``, ends with ``]``, holds one ``[`` and one ``]`` per
+    line and a ``]\n[`` at every line join, and every line holds exactly
+    two commas.  Replacing the joins by commas then makes the block one
+    flat JSON array, decoded by one ``json.loads`` without a list per row.
+    Once every value is checked to be an int id, a known workload name
+    (which holds no comma) or a number, every comma separates two values,
+    so values ``3i`` to ``3i + 2`` are exactly line ``i``'s row.  The
+    block is then checked as a whole: exact types (a bool is no int),
+    finite non-negative arrivals and trace order, continuing from
+    ``prev_arrival`` and ``prev_id``.  Any doubt declines, and the caller
+    re-reads the lines one by one.
+    """
+    count = len(lines)
+    text = "".join(lines)
+    if not (
+        text.startswith("[")
+        and text.endswith(("]\n", "]"))
+        and text.count("[") == count == text.count("]")
+        and text.count("]\n[") == count - 1
+        and set(map(str.count, lines, repeat(","))) == {2}
+    ):
+        return None
+    text = text.replace("]\n[", ",")
+    try:
+        values = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    ids, names, arrivals = values[0::3], values[1::3], values[2::3]
+    if (
+        len(values) != 3 * count
+        or set(map(type, ids)) != {int}
+        or set(map(type, names)) != {str}
+        or not {float, int}.issuperset(map(type, arrivals))
+        or not known.issuperset(names)
+    ):
+        return None
+    try:
+        times = np.asarray(arrivals, dtype=float)
+    except OverflowError:  # an int arrival beyond float range
+        return None
+    if not (np.isfinite(times).all() and (times >= 0).all()):
+        return None
+    if _first_unordered(arrivals, ids, prev_arrival, prev_id) >= 0:
+        return None
+    return arrivals, names, ids
+
+
 class RequestTrace:
     """Streaming handle on a recorded trace file."""
 
@@ -212,89 +349,141 @@ class RequestTrace:
     ) -> Iterator[tuple[list[float], list[str], list[int]]]:
         """Yield ``(arrivals, workloads, request_ids)`` columnar chunks.
 
-        Lines are parsed and validated on the fly — sortedness, strictly
-        increasing ids, known workloads, finite non-negative arrivals — and at
-        most ``chunk_size`` requests are in memory at once.  The header's
+        Each chunk holds the next ``chunk_size`` non-blank lines (fewer at
+        the end of the file), validated — sortedness, strictly increasing
+        ids, known workloads, finite non-negative arrivals — before it is
+        yielded, so at most one chunk is in memory at once.  The header's
         ``num_requests`` must match the line count, so a truncated file
         fails loudly instead of replaying silently short.
         """
         if chunk_size < 1:
             raise ServingError(f"chunk_size must be positive, got {chunk_size}")
-        info = self.info
-        known = set(info.workloads)
-        loads = json.loads
-        isfinite = math.isfinite
+        known = frozenset(self.info.workloads)
         count = 0
         prev_arrival = -float("inf")
         prev_id = -1
+        with self.path.open("r", encoding="ascii") as handle:
+            handle.read(_HEADER_WIDTH)
+            while True:
+                chunk = self._read_chunk(
+                    handle, chunk_size, known, count, prev_arrival, prev_id
+                )
+                if chunk is None:
+                    break
+                arrivals, _, ids = chunk
+                count += len(ids)
+                prev_arrival = arrivals[-1]
+                prev_id = ids[-1]
+                yield chunk
+        if count != self.info.num_requests:
+            raise ServingError(
+                f"trace '{self.path}' is truncated: header promises "
+                f"{self.info.num_requests} requests, found {count}"
+            )
+
+    def _read_chunk(self, handle, chunk_size, known, count, prev_arrival,
+                    prev_id):
+        """The next chunk's columns, or ``None`` at the end of the file.
+
+        Lines are decoded :data:`_BLOCK_LINES` at a time
+        (:func:`_decode_block`).  When a block declines — blank lines, or
+        any line it cannot prove valid — the rest of the chunk (its
+        non-blank lines topped up to ``chunk_size``) is re-read one line
+        at a time (:meth:`_parse_lines`), which accepts what is valid and
+        raises the error of the first bad line.
+        """
+        arrivals: list = []
+        names: list = []
+        ids: list = []
+        while len(ids) < chunk_size:
+            want = chunk_size - len(ids)
+            lines = list(islice(handle, min(want, _BLOCK_LINES)))
+            if not lines:
+                break
+            block = _decode_block(lines, known, prev_arrival, prev_id)
+            if block is None:
+                lines = list(filter(str.strip, lines))
+                while len(lines) < want:
+                    more = list(islice(handle, want - len(lines)))
+                    if not more:
+                        break
+                    lines.extend(filter(str.strip, more))
+                block = self._parse_lines(
+                    lines, known, count + len(ids), prev_arrival, prev_id
+                )
+                if not block[2]:
+                    break
+            arrivals += block[0]
+            names += block[1]
+            ids += block[2]
+            prev_arrival = arrivals[-1]
+            prev_id = ids[-1]
+        return (arrivals, names, ids) if ids else None
+
+    def _parse_lines(self, lines, known, count, prev_arrival, prev_id):
+        """Parse and validate non-blank ``lines`` one at a time.
+
+        The reference reader, and the error path of the chunk decoder:
+        ``count``, ``prev_arrival`` and ``prev_id`` describe the requests
+        before ``lines``, so each error names the request it occurs at.
+        """
+        loads = json.loads
+        isfinite = math.isfinite
         arrivals: list[float] = []
         names: list[str] = []
         ids: list[int] = []
-        with self.path.open("r", encoding="ascii") as handle:
-            handle.read(_HEADER_WIDTH)
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    row = loads(line)
-                except (json.JSONDecodeError, ValueError):
-                    row = None
-                # Exact type() checks: bool is an int subclass, and a float
-                # id or a bool arrival must not replay as a number.
-                if (
-                    type(row) is not list
-                    or len(row) != 3
-                    or type(row[0]) is not int
-                    or type(row[1]) is not str
-                    or (type(row[2]) is not float and type(row[2]) is not int)
-                ):
-                    raise ServingError(
-                        f"trace '{self.path}' has a malformed line near "
-                        f"request {count}: expected [int id, str workload, "
-                        "number arrival_s]"
-                    )
-                request_id, workload, arrival_s = row
-                if workload not in known:
-                    raise ServingError(
-                        f"trace '{self.path}' line names workload "
-                        f"'{workload}' missing from its header"
-                    )
-                if not isfinite(arrival_s):
-                    raise ServingError(
-                        f"trace '{self.path}' has a non-finite arrival at "
-                        f"request {request_id}"
-                    )
-                if arrival_s < 0:
-                    raise ServingError(
-                        f"trace '{self.path}' has a negative arrival at "
-                        f"request {request_id}"
-                    )
-                if (
-                    arrival_s < prev_arrival
-                    or (arrival_s == prev_arrival and request_id <= prev_id)
-                    or request_id <= prev_id
-                ):
-                    raise ServingError(
-                        f"trace '{self.path}' is not sorted by "
-                        "(arrival_s, request_id) with strictly increasing "
-                        f"ids near request {request_id}"
-                    )
-                prev_arrival = arrival_s
-                prev_id = request_id
-                arrivals.append(arrival_s)
-                names.append(workload)
-                ids.append(request_id)
-                count += 1
-                if len(arrivals) >= chunk_size:
-                    yield arrivals, names, ids
-                    arrivals, names, ids = [], [], []
-        if arrivals:
-            yield arrivals, names, ids
-        if count != info.num_requests:
-            raise ServingError(
-                f"trace '{self.path}' is truncated: header promises "
-                f"{info.num_requests} requests, found {count}"
-            )
+        for line in lines:
+            try:
+                row = loads(line)
+            except (json.JSONDecodeError, ValueError):
+                row = None
+            # Exact type() checks: bool is an int subclass, and a float
+            # id or a bool arrival must not replay as a number.
+            if (
+                type(row) is not list
+                or len(row) != 3
+                or type(row[0]) is not int
+                or type(row[1]) is not str
+                or (type(row[2]) is not float and type(row[2]) is not int)
+            ):
+                raise ServingError(
+                    f"trace '{self.path}' has a malformed line near "
+                    f"request {count}: expected [int id, str workload, "
+                    "number arrival_s]"
+                )
+            request_id, workload, arrival_s = row
+            if workload not in known:
+                raise ServingError(
+                    f"trace '{self.path}' line names workload "
+                    f"'{workload}' missing from its header"
+                )
+            if not isfinite(arrival_s):
+                raise ServingError(
+                    f"trace '{self.path}' has a non-finite arrival at "
+                    f"request {request_id}"
+                )
+            if arrival_s < 0:
+                raise ServingError(
+                    f"trace '{self.path}' has a negative arrival at "
+                    f"request {request_id}"
+                )
+            if (
+                arrival_s < prev_arrival
+                or (arrival_s == prev_arrival and request_id <= prev_id)
+                or request_id <= prev_id
+            ):
+                raise ServingError(
+                    f"trace '{self.path}' is not sorted by "
+                    "(arrival_s, request_id) with strictly increasing "
+                    f"ids near request {request_id}"
+                )
+            prev_arrival = arrival_s
+            prev_id = request_id
+            arrivals.append(arrival_s)
+            names.append(workload)
+            ids.append(request_id)
+            count += 1
+        return arrivals, names, ids
 
     def iter_requests(
         self, chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -340,30 +529,30 @@ def record_process(
     }
 
     if window_s is None:
-        stream: Iterable[Request] = process.generate(duration_s, seed=seed)
-    else:
-        if window_s <= 0:
-            raise ServingError(f"window_s must be positive, got {window_s}")
+        return write_trace(
+            path, process.generate(duration_s, seed=seed), source=provenance
+        )
+    if window_s <= 0:
+        raise ServingError(f"window_s must be positive, got {window_s}")
 
-        def windows() -> Iterator[Request]:
-            offset = 0.0
-            start_id = 0
-            window = 0
-            while offset < duration_s:
-                span = min(window_s, duration_s - offset)
-                generated = process.generate(
-                    span,
-                    seed=seed * SEED_STRIDE + window,
-                    start_s=offset,
-                    start_id=start_id,
-                )
-                yield from generated
-                start_id += len(generated)
-                offset += span
-                window += 1
+    def windows() -> Iterator[RequestStream]:
+        offset = 0.0
+        start_id = 0
+        window = 0
+        while offset < duration_s:
+            span = min(window_s, duration_s - offset)
+            generated = process.generate(
+                span,
+                seed=seed * SEED_STRIDE + window,
+                start_s=offset,
+                start_id=start_id,
+            )
+            yield generated
+            start_id += len(generated)
+            offset += span
+            window += 1
 
-        stream = windows()
-    return write_trace(path, stream, source=provenance)
+    return _write_chunks(path, _stream_chunks(windows()), provenance)
 
 
 def record_scenario(

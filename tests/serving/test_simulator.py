@@ -35,6 +35,22 @@ class TestValidation:
         with pytest.raises(ServingError, match="duplicate request ids"):
             _simulator(fake_model).run(requests)
 
+    @pytest.mark.parametrize("policy", (NoBatching(), ContinuousBatching()))
+    @pytest.mark.parametrize("router", ("round_robin", "jsq"))
+    def test_stream_workload_missing_from_declared_set(
+        self, fake_model, router, policy
+    ):
+        requests = [
+            Request(index, ("lvrf", "nvsa")[index % 2], 0.01 * index)
+            for index in range(20)
+        ]
+        sim = _simulator(fake_model, num_chips=2, router=router, policy=policy)
+        with pytest.raises(ServingError, match=re.escape(
+            "stream contains workload 'lvrf' missing from the declared "
+            "workload set ['nvsa']"
+        )):
+            sim.run_stream(columnar_chunks(requests, 5), ["nvsa"])
+
 
 class ConstantCostModel:
     """Every batch costs the same service time and energy."""

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import ServingError
+from repro.serving import simulator
 from repro.serving.batching import ContinuousBatching, NoBatching
 from repro.serving.chaos import (
     ChaosTimeline,
@@ -218,6 +219,44 @@ class TestStreamedTelemetryMemory:
         assert streamed.telemetry.windows == full.telemetry.windows
 
 
+class TestStreamedLogFlushes:
+    """``run_stream`` decodes its batch log between chunks and every
+    ``EMIT_LOG_BATCHES`` batches; where the flushes fall changes no byte."""
+
+    @pytest.mark.parametrize("limit", (1, 7))
+    @pytest.mark.parametrize(
+        "chaos", CHAOS_TIMELINES.values(), ids=CHAOS_TIMELINES.keys()
+    )
+    def test_flush_points_change_no_byte(self, monkeypatch, chaos, limit):
+        stream = [
+            Request(request_id=i, workload=WORKLOADS[i % 4], arrival_s=0.1 * i)
+            for i in range(120)
+        ]
+        sim = _simulator(2, policy=NoBatching(), chaos=chaos)
+
+        def streamed():
+            return sim.run_stream(
+                columnar_chunks(stream, 50), WORKLOADS,
+                telemetry_window_s=WINDOW_S,
+            )
+
+        expected = streamed()
+        monkeypatch.setattr(simulator, "EMIT_LOG_BATCHES", limit)
+        actual = streamed()
+        assert actual.telemetry == expected.telemetry
+        assert sum(actual.telemetry.column("energy_j")) == pytest.approx(
+            actual.energy_joules, rel=1e-9
+        )
+        arrays = (
+            lambda result: [result.latency_s, result.queue_delay_s,
+                            *result.workload_latency_s.values(),
+                            *result.chip_latency_s]
+        )
+        assert [values.tobytes() for values in arrays(actual)] == [
+            values.tobytes() for values in arrays(expected)
+        ]
+
+
 class TestTelemetrySeries:
     def _series(self, entries, **kwargs):
         stream = [
@@ -404,6 +443,51 @@ class TestZeroServiceBatches:
         derived = derive_series(result, WINDOW_S, sim._chip_models())
         assert self._totals(derived) == (16, 16.0)
         assert derived == result.telemetry
+
+
+class PricedZeroServiceModel(ZeroServiceModel):
+    """Zero-time batches costing 1 J (``nvsa``) or 5 J (``lvrf``)."""
+
+    def energy_joules(self, workload, batch_size):
+        return {"nvsa": 1.0, "lvrf": 5.0}[workload]
+
+
+class TestSameInstantScaledEnergy:
+    """A straggler scales batches a chip dispatches at one instant.
+
+    16 alternating ``lvrf``/``nvsa`` requests arrive in groups of 4
+    simultaneous requests on one chip.  The straggler (x3) starts at the
+    first group's instant, after its arrivals, so the first 4 batches cost
+    12 J and the other 12 cost 3 x 36 J: 120 J, every batch in a window.
+    """
+
+    STREAM = [
+        Request(
+            request_id=index,
+            workload=("lvrf", "nvsa")[index % 2],
+            arrival_s=(index // 4) * 0.3,
+        )
+        for index in range(16)
+    ]
+
+    @pytest.mark.parametrize("surface", ("run", "run_stream"))
+    def test_window_energy_sums_to_the_run_total(self, surface):
+        sim = ServingSimulator(
+            service_model=PricedZeroServiceModel(),
+            fleet=Fleet(num_chips=1, router="round_robin"),
+            batching_policy=NoBatching(),
+            chaos=ChaosTimeline((straggler(0, 0.0, 100.0, 3.0),)),
+        )
+        if surface == "run":
+            result = sim.run(self.STREAM, telemetry_window_s=WINDOW_S)
+        else:
+            result = sim.run_stream(
+                columnar_chunks(self.STREAM, 5), ["lvrf", "nvsa"],
+                telemetry_window_s=WINDOW_S,
+            )
+        assert result.energy_joules == 120.0
+        assert sum(result.telemetry.column("batches")) == 16
+        assert sum(result.telemetry.column("energy_j")) == 120.0
 
 
 class TestRequestSpans:
