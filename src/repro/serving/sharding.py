@@ -662,7 +662,16 @@ def _partition(plan, router, chunks, workload_names):
         if not n:
             continue
         arr = np.asarray(arrivals, dtype=float)
-        ids = np.asarray(chunk_ids, dtype=np.int64)
+        try:
+            ids = np.asarray(chunk_ids, dtype=np.int64)
+        except OverflowError:  # the columnar engine keeps int64 ids
+            outside = next(
+                (i for i in chunk_ids if not -(2**63) <= i < 2**63), None
+            )
+            raise ServingError(
+                f"request id {outside} is outside the int64 range a "
+                "sharded run needs; run with one shard"
+            ) from None
         bad = None
         if arr[0] < prev_arrival or (
             arr[0] == prev_arrival and ids[0] <= prev_id

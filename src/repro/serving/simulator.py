@@ -20,7 +20,10 @@ service/energy table is memoized outside the loop.  On top of that, the
 *chunked clock advance* scans each columnar chunk once (vectorized) for
 idle-disjoint runs — maximal spans where every arrival strictly outlives
 the previous request's service — and serves whole runs without touching
-the event heap at all.  Third-party routers still work through the
+the event heap at all; its saturated complement — arrivals that find
+every chip busy — drains up to the next heap event in one tight loop,
+or, past ``FILL_MIN_RUN`` arrivals on a jsq fleet, in one numpy water
+fill.  Third-party routers still work through the
 generic ``route`` call, and batching policies that only implement
 ``select`` run on the same slot-keyed queues through the base class's
 ``plan`` adapter (``vectorize=False`` forces the scalar path everywhere,
@@ -37,7 +40,8 @@ is a private ``_simulate`` hook: the core pre-allocates ``max_chips`` chips,
 routes only over the ones the controller reports ACTIVE, asks it to admit
 each arrival, reports completions to its sensors and hands it the
 ``_WARM``/``_TICK`` heap events.  Like chaos, it disables the vectorized
-spans and defers each batch's accounting to its completion.
+spans but the saturated-span loop and defers each batch's accounting to
+its completion.
 
 Closed-loop sessions (:func:`~repro.serving.sessions.run_sessions`) are a
 private ``_simulate`` arrival-source hook on the same deferred path: each
@@ -138,12 +142,12 @@ DEFAULT_CHUNK_SIZE = 65536
 BULK_MIN_RUN = 16
 
 #: shortest saturated arrival run the coupled water-fill dispatch will
-#: take over; below this the per-span setup (two bisects, a depth scan,
-#: and per-chip strided gathers plus a stable segment sort) costs about
-#: what routing the arrivals through the scalar JSQ loop does, so short
-#: bursts — shallow-batch regimes dispatch between every handful of
-#: arrivals — stay scalar and only deep standing queues vectorize
-FILL_MIN_RUN = 48
+#: take over; shorter runs drain through the saturated-span loop.  With
+#: its per-span setup (two bisects, a depth scan, and per-chip strided
+#: gathers plus a stable segment sort) the water fill beats that loop only
+#: past about 380-900 arrivals (a single span after saturating 2-16 JSQ
+#: chips, best of 15, 2-vCPU host), so only deep standing queues vectorize
+FILL_MIN_RUN = 512
 
 #: batches an :class:`_EmitLog` with a ``flush`` callback holds before it
 #: calls it, so a streamed run keeps few undecoded batches between chunks
@@ -987,8 +991,9 @@ class ServingSimulator:
         self.fleet = fleet or Fleet()
         self.service_model = service_model or FleetServiceModel(fleet=self.fleet)
         self.batching_policy = batching_policy or NoBatching()
-        #: enable the chunked clock advance (vectorized idle-disjoint runs);
-        #: False forces the scalar event loop everywhere, which the
+        #: enable the chunked clock advance (vectorized idle-disjoint runs)
+        #: and the saturated-span loop and water fill; False forces the
+        #: scalar event loop everywhere, which the
         #: equivalence harness uses to prove the two paths agree byte-for-byte
         self.vectorize = bool(vectorize)
         if chaos is not None and not isinstance(chaos, ChaosTimeline):
@@ -1058,9 +1063,9 @@ class ServingSimulator:
         attribution becomes ``event_paths`` (a sharded run passes none, so
         it never reports a sub-simulation's counters as its own).  Coupled
         (JSQ) fleets also record their engine: ``water_fill`` when the
-        vectorized saturated-span dispatch could run, ``scalar`` when the
-        run took the reference loop (``vectorize=False``, or the deferred
-        path of chaos, controlled and session runs).
+        numpy water-fill dispatch could run, ``scalar`` when it could not
+        (``vectorize=False``, or the deferred path of chaos, controlled
+        and session runs, which keeps only the saturated-span loop).
         """
         provenance = {
             "num_requests": num_requests,
@@ -1422,7 +1427,8 @@ class ServingSimulator:
         # when no timeline is set — chaos costs one predictable branch per
         # dispatch and per heap pop, nothing on the vectorized spans
         # (which chaos disables outright so an incident can interrupt any
-        # batch mid-flight on the one scalar path both engines share).
+        # batch mid-flight on the one scalar path both engines share; only
+        # the saturated-span loop stays, since no span crosses an event).
         # A controller takes the same deferred path: its sensors read
         # completions, and scale actions depend on observed state.
         chaos_on = self.chaos is not None
@@ -1834,6 +1840,10 @@ class ServingSimulator:
         # whole span therefore routes as a short catch-up prefix plus
         # strided slices, byte-identical to the per-arrival scan.
         fill_mode = self.vectorize and route_mode == "jsq" and not deferred
+        # Spans too short for the water fill (and every saturated span of
+        # other routers and of deferred runs) drain in one tight loop,
+        # entered when ``busy_count`` reaches this count.
+        saturated_count = num_chips if self.vectorize else -1
         fill_cols = None  # lazily-built per-chunk fill arrays
         # Position the chunk must reach before the next fill attempt: a
         # span that came up shorter than FILL_MIN_RUN stays short for every
@@ -2253,6 +2263,78 @@ class ServingSimulator:
                 next_arrival = arrivals[index]
                 if heap and heap[0][0] < next_arrival:
                     pass  # a completion/wake-up precedes the next arrival
+                elif busy_count == saturated_count:
+                    # Saturated span: every chip is busy, so each arrival up
+                    # to the heap head is a pure enqueue (the water fill's
+                    # argument) and skips the single/burst, eager and
+                    # dispatch checks.  The head is every chip's FREE event
+                    # or an earlier chaos, controller or session event, so
+                    # nothing it bounds can change until it pops.
+                    bound = heap[0][0]
+                    while True:
+                        arrival_s = arrivals[index]
+                        workload = names[index]
+                        request_id = ids[index]
+                        if arrival_s < prev_arrival or (
+                            arrival_s == prev_arrival and request_id <= prev_id
+                        ):
+                            raise ServingError(
+                                "request stream is not sorted by "
+                                "(arrival_s, request_id) or repeats a request "
+                                f"id near request {request_id}"
+                            )
+                        prev_arrival = arrival_s
+                        prev_id = request_id
+
+                        if route_mode == "jsq":
+                            chosen = jsq_take()
+                        elif route_mode == "owners":
+                            candidates = owner_chips.get(workload)
+                            if candidates is None:
+                                route_generic(
+                                    Request(request_id, workload, arrival_s),
+                                    chips,
+                                )
+                                raise ServingError(  # pragma: no cover
+                                    f"router failed on workload '{workload}'"
+                                )
+                            chosen = candidates[0]
+                            best = chosen.pending
+                            for candidate in candidates:
+                                if candidate.pending < best:
+                                    best = candidate.pending
+                                    chosen = candidate
+                        elif route_mode == "rr":
+                            chosen = rr_chips[rr_next % rr_size]
+                            rr_next += 1
+                        else:
+                            chosen = chips[
+                                route_generic(
+                                    Request(request_id, workload, arrival_s),
+                                    chips,
+                                )
+                            ]
+
+                        if admit is None or admit(chosen, workload, arrival_s):
+                            group = chosen.groups.get(workload)
+                            if group is None:
+                                chosen.groups[workload] = group = _Group()
+                            group.append(arrival_s, request_id)
+                            chosen.depth += 1
+                            chosen.pending += 1
+
+                        index += 1
+                        if index == limit:
+                            columns = next_chunk()
+                            if columns is None:
+                                exhausted = True
+                                break
+                            arrivals, names, ids = columns
+                            index = 0
+                            limit = len(arrivals)
+                        if arrivals[index] > bound:
+                            break
+                    continue
                 elif index + 1 < limit and arrivals[index + 1] != next_arrival:
                     # Single-arrival instant — the overwhelmingly common
                     # case in continuous time, handled without the drain

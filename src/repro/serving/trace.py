@@ -457,7 +457,14 @@ class RequestTrace:
                     f"trace '{self.path}' line names workload "
                     f"'{workload}' missing from its header"
                 )
-            if not isfinite(arrival_s):
+            try:
+                finite = isfinite(arrival_s)
+            except OverflowError:  # an int arrival beyond float range
+                raise ServingError(
+                    f"trace '{self.path}' has an arrival beyond float "
+                    f"range at request {request_id}"
+                ) from None
+            if not finite:
                 raise ServingError(
                     f"trace '{self.path}' has a non-finite arrival at "
                     f"request {request_id}"

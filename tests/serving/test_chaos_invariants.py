@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import ExecutionCache
@@ -201,6 +201,17 @@ class TestChaosInvariants:
 
     @settings(max_examples=15, deadline=None)
     @given(stream=request_streams, chaos=chaos_timelines)
+    # Two arrivals every 10 ms saturate all three chips between incidents,
+    # so saturated spans drain through the vectorized core's span loop.
+    @example(
+        stream=[
+            Request(index, WORKLOADS[index % 4], (index // 2) / 100.0)
+            for index in range(40)
+        ],
+        chaos=ChaosTimeline((
+            straggler(1, 0.05, 0.1, 3.0), chip_failure(2, 0.15, 0.1),
+        )),
+    )
     def test_scalar_and_vectorized_paths_agree_under_chaos(
         self, stream, chaos
     ):

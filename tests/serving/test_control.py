@@ -62,12 +62,15 @@ class FakeServiceModel:
         return self.service_seconds(workload, batch_size)
 
 
-def _simulator(policy=None, num_chips=2, router="jsq", chaos=None):
+def _simulator(
+    policy=None, num_chips=2, router="jsq", chaos=None, vectorize=True
+):
     return ServingSimulator(
         service_model=FakeServiceModel(),
         fleet=Fleet(num_chips=num_chips, router=router),
         batching_policy=policy or ContinuousBatching(max_batch_size=4),
         chaos=chaos,
+        vectorize=vectorize,
     )
 
 
@@ -320,6 +323,30 @@ class TestAdmission:
         )
         keep_run = run_controlled(_simulator(), loose, stream)
         assert keep_run.requests_shed == 0
+
+    @pytest.mark.parametrize("router", ("jsq", "round_robin"))
+    def test_saturated_admission_matches_the_scalar_core(self, router):
+        # Arrivals every 0.5 ms keep both chips of the pool busy, so the
+        # vectorized core admits and sheds them in saturated spans while
+        # the controller retunes the batch cap.
+        stream = [Request(i, WORKLOADS[i % 4], 0.0005 * i) for i in range(300)]
+        config = ControllerConfig(
+            policy="queue_pid", slo_s=0.02, min_chips=2, max_chips=2,
+            interval_s=0.01, warmup_s=0.005,
+        )
+        fast, slow = (
+            run_controlled(
+                _simulator(router=router, vectorize=vectorize), config, stream,
+                telemetry_window_s=0.01,
+            )
+            for vectorize in (True, False)
+        )
+        assert fast.requests_shed > 0
+        assert _record_rows(fast) == _record_rows(slow)
+        assert fast.requests_shed == slow.requests_shed
+        assert fast.energy_joules == slow.energy_joules
+        assert fast.provenance["controller"] == slow.provenance["controller"]
+        assert fast.telemetry.windows == slow.telemetry.windows
 
     @pytest.mark.parametrize(
         "chaos, expected_shed",

@@ -19,10 +19,13 @@ every generated stream, with and without chaos and water-fill spans.
 """
 
 import math
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serving import simulator as simulator_module
 from repro.serving.batching import (
     BatchingPolicy,
     ContinuousBatching,
@@ -187,8 +190,7 @@ class _ForcedGenericPolicy(BatchingPolicy):
 
 
 #: dense bursty streams: arrivals on a 0.01 s grid packed tightly enough
-#: that a 2-chip fleet saturates and whole runs dispatch as water-fill
-#: spans (the vectorized path needs runs past its minimum span length)
+#: that a 2-chip fleet saturates and whole runs dispatch as saturated spans
 dense_streams = st.lists(
     st.tuples(
         st.sampled_from(WORKLOADS),
@@ -204,6 +206,26 @@ dense_streams = st.lists(
         )
     ]
 )
+
+
+#: ``FILL_MIN_RUN`` values the saturated-span tests run at: the shipped
+#: one, under which dense streams' spans drain through the saturated-span
+#: loop, and one small enough that they reach the numpy water fill
+FILL_MIN_RUNS = (simulator_module.FILL_MIN_RUN, 8)
+
+
+def _fill_min_run(value):
+    """Run the event core with ``FILL_MIN_RUN`` set to ``value``."""
+    return mock.patch.object(simulator_module, "FILL_MIN_RUN", value)
+
+
+#: a fixed dense stream (two arrivals per 0.01 s tick) whose saturated
+#: spans reach the water fill at the small ``FILL_MIN_RUNS`` value on 2-9
+#: jsq chips under every policy
+SATURATING_STREAM = [
+    Request(index, WORKLOADS[index * 7 % 4], (index // 2) / 100.0)
+    for index in range(160)
+]
 
 
 def _policy_factories():
@@ -284,29 +306,37 @@ class TestFastPathEquivalence:
             )
             _assert_identical(fast, generic)
 
+    @pytest.mark.parametrize("fill_min_run", FILL_MIN_RUNS)
     @settings(max_examples=12, deadline=None)
     @given(stream=dense_streams, num_chips=st.integers(2, 9))
     def test_fast_and_generic_paths_agree_on_water_fill_spans(
-        self, stream, num_chips
+        self, fill_min_run, stream, num_chips
     ):
-        for policy_factory in _policy_factories():
-            fast = _run(stream, num_chips, "jsq", policy_factory())
-            generic = _run(
-                stream, num_chips, "jsq", _ForcedGenericPolicy(policy_factory())
-            )
-            _assert_identical(fast, generic)
+        with _fill_min_run(fill_min_run):
+            for policy_factory in _policy_factories():
+                fast = _run(stream, num_chips, "jsq", policy_factory())
+                generic = _run(
+                    stream, num_chips, "jsq",
+                    _ForcedGenericPolicy(policy_factory()),
+                )
+                _assert_identical(fast, generic)
 
     def test_select_only_policy_rides_water_fill_spans(self):
         # Two chips saturated by 200 back-to-back arrivals: the select
         # adapter shares the slot-keyed queues, so whole spans route
-        # through the vectorized water fill.
+        # through the vectorized water fill (once spans that short reach
+        # it).
         stream = [
             Request(index, WORKLOADS[index % 4], index / 1000.0)
             for index in range(200)
         ]
-        generic = _run(stream, 2, "jsq", _ForcedGenericPolicy(NoBatching()))
+        with _fill_min_run(48):
+            generic = _run(
+                stream, 2, "jsq", _ForcedGenericPolicy(NoBatching())
+            )
+            fast = _run(stream, 2, "jsq", NoBatching())
         assert generic.provenance["event_paths"]["water_fill_requests"] > 0
-        _assert_identical(_run(stream, 2, "jsq", NoBatching()), generic)
+        _assert_identical(fast, generic)
 
 
 class TestShardedEquivalence:
@@ -340,9 +370,11 @@ class TestCoupledEngineEquivalence:
     """The water-filling jsq engine must match the scalar reference loop.
 
     Dense arrival runs saturate the fleet, so whole spans dispatch
-    through the vectorized water-fill and the indexed min-queue;
-    ``vectorize=False`` forces the per-request scalar reference loop on
-    the same stream.  Records, fleet accounting, telemetry windows and
+    through the saturated-span loop or, past ``FILL_MIN_RUN`` arrivals,
+    the vectorized water-fill, and the indexed min-queue; each test runs
+    at the shipped ``FILL_MIN_RUN`` and at a small one that sends these
+    short streams' spans to the water fill.  ``vectorize=False`` forces
+    the per-request scalar reference loop on the same stream.  Records, fleet accounting, telemetry windows and
     the streamed path across chunk boundaries must all agree byte for
     byte, for every policy and chip counts 2-9.
     """
@@ -357,26 +389,46 @@ class TestCoupledEngineEquivalence:
         )
         return simulator.run(requests, **kwargs)
 
+    def _assert_matches_scalar(self, stream, num_chips, policy):
+        """Run ``stream`` both ways and return the vectorized result."""
+        fast = self._run_jsq(
+            stream, num_chips, policy, True, telemetry_window_s=0.05
+        )
+        slow = self._run_jsq(
+            stream, num_chips, policy, False, telemetry_window_s=0.05
+        )
+        assert fast.provenance["coupled_engine"] == "water_fill"
+        assert slow.provenance["coupled_engine"] == "scalar"
+        assert fast.records == slow.records
+        assert fast.chip_busy_s == slow.chip_busy_s
+        assert fast.chip_requests == slow.chip_requests
+        assert fast.energy_joules == slow.energy_joules
+        assert fast.num_batches == slow.num_batches
+        assert fast.horizon_s == slow.horizon_s
+        assert fast.telemetry == slow.telemetry
+        return fast
+
+    @pytest.mark.parametrize("fill_min_run", FILL_MIN_RUNS)
     @settings(max_examples=12, deadline=None)
     @given(stream=dense_streams, num_chips=st.integers(2, 9))
-    def test_water_fill_matches_scalar_reference(self, stream, num_chips):
-        for policy in _policies():
-            fast = self._run_jsq(
-                stream, num_chips, policy, True, telemetry_window_s=0.05
-            )
-            slow = self._run_jsq(
-                stream, num_chips, policy, False, telemetry_window_s=0.05
-            )
-            assert fast.provenance["coupled_engine"] == "water_fill"
-            assert slow.provenance["coupled_engine"] == "scalar"
-            assert fast.records == slow.records
-            assert fast.chip_busy_s == slow.chip_busy_s
-            assert fast.chip_requests == slow.chip_requests
-            assert fast.energy_joules == slow.energy_joules
-            assert fast.num_batches == slow.num_batches
-            assert fast.horizon_s == slow.horizon_s
-            assert fast.telemetry == slow.telemetry
+    def test_water_fill_matches_scalar_reference(
+        self, fill_min_run, stream, num_chips
+    ):
+        with _fill_min_run(fill_min_run):
+            for policy in _policies():
+                self._assert_matches_scalar(stream, num_chips, policy)
 
+    @pytest.mark.parametrize("num_chips", range(2, 10))
+    def test_small_fill_min_run_reaches_water_fill(self, num_chips):
+        with _fill_min_run(FILL_MIN_RUNS[-1]):
+            for policy in _policies():
+                fast = self._assert_matches_scalar(
+                    SATURATING_STREAM, num_chips, policy
+                )
+                paths = fast.provenance["event_paths"]
+                assert paths["water_fill_requests"] > 0
+
+    @pytest.mark.parametrize("fill_min_run", FILL_MIN_RUNS)
     @settings(max_examples=10, deadline=None)
     @given(
         stream=dense_streams,
@@ -384,7 +436,7 @@ class TestCoupledEngineEquivalence:
         chunk_size=st.sampled_from((7, 33, 4096)),
     )
     def test_streamed_water_fill_matches_scalar_across_chunks(
-        self, stream, num_chips, chunk_size
+        self, fill_min_run, stream, num_chips, chunk_size
     ):
         from repro.serving.simulator import columnar_chunks
 
@@ -398,12 +450,11 @@ class TestCoupledEngineEquivalence:
                     batching_policy=policy,
                     vectorize=vectorize,
                 )
-                results.append(
-                    simulator.run_stream(
+                with _fill_min_run(fill_min_run):
+                    results.append(simulator.run_stream(
                         columnar_chunks(stream, chunk_size), workloads,
                         telemetry_window_s=0.05,
-                    )
-                )
+                    ))
             fast, slow = results
             assert fast.chip_busy_s == slow.chip_busy_s
             assert fast.chip_requests == slow.chip_requests

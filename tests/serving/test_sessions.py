@@ -56,12 +56,16 @@ class SessionFakeModel:
         return self.service_seconds(workload, batch_size)
 
 
-def _simulator(scale=1.0, num_chips=2, router="jsq", policy=None, chaos=None):
+def _simulator(
+    scale=1.0, num_chips=2, router="jsq", policy=None, chaos=None,
+    vectorize=True,
+):
     return ServingSimulator(
         service_model=SessionFakeModel(scale),
         fleet=Fleet(num_chips=num_chips, router=router),
         batching_policy=policy or ContinuousBatching(max_batch_size=4),
         chaos=chaos,
+        vectorize=vectorize,
     )
 
 
@@ -313,6 +317,28 @@ class TestCoreSemantics:
         )
         assert _rows(custom) == _rows(builtin)
         assert custom.energy_joules == builtin.energy_joules
+
+    @pytest.mark.parametrize("chaos", (None, ChaosTimeline((
+        chip_failure(1, 0.3, 0.2), power_cap(0.1, 0.4, 2.0),
+    ))), ids=("plain", "chaos"))
+    def test_saturated_fleet_serves_like_the_scalar_core(self, chaos):
+        # Forty users on two slowed chips keep the whole fleet busy, so
+        # submissions land in saturated spans of the vectorized core.
+        config = _config(users=40, start_spread_s=0.05)
+        fast, slow = (
+            run_sessions(
+                _simulator(scale=4.0, chaos=chaos, vectorize=vectorize),
+                config, seed=5, telemetry_window_s=0.05,
+            )
+            for vectorize in (True, False)
+        )
+        assert _rows(fast) == _rows(slow)
+        assert fast.chip_busy_s == slow.chip_busy_s
+        assert fast.energy_joules == slow.energy_joules
+        assert fast.requests_lost == slow.requests_lost
+        assert fast.requests_shed == slow.requests_shed
+        assert fast.incidents == slow.incidents
+        assert fast.telemetry.windows == slow.telemetry.windows
 
 
 class TestScenarioIntegration:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ServingError
+from repro.serving import simulator as simulator_module
 from repro.serving.benchmark import (
     COUPLED_SUITE,
     CoupledThroughputCase,
@@ -136,7 +137,10 @@ class TestCoupledBenchmark:
             assert case.load_scale >= 64.0
             assert case.num_chips >= 2
 
-    def test_measure_coupled_case_smoke(self):
+    def test_measure_coupled_case_smoke(self, monkeypatch):
+        # This short, shallow-batch stream's saturated spans reach the water
+        # fill only below the shipped FILL_MIN_RUN.
+        monkeypatch.setattr(simulator_module, "FILL_MIN_RUN", 48)
         case = CoupledThroughputCase(
             label="smoke", scenario="steady", load_scale=8.0,
             duration_scale=0.1, num_chips=2, max_batch_size=32,

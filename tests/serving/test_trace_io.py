@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.errors import ServingError
 from repro.serving import trace
 from repro.serving.trace import (
@@ -272,8 +273,26 @@ class TestChunkReader:
         _assert_same_reading(_trace(tmp_path, ordered))
         swapped = [f'[0, "nvsa", {big + 1}]\n', f'[1, "nvsa", {float(big)}]\n']
         _assert_same_reading(_trace(tmp_path, swapped))
-        huge = ['[0, "nvsa", 0.5]\n', f'[1, "nvsa", {10**400}]\n']
-        _assert_same_reading(_trace(tmp_path, huge))
+
+    @pytest.mark.parametrize("position", (0, 1, 5))
+    def test_integer_arrival_beyond_float_range(self, tmp_path, position):
+        # The per-line reference lets math.isfinite's OverflowError escape;
+        # the reader reports the row instead, after the same chunks.
+        lines = _rows()
+        lines[position] = f'[{position}, "nvsa", {10**400}]\n'
+        path = _trace(tmp_path, lines)
+        for chunk_size in (1, 2, 64):
+            seen, error = _outcome(_reference_chunks(path, chunk_size))
+            assert error[0] == "OverflowError"
+            for block_lines in BLOCK_SIZES:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(trace, "_BLOCK_LINES", block_lines)
+                    actual = _outcome(RequestTrace(path).iter_chunks(chunk_size))
+                assert actual == (seen, (
+                    "ServingError",
+                    f"trace '{path}' has an arrival beyond float range at "
+                    f"request {position}",
+                ))
 
     @pytest.mark.parametrize("first_id", (2**63 - 2, 2**63, 2**64 + 5))
     def test_ids_beyond_int64(self, tmp_path, first_id):
@@ -523,3 +542,43 @@ class TestColumnarWriter:
         assert _write_both(tmp_path, make_requests) == (
             None, "refusing to record an empty request trace"
         )
+
+
+class TestReplayRejections:
+    """Rows the reader accepts or rejects replay alike, sharded or not."""
+
+    @pytest.mark.parametrize("shards", ("1", "2"))
+    def test_integer_arrival_beyond_float_range_exits_2(
+        self, tmp_path, capsys, shards
+    ):
+        lines = _rows(19) + [f'[19, "nvsa", {10**400}]\n']
+        path = _trace(tmp_path, lines)
+        code = main([
+            "serve", "--trace", str(path), "--chips", "4",
+            "--router", "round_robin", "--shards", shards,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: trace '{path}' has an arrival beyond float range at "
+            "request 19"
+        ]
+
+    def test_ids_beyond_int64_replay_unsharded_and_refuse_to_shard(
+        self, tmp_path, capsys
+    ):
+        lines = [
+            f'[{2**63 + index}, "nvsa", {0.25 * index}]\n'
+            for index in range(20)
+        ]
+        path = _trace(tmp_path, lines)
+        argv = [
+            "serve", "--trace", str(path), "--chips", "4",
+            "--router", "round_robin",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--shards", "2"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: request id {2**63} is outside the int64 range a sharded "
+            "run needs; run with one shard"
+        ]
