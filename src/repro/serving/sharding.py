@@ -73,6 +73,7 @@ from repro.serving.simulator import (
     StreamedServingResult,
     _BatchLog,
     _EmitLog,
+    _id_range_error,
     _plan_method,
     _service_cost,
 )
@@ -665,12 +666,8 @@ def _partition(plan, router, chunks, workload_names):
         try:
             ids = np.asarray(chunk_ids, dtype=np.int64)
         except OverflowError:  # the columnar engine keeps int64 ids
-            outside = next(
-                (i for i in chunk_ids if not -(2**63) <= i < 2**63), None
-            )
-            raise ServingError(
-                f"request id {outside} is outside the int64 range a "
-                "sharded run needs; run with one shard"
+            raise _id_range_error(
+                chunk_ids, "a sharded run needs; run with one shard"
             ) from None
         bad = None
         if arr[0] < prev_arrival or (

@@ -21,10 +21,12 @@ service/energy table is memoized outside the loop.  On top of that, the
 idle-disjoint runs — maximal spans where every arrival strictly outlives
 the previous request's service — and serves whole runs without touching
 the event heap at all; its saturated complement — arrivals that find
-every chip busy — drains up to the next heap event in one tight loop,
-or, past ``FILL_MIN_RUN`` arrivals on a jsq fleet, in one numpy water
-fill.  Third-party routers still work through the
-generic ``route`` call, and batching policies that only implement
+every chip busy — drains up to the next heap event in one pass of the
+arrival loop, or, past ``FILL_MIN_RUN`` arrivals on a jsq fleet, in one
+numpy water fill.  Every other arrival takes the same loop, one instant
+at a time, and every completion the same ``_FREE`` handler, so each kind
+of event has one piece of code.  Third-party routers still work through
+the generic ``route`` call, and batching policies that only implement
 ``select`` run on the same slot-keyed queues through the base class's
 ``plan`` adapter (``vectorize=False`` forces the scalar path everywhere,
 which the property harness uses to prove the chunked advance changes no
@@ -40,8 +42,8 @@ is a private ``_simulate`` hook: the core pre-allocates ``max_chips`` chips,
 routes only over the ones the controller reports ACTIVE, asks it to admit
 each arrival, reports completions to its sensors and hands it the
 ``_WARM``/``_TICK`` heap events.  Like chaos, it disables the vectorized
-spans but the saturated-span loop and defers each batch's accounting to
-its completion.
+spans (saturated spans still drain in the arrival loop) and defers each
+batch's accounting to its completion.
 
 Closed-loop sessions (:func:`~repro.serving.sessions.run_sessions`) are a
 private ``_simulate`` arrival-source hook on the same deferred path: each
@@ -142,7 +144,7 @@ DEFAULT_CHUNK_SIZE = 65536
 BULK_MIN_RUN = 16
 
 #: shortest saturated arrival run the coupled water-fill dispatch will
-#: take over; shorter runs drain through the saturated-span loop.  With
+#: take over; shorter runs drain through the arrival loop.  With
 #: its per-span setup (two bisects, a depth scan, and per-chip strided
 #: gathers plus a stable segment sort) the water fill beats that loop only
 #: past about 380-900 arrivals (a single span after saturating 2-16 JSQ
@@ -413,13 +415,10 @@ class _EmitLog:
         total = int(size.sum())
         members = list(map(operator.itemgetter(5), batches))
 
-        def member(index: int, dtype) -> np.ndarray:
-            return np.fromiter(
-                itertools.chain.from_iterable(
-                    map(operator.itemgetter(index), members)
-                ),
-                dtype,
-                total,
+        def member(index: int) -> Iterator:
+            """Field ``index`` of every batch's members, in emission order."""
+            return itertools.chain.from_iterable(
+                map(operator.itemgetter(index), members)
             )
 
         try:
@@ -433,9 +432,13 @@ class _EmitLog:
                 f"stream contains workload '{error.args[0]}' missing from the "
                 f"declared workload set {list(workloads)}"
             ) from None
+        try:
+            ids = np.fromiter(member(1), np.int64, total) if with_ids else None
+        except OverflowError:
+            raise _id_range_error(member(1)) from None
         log = _BatchLog(
             column(0, np.int64), column(1, float), column(2, float), size,
-            codes, member(0, float), member(1, np.int64) if with_ids else None,
+            codes, np.fromiter(member(0), float, total), ids,
         )
         if not runs:
             return log
@@ -456,6 +459,10 @@ class _EmitLog:
         for position, chip_ids, arrivals, finishes, codes, ids in runs:
             count = len(arrivals)
             arrivals = np.asarray(arrivals, dtype=float)
+            try:
+                ids = np.fromiter(ids, np.int64, count) if with_ids else None
+            except OverflowError:
+                raise _id_range_error(ids) from None
             parts.append(emitted(done, position))
             parts.append(_BatchLog(
                 # ``chip_ids`` is one chip or a per-request array.
@@ -465,11 +472,20 @@ class _EmitLog:
                 np.ones(count, np.int64),
                 np.asarray(codes, dtype=np.int64),
                 arrivals,
-                np.fromiter(ids, np.int64, count) if with_ids else None,
+                ids,
             ))
             done = position
         parts.append(emitted(done, num_batches))
         return _BatchLog.concat(parts)
+
+
+def _id_range_error(
+    ids: Iterable[int],
+    needs: str = "a whole-trace result needs; serve the stream with run_stream",
+) -> ServingError:
+    """The error for ``ids`` that leave the int64 range a run ``needs``."""
+    outside = next((i for i in ids if not -(2**63) <= i < 2**63), None)
+    return ServingError(f"request id {outside} is outside the int64 range {needs}")
 
 
 class _FleetRunStats:
@@ -992,7 +1008,7 @@ class ServingSimulator:
         self.service_model = service_model or FleetServiceModel(fleet=self.fleet)
         self.batching_policy = batching_policy or NoBatching()
         #: enable the chunked clock advance (vectorized idle-disjoint runs)
-        #: and the saturated-span loop and water fill; False forces the
+        #: and the saturated spans and water fill; False forces the
         #: scalar event loop everywhere, which the
         #: equivalence harness uses to prove the two paths agree byte-for-byte
         self.vectorize = bool(vectorize)
@@ -1065,7 +1081,7 @@ class ServingSimulator:
         (JSQ) fleets also record their engine: ``water_fill`` when the
         numpy water-fill dispatch could run, ``scalar`` when it could not
         (``vectorize=False``, or the deferred path of chaos, controlled
-        and session runs, which keeps only the saturated-span loop).
+        and session runs, which keep only the saturated spans).
         """
         provenance = {
             "num_requests": num_requests,
@@ -1388,6 +1404,16 @@ class ServingSimulator:
         ``advance(now, ids)`` hears of completions at their finish and of
         requests a chip failure loses or sheds at the failure instant
         (queues stranded on a chip that never recovers are not reported).
+
+        The loop runs each kind of event through one piece of code.
+        Vectorized spans aside, arrivals go through one arrival loop
+        (order check, routing, admission, enqueue or eager singleton) up
+        to a bound: the heap head while every chip is busy, else the
+        current instant, after which the idle chips it enqueued on
+        dispatch in chip-id order.  Completions go through one ``_FREE``
+        handler, which in deferred runs (chaos, controller, sessions)
+        first accounts for the parked batch; ``_WAKE`` re-checks a
+        waiting chip; ``chaos_step`` applies incidents.
         """
         if chip_models is None:
             chip_models = self._chip_models()
@@ -1428,7 +1454,7 @@ class ServingSimulator:
         # dispatch and per heap pop, nothing on the vectorized spans
         # (which chaos disables outright so an incident can interrupt any
         # batch mid-flight on the one scalar path both engines share; only
-        # the saturated-span loop stays, since no span crosses an event).
+        # the saturated spans stay, since no span crosses an event).
         # A controller takes the same deferred path: its sensors read
         # completions, and scale actions depend on observed state.
         chaos_on = self.chaos is not None
@@ -1597,161 +1623,102 @@ class ServingSimulator:
                 if factor != 1.0:
                     service_s *= factor
                     energy_j *= factor
-                finish = now + service_s
-                chip.busy = True
-                busy_count += 1
-                chip.inflight = count
-                seq = next_seq()
+            finish = now + service_s
+            chip.busy = True
+            busy_count += 1
+            chip.inflight = count
+            seq = next_seq()
+            if deferred:
                 # Completion is no longer certain: park the batch and
                 # account for it only when its FREE event survives.
                 chip.pending_emit = (
                     seq, now, finish, count, workload, members,
                     service_s, energy_j, factor != 1.0,
                 )
-                heappush(heap, (finish, _FREE, seq, chip.chip_id))
-                return
-            finish = now + service_s
-            energy += energy_j
-            num_batches += 1
-            served += count
-            chip.busy = True
-            busy_count += 1
-            chip.inflight = count
-            chip.busy_s += service_s
-            chip.served += count
-            emit(chip.chip_id, now, finish, count, workload, members)
-            heappush(heap, (finish, _FREE, next_seq(), chip.chip_id))
+            else:
+                energy += energy_j
+                num_batches += 1
+                served += count
+                chip.busy_s += service_s
+                chip.served += count
+                emit(chip.chip_id, now, finish, count, workload, members)
+            heappush(heap, (finish, _FREE, seq, chip.chip_id))
 
-        # -- deferred event handling ---------------------------------------
-        if deferred:
+        # -- chaos incidents -----------------------------------------------
+        if chaos_on:
 
-            def deferred_step(now, kind, seq, payload):
-                """Handle one heap pop of a chaos or controlled run.
-
-                Owns incidents (``_CHAOS``), completions (``_FREE`` —
-                deferred accounting, stale pops from killed batches
-                ignored) and wake-ups.
-                """
-                nonlocal energy, num_batches, served, busy_count, horizon
-                nonlocal chaos_lost
-                if kind == _CHAOS:
-                    op, ev_chip, ev_mult = payload
-                    chip = chips[ev_chip]
-                    if op == OP_FAIL:
-                        chaos_down[ev_chip] += 1
-                        lost_here = 0
-                        if chip.busy:
-                            # Kill the in-flight batch: its parked emit is
-                            # dropped, so the FREE event still in the heap
-                            # pops as a stale no-op.
-                            lost_here = chip.inflight
-                            drop(chip.pending_emit[5][0])
-                            if source is not None:
-                                source.advance(now, chip.pending_emit[5][1])
-                            chip.pending_emit = None
-                            chip.busy = False
-                            busy_count -= 1
-                            if jsq_index is not None:
-                                jsq_index.move(
-                                    ev_chip, chip.pending,
-                                    chip.pending - lost_here,
-                                )
-                            chip.pending -= lost_here
-                            chip.inflight = 0
-                        shed_here = chip.depth
-                        for group in chip.groups.values():
-                            shed(group.arrs[group.head:], now)
+            def chaos_step(now, payload):
+                """Apply one ``_CHAOS`` incident at ``now``."""
+                nonlocal busy_count, chaos_lost
+                op, ev_chip, ev_mult = payload
+                chip = chips[ev_chip]
+                if op == OP_FAIL:
+                    chaos_down[ev_chip] += 1
+                    lost_here = 0
+                    if chip.busy:
+                        # Kill the in-flight batch: its parked emit is
+                        # dropped, so the FREE event still in the heap
+                        # pops as a stale no-op.
+                        lost_here = chip.inflight
+                        drop(chip.pending_emit[5][0])
                         if source is not None:
-                            # Users move on in submission order.
-                            source.advance(now, sorted(
-                                request_id for group in chip.groups.values()
-                                for request_id in group.rids[group.head:]
-                            ))
-                        chip.groups.clear()
-                        chip.depth = 0
-                        if shed_here:
-                            if jsq_index is not None:
-                                jsq_index.move(
-                                    ev_chip, chip.pending,
-                                    chip.pending - shed_here,
-                                )
-                            chip.pending -= shed_here
-                        chaos_lost += lost_here
-                        chaos_log.append({
-                            "at_s": now, "kind": "fail", "chip": ev_chip,
-                            "requests_lost": lost_here,
-                            "requests_shed": shed_here,
-                        })
-                        if controller is not None:
-                            controller.park_if_idle(chip)
-                    elif op == OP_RECOVER:
-                        chaos_down[ev_chip] -= 1
-                        chaos_log.append(
-                            {"at_s": now, "kind": "recover", "chip": ev_chip}
-                        )
-                        if not chaos_down[ev_chip]:
-                            dispatch(chip, now)
-                    elif op == OP_SLOW_START:
-                        chaos_factors[ev_chip].append(ev_mult)
-                        chaos_mult[ev_chip] = math.prod(chaos_factors[ev_chip])
-                        chaos_log.append({
-                            "at_s": now, "kind": "slow", "chip": ev_chip,
-                            "multiplier": ev_mult,
-                        })
-                    else:  # OP_SLOW_END
-                        chaos_factors[ev_chip].remove(ev_mult)
-                        factors = chaos_factors[ev_chip]
-                        # Exact 1.0 restore once every window closes.
-                        chaos_mult[ev_chip] = (
-                            math.prod(factors) if factors else 1.0
-                        )
-                        chaos_log.append({
-                            "at_s": now, "kind": "slow_end", "chip": ev_chip,
-                            "multiplier": ev_mult,
-                        })
-                    return
-                chip = chips[payload]
-                if kind == _FREE:
-                    entry = chip.pending_emit
-                    if entry is None or entry[0] != seq:
-                        return  # stale completion of a killed batch
-                    (_, dispatch_s, finish_s, count, workload, members,
-                     service_s, energy_j, scaled) = entry
-                    chip.pending_emit = None
-                    if now > horizon:
-                        horizon = now
-                    if scaled and scaled_energy is not None:
-                        # ``num_batches`` counts the batches emitted so far.
-                        scaled_energy[num_batches] = energy_j
-                    energy += energy_j
-                    num_batches += 1
-                    served += count
-                    chip.busy_s += service_s
-                    chip.served += count
-                    emit(chip.chip_id, dispatch_s, finish_s, count, workload,
-                         members)
+                            source.advance(now, chip.pending_emit[5][1])
+                        chip.pending_emit = None
+                        chip.busy = False
+                        busy_count -= 1
+                        if jsq_index is not None:
+                            jsq_index.move(
+                                ev_chip, chip.pending, chip.pending - lost_here
+                            )
+                        chip.pending -= lost_here
+                        chip.inflight = 0
+                    shed_here = chip.depth
+                    for group in chip.groups.values():
+                        shed(group.arrs[group.head:], now)
                     if source is not None:
-                        source.advance(finish_s, members[1])
-                    chip.busy = False
-                    busy_count -= 1
-                    if jsq_index is not None and chip.inflight:
-                        jsq_index.move(
-                            payload, chip.pending, chip.pending - chip.inflight
-                        )
-                    chip.pending -= chip.inflight
-                    chip.inflight = 0
-                    dispatch(chip, now)
+                        # Users move on in submission order.
+                        source.advance(now, sorted(
+                            request_id for group in chip.groups.values()
+                            for request_id in group.rids[group.head:]
+                        ))
+                    chip.groups.clear()
+                    chip.depth = 0
+                    if shed_here:
+                        if jsq_index is not None:
+                            jsq_index.move(
+                                ev_chip, chip.pending, chip.pending - shed_here
+                            )
+                        chip.pending -= shed_here
+                    chaos_lost += lost_here
+                    chaos_log.append({
+                        "at_s": now, "kind": "fail", "chip": ev_chip,
+                        "requests_lost": lost_here, "requests_shed": shed_here,
+                    })
                     if controller is not None:
-                        controller.completed(
-                            chip, service_s, finish_s, members[0]
-                        )
-                else:  # _WAKE — re-check a timed-out partial batch.
-                    if (
-                        chip.pending_wake_s is not None
-                        and chip.pending_wake_s <= now
-                    ):
-                        chip.pending_wake_s = None
-                    dispatch(chip, now)
+                        controller.park_if_idle(chip)
+                elif op == OP_RECOVER:
+                    chaos_down[ev_chip] -= 1
+                    chaos_log.append(
+                        {"at_s": now, "kind": "recover", "chip": ev_chip}
+                    )
+                    if not chaos_down[ev_chip]:
+                        dispatch(chip, now)
+                elif op == OP_SLOW_START:
+                    chaos_factors[ev_chip].append(ev_mult)
+                    chaos_mult[ev_chip] = math.prod(chaos_factors[ev_chip])
+                    chaos_log.append({
+                        "at_s": now, "kind": "slow", "chip": ev_chip,
+                        "multiplier": ev_mult,
+                    })
+                else:  # OP_SLOW_END
+                    chaos_factors[ev_chip].remove(ev_mult)
+                    factors = chaos_factors[ev_chip]
+                    # Exact 1.0 restore once every window closes.
+                    chaos_mult[ev_chip] = math.prod(factors) if factors else 1.0
+                    chaos_log.append({
+                        "at_s": now, "kind": "slow_end", "chip": ev_chip,
+                        "multiplier": ev_mult,
+                    })
 
         # -- arrival feed priming ------------------------------------------
         offered = 0  # arrivals taken from the feed, for conservation
@@ -1801,6 +1768,8 @@ class ServingSimulator:
         # Per-chip singleton (service, energy) rows — the eager path's
         # tuple-key-free view of the memoized service table.
         singleton_tables: list[dict] = [{} for _ in range(num_chips)]
+        # Idle chips a same-instant burst enqueued on, by chip id.
+        touched: dict[int, _SlotChip] = {}
 
         # -- chunked clock advance -----------------------------------------
         # When the event heap is empty, every chip is idle with an empty
@@ -1841,8 +1810,9 @@ class ServingSimulator:
         # strided slices, byte-identical to the per-arrival scan.
         fill_mode = self.vectorize and route_mode == "jsq" and not deferred
         # Spans too short for the water fill (and every saturated span of
-        # other routers and of deferred runs) drain in one tight loop,
-        # entered when ``busy_count`` reaches this count.
+        # other routers and of deferred runs) drain in one pass of the
+        # arrival loop, bounded by the heap head while ``busy_count`` is at
+        # this count.
         saturated_count = num_chips if self.vectorize else -1
         fill_cols = None  # lazily-built per-chunk fill arrays
         # Position the chunk must reach before the next fill attempt: a
@@ -2260,19 +2230,32 @@ class ServingSimulator:
                                     index = 0
                                     limit = len(arrivals)
                             continue
-                next_arrival = arrivals[index]
-                if heap and heap[0][0] < next_arrival:
-                    pass  # a completion/wake-up precedes the next arrival
-                elif busy_count == saturated_count:
-                    # Saturated span: every chip is busy, so each arrival up
-                    # to the heap head is a pure enqueue (the water fill's
-                    # argument) and skips the single/burst, eager and
-                    # dispatch checks.  The head is every chip's FREE event
-                    # or an earlier chaos, controller or session event, so
-                    # nothing it bounds can change until it pops.
-                    bound = heap[0][0]
+                arrival_s = arrivals[index]
+                if not heap or heap[0][0] >= arrival_s:
+                    # The one arrival loop.  Arrivals outrank heap events
+                    # at a tie, so it takes every arrival up to ``bound``
+                    # before the next event pops.  While every chip is busy
+                    # that is the heap head: each arrival is a pure enqueue
+                    # (the water fill's argument), and the head — every
+                    # chip's FREE event or an earlier chaos, controller or
+                    # session event — cannot change until it pops.  Else it
+                    # is this instant, so a simultaneous burst forms one
+                    # batch instead of its first request stealing an idle
+                    # chip alone; the idle chips the burst enqueued on
+                    # dispatch after it, in chip-id order.  A lone arrival
+                    # dispatches at once (under an eager policy, on an idle
+                    # chip with an empty queue, as a singleton that skips
+                    # the queue).  A busy chip is never touched, so a
+                    # saturated span dispatches nothing.
+                    if busy_count == saturated_count:
+                        bound = heap[0][0]
+                        lone = False
+                    else:
+                        bound = arrival_s
+                        lone = (
+                            index + 1 < limit and arrivals[index + 1] != bound
+                        )
                     while True:
-                        arrival_s = arrivals[index]
                         workload = names[index]
                         request_id = ids[index]
                         if arrival_s < prev_arrival or (
@@ -2285,163 +2268,7 @@ class ServingSimulator:
                             )
                         prev_arrival = arrival_s
                         prev_id = request_id
-
-                        if route_mode == "jsq":
-                            chosen = jsq_take()
-                        elif route_mode == "owners":
-                            candidates = owner_chips.get(workload)
-                            if candidates is None:
-                                route_generic(
-                                    Request(request_id, workload, arrival_s),
-                                    chips,
-                                )
-                                raise ServingError(  # pragma: no cover
-                                    f"router failed on workload '{workload}'"
-                                )
-                            chosen = candidates[0]
-                            best = chosen.pending
-                            for candidate in candidates:
-                                if candidate.pending < best:
-                                    best = candidate.pending
-                                    chosen = candidate
-                        elif route_mode == "rr":
-                            chosen = rr_chips[rr_next % rr_size]
-                            rr_next += 1
-                        else:
-                            chosen = chips[
-                                route_generic(
-                                    Request(request_id, workload, arrival_s),
-                                    chips,
-                                )
-                            ]
-
-                        if admit is None or admit(chosen, workload, arrival_s):
-                            group = chosen.groups.get(workload)
-                            if group is None:
-                                chosen.groups[workload] = group = _Group()
-                            group.append(arrival_s, request_id)
-                            chosen.depth += 1
-                            chosen.pending += 1
-
                         index += 1
-                        if index == limit:
-                            columns = next_chunk()
-                            if columns is None:
-                                exhausted = True
-                                break
-                            arrivals, names, ids = columns
-                            index = 0
-                            limit = len(arrivals)
-                        if arrivals[index] > bound:
-                            break
-                    continue
-                elif index + 1 < limit and arrivals[index + 1] != next_arrival:
-                    # Single-arrival instant — the overwhelmingly common
-                    # case in continuous time, handled without the drain
-                    # scaffolding (and, for policies that dispatch a lone
-                    # request on an idle chip immediately, without touching
-                    # the queue at all).
-                    now = next_arrival
-                    workload = names[index]
-                    request_id = ids[index]
-                    if now < prev_arrival or (
-                        now == prev_arrival and request_id <= prev_id
-                    ):
-                        raise ServingError(
-                            "request stream is not sorted by "
-                            "(arrival_s, request_id) or repeats a request "
-                            f"id near request {request_id}"
-                        )
-                    prev_arrival = now
-                    prev_id = request_id
-                    index += 1
-
-                    if route_mode == "jsq":
-                        chosen = jsq_take()
-                    elif route_mode == "owners":
-                        candidates = owner_chips.get(workload)
-                        if candidates is None:
-                            route_generic(
-                                Request(request_id, workload, now), chips
-                            )
-                            raise ServingError(  # pragma: no cover
-                                f"router failed on workload '{workload}'"
-                            )
-                        chosen = candidates[0]
-                        best = chosen.pending
-                        for candidate in candidates:
-                            if candidate.pending < best:
-                                best = candidate.pending
-                                chosen = candidate
-                    elif route_mode == "rr":
-                        chosen = rr_chips[rr_next % rr_size]
-                        rr_next += 1
-                    else:
-                        chosen = chips[
-                            route_generic(Request(request_id, workload, now), chips)
-                        ]
-                    if admit is not None and not admit(chosen, workload, now):
-                        continue
-
-                    if eager and not chosen.busy and not chosen.depth:
-                        # Immediate singleton batch: empty queue, idle chip.
-                        cached = singleton_tables[chosen.chip_id].get(workload)
-                        if cached is None:
-                            cached = _service_cost(
-                                chip_models[chosen.chip_id], workload, 1
-                            )
-                            singleton_tables[chosen.chip_id][workload] = cached
-                            service_table[
-                                (chip_model_keys[chosen.chip_id], workload, 1)
-                            ] = cached
-                        service_s, energy_j = cached
-                        finish = now + service_s
-                        energy += energy_j
-                        num_batches += 1
-                        served += 1
-                        chosen.busy = True
-                        busy_count += 1
-                        chosen.inflight = 1
-                        chosen.pending += 1
-                        chosen.busy_s += service_s
-                        chosen.served += 1
-                        emit(
-                            chosen.chip_id, now, finish, 1, workload,
-                            ((now,), (request_id,)),
-                        )
-                        heappush(heap, (finish, _FREE, next_seq(), chosen.chip_id))
-                    else:
-                        group = chosen.groups.get(workload)
-                        if group is None:
-                            chosen.groups[workload] = group = _Group()
-                        group.append(now, request_id)
-                        chosen.depth += 1
-                        chosen.pending += 1
-                        if not chosen.busy:
-                            dispatch(chosen, now)
-                    continue
-                else:
-                    # Drain every arrival landing at this instant before
-                    # dispatching, so a simultaneous burst can form one
-                    # batch instead of the first request stealing the idle
-                    # chip alone.
-                    now = next_arrival
-                    touched = set()
-                    add_touched = touched.add
-                    while True:
-                        arrival_s = arrivals[index]
-                        workload = names[index]
-                        request_id = ids[index]
-                        if arrival_s < prev_arrival or (
-                            arrival_s == prev_arrival and request_id <= prev_id
-                        ):
-                            raise ServingError(
-                                "request stream is not sorted by "
-                                "(arrival_s, request_id) or repeats a request "
-                                f"id near request {request_id}"
-                            )
-                        prev_arrival = arrival_s
-                        prev_id = request_id
 
                         if route_mode == "jsq":
                             chosen = jsq_take()
@@ -2475,15 +2302,54 @@ class ServingSimulator:
                             ]
 
                         if admit is None or admit(chosen, workload, arrival_s):
+                            if lone and eager and not (
+                                chosen.busy or chosen.depth
+                            ):
+                                # Immediate singleton batch.
+                                singletons = singleton_tables[chosen.chip_id]
+                                cached = singletons.get(workload)
+                                if cached is None:
+                                    cached = _service_cost(
+                                        chip_models[chosen.chip_id], workload, 1
+                                    )
+                                    singletons[workload] = cached
+                                    service_table[
+                                        chip_model_keys[chosen.chip_id], workload, 1
+                                    ] = cached
+                                service_s, energy_j = cached
+                                finish = arrival_s + service_s
+                                energy += energy_j
+                                num_batches += 1
+                                served += 1
+                                chosen.busy = True
+                                busy_count += 1
+                                chosen.inflight = 1
+                                chosen.pending += 1
+                                chosen.busy_s += service_s
+                                chosen.served += 1
+                                emit(
+                                    chosen.chip_id, arrival_s, finish, 1,
+                                    workload, ((arrival_s,), (request_id,)),
+                                )
+                                heappush(
+                                    heap,
+                                    (finish, _FREE, next_seq(), chosen.chip_id),
+                                )
+                                break
                             group = chosen.groups.get(workload)
                             if group is None:
                                 chosen.groups[workload] = group = _Group()
                             group.append(arrival_s, request_id)
                             chosen.depth += 1
                             chosen.pending += 1
-                            add_touched(chosen)
+                            if not chosen.busy:
+                                if lone:
+                                    dispatch(chosen, bound)
+                                else:
+                                    touched[chosen.chip_id] = chosen
+                        if lone:
+                            break
 
-                        index += 1
                         if index == limit:
                             columns = next_chunk()
                             if columns is None:
@@ -2492,41 +2358,79 @@ class ServingSimulator:
                             arrivals, names, ids = columns
                             index = 0
                             limit = len(arrivals)
-                        if arrivals[index] != now:
+                        arrival_s = arrivals[index]
+                        if arrival_s > bound:
                             break
-                    if len(touched) == 1:
-                        burst_chip = touched.pop()
-                        if not burst_chip.busy:
-                            dispatch(burst_chip, now)
-                    else:
-                        for burst_chip in sorted(touched, key=lambda c: c.chip_id):
-                            if not burst_chip.busy:
-                                dispatch(burst_chip, now)
+                    if touched:
+                        for chip_id in sorted(touched):
+                            dispatch(touched[chip_id], bound)
+                        touched.clear()
                     continue
             elif not heap:
                 break
 
-            now, kind, _seq, chip_id = heappop(heap)
-            if deferred:
-                if kind == _ARRIVAL:
-                    # Closed-loop submissions: every user due at this
-                    # instant (arrivals pop first at an instant) becomes one
-                    # chunk for the arrival path above.
-                    due = [chip_id]
-                    while heap and heap[0][0] == now and heap[0][1] == _ARRIVAL:
-                        due.append(heappop(heap)[3])
-                    arrivals, names, ids = source.submit(now, due)
-                    index = 0
-                    limit = len(arrivals)
-                    offered += limit
-                    exhausted = False
-                    continue
-                if kind < _WARM:
-                    deferred_step(now, kind, _seq, chip_id)
-                    continue
-                # A controller event (a _WARM pop's payload is not a chip).
+            now, kind, seq, payload = heappop(heap)
+            if kind == _FREE:
+                chip = chips[payload]
+                if deferred:
+                    # Completion was not certain at dispatch: account for
+                    # the parked batch now, unless a failure killed it.
+                    entry = chip.pending_emit
+                    if entry is None or entry[0] != seq:
+                        continue  # stale completion of a killed batch
+                    (_, dispatch_s, finish_s, count, workload, members,
+                     service_s, energy_j, scaled) = entry
+                    chip.pending_emit = None
+                    if scaled and scaled_energy is not None:
+                        # ``num_batches`` counts the batches emitted so far.
+                        scaled_energy[num_batches] = energy_j
+                    energy += energy_j
+                    num_batches += 1
+                    served += count
+                    chip.busy_s += service_s
+                    chip.served += count
+                    emit(payload, dispatch_s, finish_s, count, workload, members)
+                    if source is not None:
+                        source.advance(finish_s, members[1])
+                # Horizon advances on completions only: a stale batching
+                # wake-up scheduled past the last finish must not stretch
+                # the active span (which would deflate throughput and
+                # utilization for timeout policies).
+                if now > horizon:
+                    horizon = now
+                chip.busy = False
+                busy_count -= 1
+                if jsq_index is not None and chip.inflight:
+                    jsq_index.move(
+                        payload, chip.pending, chip.pending - chip.inflight
+                    )
+                chip.pending -= chip.inflight
+                chip.inflight = 0
+                dispatch(chip, now)
+                if controller is not None:
+                    controller.completed(chip, service_s, finish_s, members[0])
+            elif kind == _WAKE:  # re-check a timed-out partial batch
+                chip = chips[payload]
+                if chip.pending_wake_s is not None and chip.pending_wake_s <= now:
+                    chip.pending_wake_s = None
+                dispatch(chip, now)
+            elif kind == _ARRIVAL:
+                # Closed-loop submissions: every user due at this instant
+                # (arrivals pop first at an instant) becomes one chunk for
+                # the arrival loop.
+                due = [payload]
+                while heap and heap[0][0] == now and heap[0][1] == _ARRIVAL:
+                    due.append(heappop(heap)[3])
+                arrivals, names, ids = source.submit(now, due)
+                index = 0
+                limit = len(arrivals)
+                offered += limit
+                exhausted = False
+            elif kind == _CHAOS:
+                chaos_step(now, payload)
+            else:  # a controller event (a _WARM payload is not a chip)
                 if kind == _WARM:
-                    acted = controller.warm(now, chip_id)
+                    acted = controller.warm(now, payload)
                 else:
                     acted = controller.tick(now)
                     # Keep ticking while work can still arrive or progress;
@@ -2546,28 +2450,6 @@ class ServingSimulator:
                     route_mode, rr_chips, rr_size, jsq_take, jsq_index = (
                         route_active()
                     )
-                continue
-            chip = chips[chip_id]
-            if kind == _FREE:
-                # Horizon advances on completions only: a stale batching
-                # wake-up scheduled past the last finish must not stretch
-                # the active span (which would deflate throughput and
-                # utilization for timeout policies).
-                if now > horizon:
-                    horizon = now
-                chip.busy = False
-                busy_count -= 1
-                if jsq_index is not None and chip.inflight:
-                    jsq_index.move(
-                        chip_id, chip.pending, chip.pending - chip.inflight
-                    )
-                chip.pending -= chip.inflight
-                chip.inflight = 0
-                dispatch(chip, now)
-            else:  # _WAKE — re-check a timed-out partial batch.
-                if chip.pending_wake_s is not None and chip.pending_wake_s <= now:
-                    chip.pending_wake_s = None
-                dispatch(chip, now)
 
         if deferred:
             # Requests still queued when the event heap drained can only

@@ -25,6 +25,7 @@ while the simulator's intakes read the columns directly.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -66,7 +67,8 @@ class Request:
     arrival_s: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.arrival_s):
+        # Rejects NaN, infinities and ints beyond float range alike.
+        if not abs(self.arrival_s) <= sys.float_info.max:
             raise ServingError(
                 f"request {self.request_id} has non-finite arrival time "
                 f"{self.arrival_s}"
@@ -101,7 +103,13 @@ class RequestStream(Sequence[Request]):
             raise ServingError("request stream columns differ in length")
         if not self.ids:
             return
-        times = np.asarray(self.arrivals, dtype=float)
+        try:
+            times = np.asarray(self.arrivals, dtype=float)
+        except OverflowError:  # an int beyond float range
+            times = np.array([
+                t if abs(t) <= sys.float_info.max else math.inf
+                for t in self.arrivals
+            ])
         finite = np.isfinite(times)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -128,16 +136,8 @@ class RequestStream(Sequence[Request]):
         return len(self.ids)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(
-                map(
-                    Request,
-                    self.ids[index],
-                    self.workloads[index],
-                    self.arrivals[index],
-                )
-            )
-        return Request(self.ids[index], self.workloads[index], self.arrivals[index])
+        row = (self.ids[index], self.workloads[index], self.arrivals[index])
+        return list(map(Request, *row)) if isinstance(index, slice) else Request(*row)
 
     def __iter__(self) -> Iterator[Request]:
         return map(Request, self.ids, self.workloads, self.arrivals)

@@ -52,6 +52,79 @@ class TestValidation:
             sim.run_stream(columnar_chunks(requests, 5), ["nvsa"])
 
 
+#: ``(arrivals, ids, id the error names)`` of streams the core must refuse
+_UNSORTED_STREAMS = {
+    "lone back-step": ([0.0, 0.5, 0.25], [0, 1, 2], 2),
+    "repeated id in a burst": ([0.0, 1.0, 1.0, 1.0], [0, 1, 2, 2], 2),
+    "back-step after a burst": ([0.0, 1.0, 1.0, 0.5], [0, 1, 2, 3], 3),
+    # Two 1 s chips saturate at the third arrival, so request 40 steps back
+    # inside a saturated span.
+    "back-step in a saturated span": (
+        [0.01 * i for i in range(40)] + [0.385]
+        + [0.01 * i for i in range(41, 60)],
+        list(range(60)),
+        40,
+    ),
+}
+
+
+class TestStreamOrderCheck:
+    """The core's own ``(arrival_s, request_id)`` check on raw columns."""
+
+    @pytest.mark.parametrize("case", sorted(_UNSORTED_STREAMS))
+    @pytest.mark.parametrize("chunk_rows", (None, 2))
+    @pytest.mark.parametrize("vectorize", (True, False))
+    @pytest.mark.parametrize("router", ("jsq", "round_robin"))
+    def test_unsorted_stream_names_the_request(
+        self, fake_model, case, chunk_rows, vectorize, router
+    ):
+        arrivals, ids, bad = _UNSORTED_STREAMS[case]
+        names = ["nvsa"] * len(ids)
+        rows = chunk_rows or len(ids)
+        chunks = [
+            (arrivals[i:i + rows], names[i:i + rows], ids[i:i + rows])
+            for i in range(0, len(ids), rows)
+        ]
+        sim = ServingSimulator(
+            service_model=fake_model,
+            fleet=Fleet(num_chips=2, router=router),
+            batching_policy=NoBatching(),
+            vectorize=vectorize,
+        )
+        with pytest.raises(ServingError, match=re.escape(
+            "request stream is not sorted by (arrival_s, request_id) or "
+            f"repeats a request id near request {bad}"
+        ) + "$"):
+            sim.run_stream(chunks, ["nvsa"])
+
+
+class TestIdsBeyondInt64:
+    """Whole-trace results keep int64 ids; streamed runs take any int."""
+
+    REQUESTS = [Request(2**63 + i, "nvsa", 0.01 * i) for i in range(20)]
+
+    @pytest.mark.parametrize("path", ("run", "shards", "controlled"))
+    def test_whole_trace_runs_name_the_id(self, fake_model, path):
+        sim = _simulator(fake_model, num_chips=2, router="jsq")
+        run = {
+            "run": lambda: sim.run(self.REQUESTS),
+            "shards": lambda: sim.run(self.REQUESTS, shards=2),
+            "controlled": lambda: run_controlled(
+                sim, ControllerConfig(slo_s=1.0), self.REQUESTS
+            ),
+        }[path]
+        with pytest.raises(ServingError, match=re.escape(
+            f"request id {2**63} is outside the int64 range a whole-trace "
+            "result needs; serve the stream with run_stream"
+        )):
+            run()
+
+    def test_run_stream_accepts_them(self, fake_model):
+        sim = _simulator(fake_model, num_chips=2, router="jsq")
+        result = sim.run_stream(columnar_chunks(self.REQUESTS, 7), ["nvsa"])
+        assert result.num_requests == 20
+
+
 class ConstantCostModel:
     """Every batch costs the same service time and energy."""
 

@@ -27,6 +27,15 @@ class TestRequest:
         with pytest.raises(ServingError, match="non-finite arrival"):
             Request(request_id=0, workload="nvsa", arrival_s=bad)
 
+    @pytest.mark.parametrize(
+        "bad", [10**400, -(10**400)], ids=("positive", "negative")
+    )
+    def test_arrival_beyond_float_range_rejected(self, bad):
+        with pytest.raises(
+            ServingError, match=f"^request 0 has non-finite arrival time {bad}$"
+        ):
+            Request(request_id=0, workload="nvsa", arrival_s=bad)
+
 
 class TestRequestStream:
     def _stream(self):
@@ -61,6 +70,20 @@ class TestRequestStream:
             ServingError, match=f"request 4 has non-finite arrival time {bad}"
         ):
             RequestStream([0.0, bad, 3.0], ["nvsa"] * 3, [3, 4, 5])
+
+    @pytest.mark.parametrize(
+        "arrivals, bad_id",
+        [([10**400], 0), ([0.0, 1, 10**400, 4.0], 2)],
+        ids=("alone", "among-finite"),
+    )
+    def test_arrival_beyond_float_range_rejected(self, arrivals, bad_id):
+        with pytest.raises(
+            ServingError,
+            match=f"^request {bad_id} has non-finite arrival time {10**400}$",
+        ):
+            RequestStream(
+                arrivals, ["nvsa"] * len(arrivals), range(len(arrivals))
+            )
 
     def test_column_lengths_must_match(self):
         with pytest.raises(ServingError, match="differ in length"):
