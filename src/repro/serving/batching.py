@@ -35,6 +35,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number
 from repro.serving.traffic import Request
 
 __all__ = [
@@ -192,10 +193,9 @@ class FixedSizeBatching(BatchingPolicy):
     name = "fixed"
 
     def __init__(self, batch_size: int = 8, max_wait_s: float = 2e-3) -> None:
-        if batch_size < 1:
-            raise ServingError(f"batch_size must be positive, got {batch_size}")
-        if not max_wait_s >= 0:
-            raise ServingError(f"max_wait_s must be non-negative, got {max_wait_s}")
+        check_number("batch_size", batch_size, low=0, strict=True, integer=True)
+        # ``inf`` is legal: wait for full batches only.
+        check_number("max_wait_s", max_wait_s, low=0, allow_inf=True)
         self.batch_size = batch_size
         self.max_wait_s = max_wait_s
         # A one-request batch is already "full", so there is never a reason
@@ -266,20 +266,18 @@ class ContinuousBatching(BatchingPolicy):
     def __init__(
         self, max_batch_size: int = 8, slo_s: float | Mapping[str, float] = 5e-3
     ) -> None:
-        if max_batch_size < 1:
-            raise ServingError(
-                f"max_batch_size must be positive, got {max_batch_size}"
-            )
+        check_number(
+            "max_batch_size", max_batch_size, low=0, strict=True, integer=True
+        )
         if isinstance(slo_s, Mapping):
             self.slo_by_workload = dict(slo_s)
             self.default_slo_s = self.DEFAULT_SLO_S
-            slo_values = tuple(self.slo_by_workload.values())
+            for value in self.slo_by_workload.values():
+                check_number("slo_s", value, low=0, strict=True)
         else:
+            check_number("slo_s", slo_s, low=0, strict=True)
             self.slo_by_workload = {}
             self.default_slo_s = float(slo_s)
-            slo_values = (slo_s,)
-        if not all(value > 0 for value in slo_values):
-            raise ServingError(f"slo_s must be positive, got {slo_s}")
         self.max_batch_size = max_batch_size
         # Continuous batching never waits: a single group always ships its
         # head requests immediately, capped at the batch-size limit.

@@ -23,6 +23,7 @@ import statistics
 import time
 from typing import NamedTuple
 
+from repro.serving._checks import check_number
 from repro.serving.batching import build_policy
 from repro.serving.fleet import Fleet, FleetServiceModel
 from repro.serving.scenarios import get_scenario
@@ -151,8 +152,7 @@ def measure_case(case: ThroughputCase, repeats: int = 3) -> dict:
     timing — the measurement is the event loop itself over a fully
     memoized service table.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be positive, got {repeats}")
+    check_number("repeats", repeats, low=0, strict=True, integer=True)
     scenario = get_scenario(case.scenario)
     requests = scenario.traffic(0, case.load_scale, case.duration_scale)
     fleet = Fleet(num_chips=scenario.num_chips, router=scenario.router)
@@ -202,8 +202,7 @@ def measure_sharded_case(case: ShardedThroughputCase, repeats: int = 3) -> dict:
     pre-columnarized chunk, so the comparison isolates the sharded merge
     against the single-shard streaming core on identical input.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be positive, got {repeats}")
+    check_number("repeats", repeats, low=0, strict=True, integer=True)
     scenario = get_scenario(case.scenario)
     requests = scenario.traffic(0, case.load_scale, case.duration_scale)
     fleet = Fleet(num_chips=case.num_chips, router=case.router)
@@ -259,8 +258,7 @@ def measure_coupled_case(case: CoupledThroughputCase, repeats: int = 3) -> dict:
     row carries the run's ``event_paths`` provenance so recordings show
     how much of the load actually took the vectorized path.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be positive, got {repeats}")
+    check_number("repeats", repeats, low=0, strict=True, integer=True)
     scenario = get_scenario(case.scenario)
     requests = scenario.traffic(0, case.load_scale, case.duration_scale)
     fleet = Fleet(num_chips=case.num_chips, router="jsq")
@@ -330,8 +328,7 @@ def measure_telemetry_overhead(
     takes, so "off means free" stays checked by CI without a second
     gate.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be positive, got {repeats}")
+    check_number("repeats", repeats, low=0, strict=True, integer=True)
     case = case if case is not None else THROUGHPUT_SUITE[0]
     scenario = get_scenario(case.scenario)
     requests = scenario.traffic(0, case.load_scale, case.duration_scale)

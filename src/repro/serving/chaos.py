@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number, check_seed
 
 __all__ = [
     "Incident",
@@ -75,40 +76,9 @@ class Incident:
     multiplier: float | None = None
 
     def __post_init__(self):
-        if self.kind not in INCIDENT_KINDS:
-            raise ServingError(
-                f"unknown incident kind {self.kind!r}; "
-                f"expected one of {INCIDENT_KINDS}"
-            )
-        if not (self.at_s >= 0.0 and math.isfinite(self.at_s)):
-            raise ServingError(
-                f"incident start must be finite and >= 0, got {self.at_s}"
-            )
-        # ``inf`` is allowed: an incident that never ends (a chip that
-        # never recovers strands its queue, counted shed at drain time).
-        if not self.duration_s > 0.0:
-            raise ServingError(
-                f"incident duration must be positive, got {self.duration_s}"
-            )
-        if self.kind == "power_cap":
-            if self.chip is not None:
-                raise ServingError("power_cap incidents are fleet-wide; "
-                                   "chip must be None")
-        else:
-            if self.chip is None or self.chip < 0:
-                raise ServingError(
-                    f"{self.kind} incidents need a non-negative chip id, "
-                    f"got {self.chip}"
-                )
-        if self.kind == "chip_failure":
-            if self.multiplier is not None:
-                raise ServingError("chip_failure incidents have no "
-                                   "multiplier")
-        elif not (self.multiplier is not None and self.multiplier > 0.0):
-            raise ServingError(
-                f"{self.kind} incidents need a positive service-time "
-                f"multiplier, got {self.multiplier}"
-            )
+        _check_incident(
+            self.kind, self.at_s, self.duration_s, self.chip, self.multiplier
+        )
 
     @property
     def end_s(self) -> float:
@@ -126,23 +96,56 @@ class Incident:
         return out
 
 
+def _check_incident(kind, at_s, duration_s, chip, multiplier) -> None:
+    """Raise :class:`ServingError` unless the fields make a valid incident."""
+    if kind not in INCIDENT_KINDS:
+        raise ServingError(
+            f"unknown incident kind {kind!r}; expected one of {INCIDENT_KINDS}"
+        )
+    check_number("incident start", at_s, low=0)
+    # ``inf`` is allowed: an incident that never ends (a chip that
+    # never recovers strands its queue, counted shed at drain time).
+    check_number("incident duration", duration_s, low=0, strict=True,
+                 allow_inf=True)
+    if kind == "power_cap":
+        if chip is not None:
+            raise ServingError("power_cap incidents are fleet-wide; "
+                               "chip must be None")
+    else:
+        check_number(f"{kind} chip id", chip, low=0, integer=True)
+    if kind == "chip_failure":
+        if multiplier is not None:
+            raise ServingError("chip_failure incidents have no multiplier")
+    else:
+        check_number(f"{kind} service-time multiplier", multiplier, low=0,
+                     strict=True)
+
+
+def _incident(kind, at_s, duration_s, chip=None, multiplier=None) -> Incident:
+    """An :class:`Incident` of float times, its fields checked first."""
+    _check_incident(kind, at_s, duration_s, chip, multiplier)
+    return Incident(
+        kind, float(at_s), float(duration_s),
+        chip=None if chip is None else int(chip),
+        multiplier=None if multiplier is None else float(multiplier),
+    )
+
+
 def chip_failure(chip: int, at_s: float, duration_s: float) -> Incident:
     """A chip going down at ``at_s`` and recovering ``duration_s`` later."""
-    return Incident("chip_failure", float(at_s), float(duration_s),
-                    chip=int(chip))
+    return _incident("chip_failure", at_s, duration_s, chip=chip)
 
 
 def straggler(chip: int, at_s: float, duration_s: float,
               multiplier: float) -> Incident:
     """A degraded-chip window: service times scale by ``multiplier``."""
-    return Incident("straggler", float(at_s), float(duration_s),
-                    chip=int(chip), multiplier=float(multiplier))
+    return _incident("straggler", at_s, duration_s, chip=chip,
+                     multiplier=multiplier)
 
 
 def power_cap(at_s: float, duration_s: float, multiplier: float) -> Incident:
     """A fleet-wide service-time multiplier window (DVFS power cap)."""
-    return Incident("power_cap", float(at_s), float(duration_s),
-                    multiplier=float(multiplier))
+    return _incident("power_cap", at_s, duration_s, multiplier=multiplier)
 
 
 @dataclass(frozen=True)
@@ -207,13 +210,10 @@ class ChaosTimeline:
         applies the run's ``duration_scale`` so incidents stay aligned
         with the (scaled) traffic phases they were written against.
         """
+        check_number("timeline scale factor", factor, low=0, strict=True)
         factor = float(factor)
         if factor == 1.0:
             return self
-        if not factor > 0.0:
-            raise ServingError(
-                f"timeline scale factor must be positive, got {factor}"
-            )
         return ChaosTimeline(tuple(
             Incident(i.kind, i.at_s * factor, i.duration_s * factor,
                      chip=i.chip, multiplier=i.multiplier)
@@ -229,6 +229,7 @@ class ChaosTimeline:
         this order.  Incidents with infinite duration emit no closing
         event: the chip stays down (or slow) until the run drains.
         """
+        check_number("num_chips", num_chips, low=0, strict=True, integer=True)
         if self.max_chip >= num_chips:
             raise ServingError(
                 f"timeline targets chip {self.max_chip} but the fleet has "
@@ -279,13 +280,9 @@ class ChaosTimeline:
                     f"unknown incident fields {sorted(extra)}"
                 )
             try:
-                incidents.append(Incident(
-                    kind=entry["kind"],
-                    at_s=float(entry["at_s"]),
-                    duration_s=float(entry["duration_s"]),
-                    chip=(int(entry["chip"]) if "chip" in entry else None),
-                    multiplier=(float(entry["multiplier"])
-                                if "multiplier" in entry else None),
+                incidents.append(_incident(
+                    entry["kind"], entry["at_s"], entry["duration_s"],
+                    entry.get("chip"), entry.get("multiplier"),
                 ))
             except KeyError as missing:
                 raise ServingError(
@@ -325,12 +322,14 @@ class ChaosTimeline:
         would overlap on a chip are pushed after the previous recovery
         to keep the timeline valid.
         """
-        if num_chips <= 0:
-            raise ServingError(f"num_chips must be positive, got {num_chips}")
-        if not horizon_s > 0.0:
-            raise ServingError(
-                f"storm horizon must be positive, got {horizon_s}"
-            )
+        check_seed(seed)
+        check_number("num_chips", num_chips, low=0, strict=True, integer=True)
+        check_number("storm horizon", horizon_s, low=0, strict=True)
+        for name, value in (("failure_rate", failure_rate),
+                            ("straggler_rate", straggler_rate)):
+            check_number(name, value, low=0)
+        check_number("mean_duration_s", mean_duration_s, low=0, strict=True)
+        check_number("multiplier", multiplier, low=0, strict=True)
         rng = np.random.default_rng(seed)
         incidents: list[Incident] = []
         for chip in range(num_chips):

@@ -55,13 +55,13 @@ equal action logs (`same seed, same actions`).
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number
 from repro.serving.simulator import ServingResult, request_columns
 
 __all__ = ["CONTROLLER_POLICIES", "ControllerConfig", "run_controlled"]
@@ -123,76 +123,44 @@ class ControllerConfig:
                 f"unknown controller policy '{self.policy}'; "
                 f"known: {', '.join(CONTROLLER_POLICIES)}"
             )
-        bounds = ("max_chips", "batch_min", "batch_max", "imbalance_threshold")
+        counts = ("max_chips", "batch_min", "batch_max", "imbalance_threshold")
         if self.min_chips is not None:
-            bounds = ("min_chips", *bounds)
-        for name in bounds:
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ServingError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                )
+            counts = ("min_chips", *counts)
+        for name in counts:
+            check_number(name, getattr(self, name), low=1, integer=True)
         for name in ("kp", "ki", "kd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ServingError(
-                    f"{name} must be finite, got {getattr(self, name)}"
-                )
-        if not (self.interval_s > 0 and math.isfinite(self.interval_s)):
-            raise ServingError(
-                f"interval_s must be finite and positive, got {self.interval_s}"
-            )
-        if not (self.warmup_s >= 0 and math.isfinite(self.warmup_s)):
-            raise ServingError(
-                f"warmup_s must be finite and >= 0, got {self.warmup_s}"
-            )
-        if self.min_chips is not None and self.min_chips < 1:
-            raise ServingError(
-                f"min_chips must be positive, got {self.min_chips}"
-            )
-        if self.max_chips < 1:
-            raise ServingError(
-                f"max_chips must be positive, got {self.max_chips}"
-            )
+            check_number(name, getattr(self, name))
+        for name in ("interval_s", "target_utilization", "target_queue"):
+            check_number(name, getattr(self, name), low=0, strict=True)
+        for name in ("warmup_s", "deadband"):
+            check_number(name, getattr(self, name), low=0)
+        if self.slo_s is not None:
+            check_number("slo_s", self.slo_s, low=0, strict=True)
         if self.min_chips is not None and self.min_chips > self.max_chips:
             raise ServingError(
                 f"min_chips ({self.min_chips}) cannot exceed "
                 f"max_chips ({self.max_chips})"
             )
-        if not 0 < self.target_utilization <= 1:
+        if self.target_utilization > 1:
             raise ServingError(
                 "target_utilization must be in (0, 1], "
                 f"got {self.target_utilization}"
             )
-        if not 0 <= self.deadband < math.inf:
-            raise ServingError(f"deadband must be finite, >= 0: {self.deadband}")
-        if not 0 < self.target_queue < math.inf:
-            raise ServingError(
-                f"target_queue must be finite, positive: {self.target_queue}"
-            )
-        if self.slo_s is not None and not 0 < self.slo_s < math.inf:
-            raise ServingError(f"slo_s must be finite, positive: {self.slo_s}")
-        if self.batch_min < 1 or self.batch_max < self.batch_min:
+        if self.batch_max < self.batch_min:
             raise ServingError(
                 "batch bounds need 1 <= batch_min <= batch_max, got "
                 f"[{self.batch_min}, {self.batch_max}]"
             )
-        if self.imbalance_threshold < 1:
-            raise ServingError(
-                "imbalance_threshold must be positive, "
-                f"got {self.imbalance_threshold}"
-            )
-        if isinstance(self.slo_budget_s, Mapping):
+        # A tuple is the normalized mapping, as ``dataclasses.replace`` passes it.
+        if isinstance(self.slo_budget_s, (Mapping, tuple)):
             budgets = dict(self.slo_budget_s)
-            if not all(0 < value < math.inf for value in budgets.values()):
-                raise ServingError("slo_budget_s budgets must be positive")
+            for budget in budgets.values():
+                check_number("slo_budget_s budgets", budget, low=0, strict=True)
             object.__setattr__(
                 self, "slo_budget_s", tuple(sorted(budgets.items()))
             )
-        elif self.slo_budget_s is not None and not (
-            0 < self.slo_budget_s < math.inf
-        ):
-            raise ServingError(
-                f"slo_budget_s must be finite, positive: {self.slo_budget_s}"
-            )
+        elif self.slo_budget_s is not None:
+            check_number("slo_budget_s", self.slo_budget_s, low=0, strict=True)
 
     def budget_for(self, workload: str) -> float | None:
         """Admission queue-wait budget for ``workload`` (None = no limit)."""

@@ -31,6 +31,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number, check_scales, check_seed
 from repro.serving.chaos import ChaosTimeline
 from repro.serving.control import ControllerConfig
 from repro.serving.sessions import SessionConfig
@@ -90,10 +91,7 @@ class Phase:
     params: tuple[tuple[str, object], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ServingError(
-                f"phase duration must be positive, got {self.duration_s}"
-            )
+        check_number("phase duration", self.duration_s, low=0, strict=True)
 
     def segments(
         self, load_scale: float, duration_scale: float
@@ -170,8 +168,7 @@ class Phase:
 def steady(rate_rps: float, duration_s: float,
            mix: Mapping[str, float] | None = None) -> Phase:
     """Constant Poisson arrivals at ``rate_rps`` for ``duration_s``."""
-    if rate_rps <= 0:
-        raise ServingError(f"steady rate must be positive, got {rate_rps}")
+    check_number("steady rate_rps", rate_rps, low=0, strict=True)
     return Phase(
         kind="steady",
         duration_s=duration_s,
@@ -186,10 +183,9 @@ def ramp(start_rps: float, end_rps: float, duration_s: float,
     Compiled as ``steps`` piecewise-constant Poisson segments at the step
     midpoints, which preserves the ramp's total offered load.
     """
-    if start_rps <= 0 or end_rps <= 0:
-        raise ServingError("ramp rates must be positive")
-    if steps < 1:
-        raise ServingError(f"ramp needs at least one step, got {steps}")
+    check_number("ramp start_rps", start_rps, low=0, strict=True)
+    check_number("ramp end_rps", end_rps, low=0, strict=True)
+    check_number("ramp steps", steps, low=1, integer=True)
     return Phase(
         kind="ramp",
         duration_s=duration_s,
@@ -206,10 +202,10 @@ def burst(base_rps: float, burst_rps: float, duration_s: float,
           mix: Mapping[str, float] | None = None,
           mean_normal_s: float = 1.0, mean_burst_s: float = 0.2) -> Phase:
     """Bursty MMPP traffic alternating ``base_rps`` and ``burst_rps``."""
-    if base_rps <= 0 or burst_rps <= 0:
-        raise ServingError("burst rates must be positive")
-    if mean_normal_s <= 0 or mean_burst_s <= 0:
-        raise ServingError("burst dwell times must be positive")
+    check_number("burst base_rps", base_rps, low=0, strict=True)
+    check_number("burst burst_rps", burst_rps, low=0, strict=True)
+    check_number("burst mean_normal_s", mean_normal_s, low=0, strict=True)
+    check_number("burst mean_burst_s", mean_burst_s, low=0, strict=True)
     return Phase(
         kind="burst",
         duration_s=duration_s,
@@ -237,10 +233,8 @@ def mix_shift(rate_rps: float, duration_s: float,
     one model family to another) as ``steps`` piecewise mixes evaluated at
     the step midpoints.
     """
-    if rate_rps <= 0:
-        raise ServingError(f"mix_shift rate must be positive, got {rate_rps}")
-    if steps < 1:
-        raise ServingError(f"mix_shift needs at least one step, got {steps}")
+    check_number("mix_shift rate_rps", rate_rps, low=0, strict=True)
+    check_number("mix_shift steps", steps, low=1, integer=True)
     return Phase(
         kind="mix_shift",
         duration_s=duration_s,
@@ -316,10 +310,10 @@ class ScenarioSpec:
             raise ServingError(
                 f"chaos must be a ChaosTimeline, got {type(self.chaos).__name__}"
             )
-        if self.num_chips < 1:
-            raise ServingError(f"num_chips must be positive, got {self.num_chips}")
-        if self.slo_s <= 0:
-            raise ServingError(f"slo_s must be positive, got {self.slo_s}")
+        check_number(
+            "num_chips", self.num_chips, low=0, strict=True, integer=True
+        )
+        check_number("slo_s", self.slo_s, low=0, strict=True)
 
     @property
     def duration_s(self) -> float:
@@ -336,8 +330,8 @@ class ScenarioSpec:
         ``i`` gets ``seed * 10_007 + i``, drains included), so streams stay
         deterministic yet uncorrelated across segments.
         """
-        if load_scale <= 0 or duration_scale <= 0:
-            raise ServingError("load_scale and duration_scale must be positive")
+        check_seed(seed)
+        check_scales(load_scale, duration_scale)
         if self.sessions is not None:
             raise ServingError(
                 f"scenario '{self.name}' is closed-loop — its traffic is "

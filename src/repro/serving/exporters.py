@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number
 from repro.serving.telemetry import SPAN_FIELDS, TELEMETRY_FIELDS, TelemetrySeries
 
 __all__ = [
@@ -185,6 +186,7 @@ def _fmt(value: float) -> str:
 def render_dashboard(series: TelemetrySeries, title: str | None = None,
                      width: int = 64) -> str:
     """Render the terminal sparkline dashboard over the windowed series."""
+    check_number("width", width, low=0, strict=True, integer=True)
     if series.num_windows == 0:
         raise ServingError("cannot render a dashboard over an empty series")
     window_ms = series.window_s * 1000.0

@@ -34,6 +34,7 @@ from typing import Protocol
 from repro.backends.cache import ExecutionCache
 from repro.backends.registry import backend_names, get_backend, is_symbolic_friendly
 from repro.errors import BackendError, ServingError
+from repro.serving._checks import check_number
 from repro.serving.traffic import Request
 
 __all__ = [
@@ -119,8 +120,7 @@ class WorkloadAffinityRouter(Router):
     name = "affinity"
 
     def __init__(self, num_chips: int, workloads: Sequence[str]) -> None:
-        if num_chips < 1:
-            raise ServingError(f"num_chips must be positive, got {num_chips}")
+        check_number("num_chips", num_chips, low=0, strict=True, integer=True)
         if not workloads:
             raise ServingError("affinity router needs at least one workload")
         names = sorted(set(workloads))
@@ -167,7 +167,8 @@ class SymbolicAffinityRouter(Router):
             raise ServingError("symbolic-affinity router needs at least one chip")
         if not workloads:
             raise ServingError("symbolic-affinity router needs at least one workload")
-        if not 0.0 <= threshold <= 1.0:
+        check_number("threshold", threshold, low=0)
+        if threshold > 1:
             raise ServingError(f"threshold must be in [0, 1], got {threshold}")
         every_chip = tuple(range(len(chip_backends)))
         symbolic_pool = tuple(
@@ -290,8 +291,9 @@ class Fleet:
     backends: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.num_chips < 1:
-            raise ServingError(f"num_chips must be positive, got {self.num_chips}")
+        check_number(
+            "num_chips", self.num_chips, low=0, strict=True, integer=True
+        )
         if self.router not in ROUTERS:
             raise ServingError(
                 f"unknown router '{self.router}'; known: {sorted(ROUTERS)}"

@@ -20,6 +20,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number
 from repro.serving.fleet import DEFAULT_BACKEND
 from repro.serving.simulator import (
     RequestRecord,
@@ -42,7 +43,8 @@ __all__ = [
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (linear interpolation) of ``values``."""
-    if not 0 <= q <= 100:
+    check_number("percentile", q, low=0)
+    if q > 100:
         raise ServingError(f"percentile must be in [0, 100], got {q}")
     if len(values) == 0:
         raise ServingError("cannot take a percentile of no values")
@@ -98,8 +100,7 @@ def queueing_summary(records: Sequence[RequestRecord]) -> dict:
 
 def _goodput_values(latencies: np.ndarray, slo_s: float, span_s: float) -> dict:
     """SLO attainment and goodput from a latency array."""
-    if slo_s <= 0:
-        raise ServingError(f"slo_s must be positive, got {slo_s}")
+    check_number("slo_s", slo_s, low=0, strict=True)
     if latencies.size == 0:
         raise ServingError("goodput needs at least one record")
     met = int(np.count_nonzero(latencies <= slo_s))
@@ -114,8 +115,7 @@ def goodput(
     records: Sequence[RequestRecord], slo_s: float, span_s: float
 ) -> dict:
     """SLO attainment and goodput (SLO-met requests per second)."""
-    if slo_s <= 0:
-        raise ServingError(f"slo_s must be positive, got {slo_s}")
+    check_number("span_s", span_s, low=0)
     if not len(records):
         raise ServingError("goodput needs at least one record")
     return _goodput_values(
@@ -147,6 +147,7 @@ def summarize_result(
     }
     row.pop("count")
     if offered_rps is not None:
+        check_number("offered_rps", offered_rps, low=0)
         row["offered_rps"] = round(offered_rps, 2)
     if result.incidents or result.requests_lost or result.requests_shed:
         # Present only on chaos runs, so chaos-free rows (and their golden
@@ -184,10 +185,8 @@ def resilience_metrics(
     Percentile fields need per-request timestamps and are therefore
     ``None`` for streamed results (which keep only latency arrays).
     """
-    if window_s <= 0:
-        raise ServingError(f"window_s must be positive, got {window_s}")
-    if tolerance < 1.0:
-        raise ServingError(f"tolerance must be >= 1.0, got {tolerance}")
+    check_number("window_s", window_s, low=0, strict=True)
+    check_number("tolerance", tolerance, low=1.0)
     out = {
         "incidents": len(result.incidents),
         "requests_arrived": result.requests_arrived,
@@ -350,6 +349,7 @@ def saturation_summary(
     """
     if not rows:
         raise ServingError("saturation_summary needs at least one sweep row")
+    check_number("knee_factor", knee_factor, low=0, strict=True)
     ordered = sorted(rows, key=lambda row: row[load_key])
     base = ordered[0][latency_key]
     knee = None

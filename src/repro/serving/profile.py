@@ -26,11 +26,11 @@ path.
 
 from __future__ import annotations
 
-import math
 import time
 
 from repro.backends.cache import ExecutionCache
 from repro.errors import ServingError
+from repro.serving._checks import check_scales, check_seed
 from repro.serving.batching import BatchingPolicy, build_policy
 from repro.serving.fleet import Fleet, Router
 from repro.serving.simulator import ServingSimulator
@@ -174,13 +174,8 @@ def profile_scenario(
     from repro.serving.metrics import per_workload_summary, summarize_result
     from repro.serving.scenarios import get_scenario
 
-    if not all(
-        scale > 0 and math.isfinite(scale)
-        for scale in (load_scale, duration_scale)
-    ):
-        raise ServingError(
-            "load_scale and duration_scale must be positive and finite"
-        )
+    check_seed(seed)
+    check_scales(load_scale, duration_scale)
     scenario = get_scenario(name)
     chips = num_chips if num_chips is not None else scenario.num_chips
     fleet = Fleet(

@@ -39,11 +39,11 @@ at ``load_scale=1.0``.  New scenarios can be added at runtime with
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace as _dc_replace
 
 from repro.errors import ServingError
+from repro.serving._checks import check_scales, check_seed
 from repro.serving.batching import build_policy
 from repro.serving.chaos import ChaosTimeline, chip_failure, power_cap
 from repro.serving.control import ControllerConfig, run_controlled
@@ -313,13 +313,8 @@ def run_scenario(
     controller) this function is byte-identical to the pre-controller
     layer — the control plane is never on the static path.
     """
-    if not all(
-        scale > 0 and math.isfinite(scale)
-        for scale in (load_scale, duration_scale)
-    ):
-        raise ServingError(
-            "load_scale and duration_scale must be positive and finite"
-        )
+    check_seed(seed)
+    check_scales(load_scale, duration_scale)
     scenario = get_scenario(name)
     # Validate the fleet and policy overrides before paying for traffic
     # generation, so bad --backend/--router input fails fast.

@@ -31,14 +31,13 @@ users mid-conversation.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number, check_scales, check_seed
 from repro.serving.simulator import ServingResult
 from repro.serving.traffic import (
     SEED_STRIDE,
@@ -86,18 +85,11 @@ class SessionConfig:
 
     def __post_init__(self):
         for name in ("users", "turns", "sessions_per_user"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ServingError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ServingError(f"{name} must be positive, got {value}")
-        for name, value in (("think_time_s", self.think_time_s),
-                            ("session_gap_s", self.session_gap_s),
-                            ("start_spread_s", self.start_spread_s)):
-            if not (value >= 0.0 and math.isfinite(value)):
-                raise ServingError(
-                    f"{name} must be finite and >= 0, got {value}"
-                )
+            check_number(
+                name, getattr(self, name), low=0, strict=True, integer=True
+            )
+        for name in ("think_time_s", "session_gap_s", "start_spread_s"):
+            check_number(name, getattr(self, name), low=0)
         object.__setattr__(self, "mix", _normalize_mix(dict(self.mix)))
 
     @property
@@ -114,13 +106,7 @@ class SessionConfig:
         floor one), mirroring what the knobs do to open-loop phases:
         more concurrent demand versus a longer experiment.
         """
-        if not (
-            0 < load_scale < math.inf and 0 < duration_scale < math.inf
-        ):
-            raise ServingError(
-                "load_scale and duration_scale must be positive and finite, "
-                f"got {load_scale} and {duration_scale}"
-            )
+        check_scales(load_scale, duration_scale)
         if load_scale == 1.0 and duration_scale == 1.0:
             return self
         return replace(
@@ -242,6 +228,7 @@ def run_sessions(
         raise ServingError(
             f"config must be a SessionConfig, got {type(config).__name__}"
         )
+    check_seed(seed)
     population = _Population(config, seed)
     result = simulator._run_trace(
         (), population.names, telemetry_window_s, source=population

@@ -59,6 +59,7 @@ import numpy as np
 from repro.backends.cache import ExecutionCache
 from repro.backends.registry import backend_names
 from repro.errors import ServingError
+from repro.serving._checks import check_number
 from repro.serving.fleet import (
     FixedOwnersRouter,
     JoinShortestQueueRouter,
@@ -101,6 +102,7 @@ def plan_components(router, num_chips: int):
     independent components, else a human-readable fallback reason string
     (recorded in the result's provenance as ``shard_fallback``).
     """
+    check_number("num_chips", num_chips, low=0, strict=True, integer=True)
     if num_chips < 2:
         return "a single-chip fleet has nothing to shard"
     router_type = type(router)
@@ -750,10 +752,10 @@ def _run_sharded(
 ):
     """The sharded execution of ``ServingSimulator.run`` and ``run_stream``.
 
-    Both call this whenever ``shards != 1``.  The shard arguments are
-    checked first; then a run with a chaos timeline (its incident
-    accounting is fleet-global) or on a fleet :func:`plan_components`
-    cannot split runs on the single-shard core, and
+    Both check ``shards`` and call this whenever ``shards != 1``.  The
+    worker count is checked first; then a run with a chaos timeline (its
+    incident accounting is fleet-global) or on a fleet
+    :func:`plan_components` cannot split runs on the single-shard core, and
     ``provenance["shard_fallback"]`` says why.  Otherwise the chunks are
     partitioned once, the components run (see :func:`_run_components`)
     and their accounting folds once.
@@ -771,10 +773,8 @@ def _run_sharded(
     batch log; window contents are order-insensitive multisets, so the
     series is byte-identical to the single-shard run's.
     """
-    if shards < 1:
-        raise ServingError(f"shards must be >= 1, got {shards}")
-    if workers is not None and workers < 1:
-        raise ServingError(f"shard workers must be >= 1, got {workers}")
+    if workers is not None:
+        check_number("shard workers", workers, low=1, integer=True)
     chip_models = sim._chip_models()
     router = sim._make_router(workload_names, chip_models)
     plan = (

@@ -80,6 +80,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number
 from repro.serving.batching import (
     BatchingPolicy,
     ContinuousBatching,
@@ -950,8 +951,7 @@ def columnar_chunks(
     :meth:`ServingSimulator.run_stream` consumes; the input must already be
     sorted by ``(arrival_s, request_id)``.
     """
-    if chunk_size < 1:
-        raise ServingError(f"chunk_size must be positive, got {chunk_size}")
+    check_number("chunk_size", chunk_size, low=0, strict=True, integer=True)
     arrivals: list[float] = []
     workloads: list[str] = []
     ids: list[int] = []
@@ -1126,6 +1126,7 @@ class ServingSimulator:
         """
         if not requests:
             raise ServingError("cannot simulate an empty request stream")
+        check_number("shards", shards, low=1, integer=True)
         columns = request_columns(requests)
         workloads = tuple(sorted(set(columns[1])))
         # One pre-sorted columnar chunk: run() already holds the whole stream.
@@ -1240,6 +1241,7 @@ class ServingSimulator:
         workload_names = tuple(sorted(set(workloads)))
         if not workload_names:
             raise ServingError("run_stream needs the stream's workload set")
+        check_number("shards", shards, low=1, integer=True)
         if shards != 1:
             from repro.serving.sharding import _run_sharded
 

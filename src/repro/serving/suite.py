@@ -30,6 +30,7 @@ import os
 from typing import NamedTuple, Sequence
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number
 
 __all__ = ["SuiteCase", "SuiteResult", "run_suite", "map_cases"]
 
@@ -173,6 +174,5 @@ def run_suite(
             )
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ServingError(f"jobs must be at least 1, got {jobs}")
+    check_number("jobs", jobs, low=1, integer=True)
     return map_cases(_run_case, cases, jobs=jobs)

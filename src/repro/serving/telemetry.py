@@ -52,12 +52,12 @@ columns by :func:`request_spans`; nothing is added to the hot path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number
 from repro.serving.simulator import _BatchLog
 
 __all__ = [
@@ -259,12 +259,8 @@ def _energy_lookup(chip_models):
 
 def _check_window(window_s) -> float:
     """Validate and normalize a window width."""
-    window_s = float(window_s)
-    if not (window_s > 0 and math.isfinite(window_s)):
-        raise ServingError(
-            f"telemetry window must be positive and finite, got {window_s}"
-        )
-    return window_s
+    check_number("telemetry window", window_s, low=0, strict=True)
+    return float(window_s)
 
 
 def _window_index(times, window_s: float) -> np.ndarray:
@@ -708,6 +704,7 @@ class TelemetryCollector:
 
     def __init__(self, window_s, num_chips, chip_models, workload_names):
         self.window_s = _check_window(window_s)
+        check_number("num_chips", num_chips, low=0, strict=True, integer=True)
         self.num_chips = int(num_chips)
         self._names = tuple(workload_names)
         self._energy_of = _energy_lookup(list(chip_models))

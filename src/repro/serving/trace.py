@@ -37,15 +37,15 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number, check_scales, check_seed
 from repro.serving.simulator import (
     DEFAULT_CHUNK_SIZE,
     ServingSimulator,
@@ -57,6 +57,7 @@ from repro.serving.traffic import (
     ArrivalProcess,
     Request,
     RequestStream,
+    _first_unordered,
 )
 from repro.workloads.registry import WORKLOAD_BUILDERS
 
@@ -128,23 +129,6 @@ def _chunk_lines(arrivals, names, ids) -> bytes:
         map(quoted.__getitem__, names),
         _json_items(arrivals),
     )).encode("ascii")
-
-
-def _first_unordered(arrivals, ids, prev_arrival, prev_id) -> int:
-    """Index of a chunk's first row out of trace order, or ``-1``.
-
-    A row is in order when its arrival is not below the previous row's
-    and its id is above the previous id; ``prev_arrival``/``prev_id`` are
-    those of the row before the chunk.  The comparisons are Python's,
-    mapped in C: as fast as numpy here, and exact for ids beyond int64
-    and int arrivals beyond float64's integer range.
-    """
-    ordered = list(map(
-        operator.and_,
-        map(operator.ge, arrivals, chain((prev_arrival,), arrivals)),
-        map(operator.gt, ids, chain((prev_id,), ids)),
-    ))
-    return ordered.index(False) if False in ordered else -1
 
 
 def _stream_chunks(
@@ -356,8 +340,7 @@ class RequestTrace:
         ``num_requests`` must match the line count, so a truncated file
         fails loudly instead of replaying silently short.
         """
-        if chunk_size < 1:
-            raise ServingError(f"chunk_size must be positive, got {chunk_size}")
+        check_number("chunk_size", chunk_size, low=0, strict=True, integer=True)
         known = frozenset(self.info.workloads)
         count = 0
         prev_arrival = -float("inf")
@@ -525,8 +508,10 @@ def record_process(
     one window only.  Without it the process generates in one shot with
     ``seed`` — byte-identical to serving the same generator directly.
     """
-    if duration_s <= 0:
-        raise ServingError(f"duration must be positive, got {duration_s}")
+    check_number("duration", duration_s, low=0, strict=True)
+    check_seed(seed)
+    if window_s is not None:
+        check_number("window_s", window_s, low=0, strict=True)
     provenance = {
         "process": type(process).__name__,
         "duration_s": duration_s,
@@ -539,8 +524,6 @@ def record_process(
         return write_trace(
             path, process.generate(duration_s, seed=seed), source=provenance
         )
-    if window_s <= 0:
-        raise ServingError(f"window_s must be positive, got {window_s}")
 
     def windows() -> Iterator[RequestStream]:
         offset = 0.0
@@ -577,8 +560,8 @@ def record_scenario(
     """
     from repro.serving.scenarios import get_scenario
 
-    if load_scale <= 0 or duration_scale <= 0:
-        raise ServingError("load_scale and duration_scale must be positive")
+    check_seed(seed)
+    check_scales(load_scale, duration_scale)
     scenario = get_scenario(name)
     requests = scenario.traffic(seed, load_scale, duration_scale)
     if not requests:

@@ -25,14 +25,17 @@ while the simulator's intakes read the columns directly.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving._checks import check_number, check_seed
 from repro.workloads.registry import WORKLOAD_BUILDERS
 
 __all__ = [
@@ -79,6 +82,23 @@ class Request:
             )
 
 
+def _first_unordered(arrivals, ids, prev_arrival, prev_id) -> int:
+    """Index of the first row out of stream order, or ``-1``.
+
+    A row is in order when its arrival is not below the previous row's
+    and its id is above the previous id; ``prev_arrival``/``prev_id`` are
+    those of the row before ``arrivals``.  The comparisons are Python's,
+    mapped in C: exact for ids beyond int64 and int arrivals beyond
+    float64's integer range.
+    """
+    ordered = list(map(
+        operator.and_,
+        map(operator.ge, arrivals, chain((prev_arrival,), arrivals)),
+        map(operator.gt, ids, chain((prev_id,), ids)),
+    ))
+    return ordered.index(False) if False in ordered else -1
+
+
 class RequestStream(Sequence[Request]):
     """An immutable request stream held as ``arrivals``/``workloads``/``ids``.
 
@@ -122,14 +142,19 @@ class RequestStream(Sequence[Request]):
                 f"request {self.ids[0]} has negative arrival time "
                 f"{self.arrivals[0]}"
             )
-        order = np.flatnonzero(
-            (times[1:] < times[:-1])
-            | (np.diff(np.asarray(self.ids, dtype=np.int64)) <= 0)
-        )
-        if order.size:
+        try:
+            ids = np.asarray(self.ids, dtype=np.int64)
+        except OverflowError:  # ids beyond int64: compare them exactly
+            bad = _first_unordered(self.arrivals, self.ids, -math.inf, -math.inf)
+        else:
+            unordered = np.flatnonzero(
+                (times[1:] < times[:-1]) | (np.diff(ids) <= 0)
+            )
+            bad = int(unordered[0]) + 1 if unordered.size else -1
+        if bad >= 0:
             raise ServingError(
                 "request stream is not sorted by arrival time with strictly "
-                f"increasing ids near request {self.ids[int(order[0]) + 1]}"
+                f"increasing ids near request {self.ids[bad]}"
             )
 
     def __len__(self) -> int:
@@ -165,11 +190,9 @@ def check_mix_weights(weights: Mapping[str, float], what: str = "workload mix") 
     """
     if not weights:
         raise ServingError(f"{what} must name at least one workload")
-    if not all(math.isfinite(weight) for weight in weights.values()):
-        raise ServingError(f"{what} weights must be finite")
-    if any(weight < 0 for weight in weights.values()):
-        raise ServingError(f"{what} weights must be non-negative")
-    total = float(sum(weights.values()))
+    for weight in weights.values():
+        check_number(f"{what} weights", weight, low=0)
+    total = sum(map(float, weights.values()))
     if not 0 < total < math.inf:
         raise ServingError(f"{what} weights must sum to a positive finite value")
     return total
@@ -242,12 +265,10 @@ class ArrivalProcess:
 
         Ids run from ``start_id`` in arrival order.
         """
-        if not (duration_s > 0 and math.isfinite(duration_s)):
-            raise ServingError(
-                f"duration must be positive and finite, got {duration_s}"
-            )
-        if not math.isfinite(start_s):
-            raise ServingError(f"start_s must be finite, got {start_s}")
+        check_number("duration", duration_s, low=0, strict=True)
+        check_number("start_s", start_s)
+        check_number("start_id", start_id, integer=True)
+        check_seed(seed)
         rng = np.random.default_rng(seed)
         arrivals, workloads = self._generate(duration_s, rng, start_s)
         return RequestStream(
@@ -268,10 +289,7 @@ class PoissonArrivals(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate_rps`` requests per second."""
 
     def __init__(self, rate_rps: float, mix: WorkloadMix) -> None:
-        if not (rate_rps > 0 and math.isfinite(rate_rps)):
-            raise ServingError(
-                f"arrival rate must be positive and finite, got {rate_rps}"
-            )
+        check_number("arrival rate", rate_rps, low=0, strict=True)
         self.rate_rps = rate_rps
         self.mix = mix
 
@@ -313,16 +331,13 @@ class MMPPArrivals(ArrivalProcess):
         mean_normal_s: float = 1.0,
         mean_burst_s: float = 0.2,
     ) -> None:
-        if not all(
-            rate > 0 and math.isfinite(rate)
-            for rate in (normal_rate_rps, burst_rate_rps)
+        for name, value in (
+            ("normal_rate_rps", normal_rate_rps),
+            ("burst_rate_rps", burst_rate_rps),
+            ("mean_normal_s", mean_normal_s),
+            ("mean_burst_s", mean_burst_s),
         ):
-            raise ServingError("MMPP state rates must be positive and finite")
-        if not all(
-            mean > 0 and math.isfinite(mean)
-            for mean in (mean_normal_s, mean_burst_s)
-        ):
-            raise ServingError("MMPP mean dwell times must be positive and finite")
+            check_number(f"MMPP {name}", value, low=0, strict=True)
         self.normal_rate_rps = normal_rate_rps
         self.burst_rate_rps = burst_rate_rps
         self.mean_normal_s = mean_normal_s
@@ -375,11 +390,11 @@ class TraceArrivals(ArrivalProcess):
                 f"trace names unknown workloads {sorted(unknown)}; "
                 f"known: {sorted(WORKLOAD_BUILDERS)}"
             )
+        for t, _ in trace:
+            check_number("trace arrival time", t)
         self.trace = tuple(
             sorted(((float(t), workload) for t, workload in trace))
         )
-        if not all(math.isfinite(t) for t, _ in self.trace):
-            raise ServingError("trace arrival times must be finite")
 
     def _generate(self, duration_s, rng, start_s):
         """Replay the trace entries that fall inside the window."""
@@ -399,6 +414,7 @@ def concatenate_segments(
     """
     if not segments:
         raise ServingError("concatenate_segments needs at least one segment")
+    check_seed(seed)
     arrivals: list[float] = []
     workloads: list[str] = []
     offset = 0.0
